@@ -1,0 +1,9 @@
+"""Puts the benchmark's modules and the checkout's package on the path."""
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+import run  # noqa: E402
+
+run.import_package()
