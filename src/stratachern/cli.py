@@ -21,9 +21,9 @@ import numpy as np
 from .config import RunConfig, default_config, load_config, with_overrides
 from .errors import StrataChernError, ValidationError
 from .harness import PANEL_IDS, Workspace, _run_panel, run_all
-from .geometry import inequality_suite, saturation_case
+from .geometry import saturation_case
 from .model import min_gap_on_mesh
-from .multiorbital import levi_type, reconstruct_JF, sector_response_multi, THETA_IMAG, THETA_REAL
+from .multiorbital import levi_type, reconstruct_JF
 
 _MESH_RE = re.compile(r"^(\d+)x(\d+)$")
 
@@ -87,16 +87,9 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
     reports, jumps = ws.sweep
     return {
         "points": len(reports),
-        "residual_max": max((max(r.r_mu, r.r_nu) for r in reports), default=0.0),
+        "residual_max": ws.residual_max,
         "total_delta_mu": sum(j.delta_mu for j in jumps),
-        "jump_records": [
-            {
-                "wall_location": j.wall_location,
-                "delta_mu": j.delta_mu,
-                "delta_nu_S": j.delta_nu_S,
-            }
-            for j in jumps
-        ],
+        "jump_records": [j.to_dict() for j in jumps],
         "panels": [out_d.to_dict(), out_e.to_dict()],
     }
 
@@ -114,20 +107,8 @@ def _cmd_tomography(cfg: RunConfig) -> dict:
 def _cmd_multiorbital(cfg: RunConfig) -> dict:
     ws = Workspace(cfg)
     out_g = _run_panel(ws, "g")
-    mu = ws.sector.mu
-    jf = ws.multi_jf
-    m, n = cfg.multi.m, cfg.multi.n
-    responses = {}
-    for i in range(m):
-        for j in range(n):
-            e_i = np.zeros(m, dtype=complex)
-            e_i[i] = 1.0
-            f_j = np.zeros(n, dtype=complex)
-            f_j[j] = 1.0
-            for theta in (THETA_REAL, THETA_IMAG):
-                responses[(i, j, theta)], _ = sector_response_multi(jf, mu, e_i, f_j, theta)
-    rec = reconstruct_JF(responses, m, n, mu)
-    rec_err = float(np.abs(rec.JF - jf.JF).max())
+    rec = reconstruct_JF(ws.probe_responses, cfg.multi.m, cfg.multi.n, ws.sector.mu)
+    rec_err = float(np.abs(rec.JF - ws.multi_jf.JF).max())
     x, y = ws.probe_pair
     kind = levi_type(np.outer(x, np.conj(y)))
     return {
@@ -158,15 +139,7 @@ def _cmd_qgt(cfg: RunConfig) -> dict:
 
 
 def _cmd_inequalities(cfg: RunConfig) -> dict:
-    ws = Workspace(cfg)
-    report = inequality_suite(
-        cfg.model,
-        ws.theta,
-        (cfg.mesh.nx, cfg.mesh.ny),
-        cfg.qfi_scan.samples,
-        cfg.qfi_scan.seed,
-    )
-    return report.to_dict()
+    return Workspace(cfg).inequalities.to_dict()
 
 
 def _cmd_figure(cfg: RunConfig, panel: str) -> dict:

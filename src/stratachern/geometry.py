@@ -15,8 +15,9 @@ derivatives,
 
     QS_ab = <da(u)| Pperp S' Pperp |db(u)>,   Pperp = 1 - |u><u|,
 
-and is computed both this way (through an explicit smooth local section) and
-via the pointwise proportionality QS = eta * Q with
+and is computed both this way (through the valence section and its exact
+derivatives from ``model.valence_amplitudes``) and via the pointwise
+proportionality QS = eta * Q with
 eta = 2 Re(exp(i*theta) vA conj(vB)); the two paths agree to rounding and the
 deviation is reported.  The quantum Fisher information along a direction is
 FQ = 4 g_dd, its filtered version FQS = 4 Re(QS_dd) = eta * FQ, and the whole
@@ -37,8 +38,10 @@ from .model import (
     BlochState,
     ModelParams,
     bloch_vector_fields,
-    valence_state,
     d_vector,
+    mesh_kpoints,
+    valence_amplitudes,
+    valence_state,
 )
 from .multiorbital import witness_block
 from .witness import sector_responses
@@ -89,41 +92,9 @@ class GeometrySamples:
         return self.QS[:, 0, 1].imag
 
 
-def _valence_sections(n: np.ndarray, dn: np.ndarray):
-    """Smooth local valence sections u and derivatives du over flat batches.
-
-    Southern hemisphere (nz <= 0) uses the section regular away from the north
-    pole, u = (a, -w/(2a)) with a = sqrt((1-nz)/2); the northern one uses
-    u = (conj(w)/(2b), -b) with b = sqrt((1+nz)/2).  Both are exact eigenstates
-    of n.sigma with eigenvalue -1 and never divide by a small quantity on
-    their own half of the sphere.  Returns u (P, 2) and du (P, 2, 2) indexed
-    [point, direction, component].
-    """
-    nz = n[:, 2]
-    w = n[:, 0] + 1j * n[:, 1]
-    dw = dn[:, :, 0] + 1j * dn[:, :, 1]       # (P, 2)
-    dnz = dn[:, :, 2]
-    u = np.empty((n.shape[0], 2), dtype=complex)
-    du = np.empty((n.shape[0], 2, 2), dtype=complex)
-
-    s = nz <= 0.0
-    a = np.sqrt(0.5 * (1.0 - nz[s]))
-    da = -dnz[s] / (4.0 * a[:, None])
-    u[s, 0] = a
-    u[s, 1] = -w[s] / (2.0 * a)
-    du[s, :, 0] = da
-    du[s, :, 1] = -dw[s] / (2.0 * a[:, None]) + w[s, None] * da / (2.0 * (a**2)[:, None])
-
-    m = ~s
-    b = np.sqrt(0.5 * (1.0 + nz[m]))
-    db = dnz[m] / (4.0 * b[:, None])
-    u[m, 0] = np.conj(w[m]) / (2.0 * b)
-    u[m, 1] = -b
-    du[m, :, 0] = np.conj(dw[m]) / (2.0 * b[:, None]) - np.conj(w[m])[:, None] * db / (
-        2.0 * (b**2)[:, None]
-    )
-    du[m, :, 1] = -db
-    return u, du
+def _mesh_dims(N) -> tuple[int, int]:
+    """(nx, ny) from a mesh size given as an int or an (nx, ny) pair."""
+    return (int(N[0]), int(N[1])) if isinstance(N, (tuple, list)) else (int(N), int(N))
 
 
 def sign_operator_matrix(theta) -> np.ndarray:
@@ -159,7 +130,10 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
     eta = 2.0 * np.real(phase * coherence)
     conc = np.sqrt(np.clip(1.0 - nz * nz, 0.0, None))
 
-    u, du = _valence_sections(n, dn)
+    vA, vB, dvA, dvB = valence_amplitudes(n, dn)
+    u = np.stack([vA, vB], axis=-1)                  # (P, 2)
+    du = np.stack([dvA, dvB], axis=-1)               # (P, 2, 2) [point, direction, component]
+    del vA, vB, dvA, dvB  # large batches: free the copies before the 2x2 products
     perp = np.eye(2)[None] - u[:, :, None] * np.conj(u[:, None, :])
     inserted = perp @ sign_operator_matrix(th) @ perp
     qs = np.einsum("pai,pij,pbj->pab", np.conj(du), inserted, du)
@@ -190,10 +164,8 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
 
 def qgt(k, p: ModelParams) -> tuple[np.ndarray, float]:
     """Fubini-Study metric g (2x2) and curvature component F_xy at one k."""
-    n, dn, _ = bloch_vector_fields(np.atleast_2d(np.asarray(k, dtype=float)), p)
-    g = 0.25 * np.einsum("pac,pbc->pab", dn, dn)[0]
-    fxy = float(-0.5 * (n[0] @ np.cross(dn[0, 0], dn[0, 1])))
-    return g, fxy
+    arr = qgt_sample_arrays(k, p, 0.0)
+    return arr.g[0], float(arr.Fxy[0])
 
 
 def qfi(g, direction) -> float:
@@ -218,8 +190,7 @@ def concurrence(s: BlochState) -> float:
 
 def coherence_gradient(k, p: ModelParams) -> np.ndarray:
     """Exact k-gradient of vA vB* = (-nx + i ny)/2; shape (2,) complex."""
-    _, dn, _ = bloch_vector_fields(np.atleast_2d(np.asarray(k, dtype=float)), p)
-    return 0.5 * (-dn[0, :, 0] + 1j * dn[0, :, 1])
+    return qgt_sample_arrays(k, p, 0.0).dcoherence[0]
 
 
 def filtered_qgt(k, p: ModelParams, theta: float, direction=(1.0, 0.0)) -> QgtSample:
@@ -240,19 +211,20 @@ def filtered_qgt(k, p: ModelParams, theta: float, direction=(1.0, 0.0)) -> QgtSa
     )
 
 
+def _mesh_samples(p: ModelParams, theta: float, N):
+    """Geometry fields at the N x N plaquette base corners, and the cell area."""
+    nx, ny = _mesh_dims(N)
+    arr = qgt_sample_arrays(mesh_kpoints(nx, ny).reshape(-1, 2), p, theta)
+    return arr, CELL_AREA / (nx * ny)
+
+
 def filtered_chern_from_qgt(p: ModelParams, theta: float, N) -> float:
     """Riemann-sum estimate -(1/pi) * sum Im(QS_xy) * dA of the graded response.
 
     Uses the insertion-form filtered tensor at the N x N plaquette base
     corners with cell area |g1 x g2| / N^2.
     """
-    nx, ny = (int(N[0]), int(N[1])) if isinstance(N, (tuple, list)) else (int(N), int(N))
-    frac = np.stack(
-        np.meshgrid(np.arange(nx) / nx, np.arange(ny) / ny, indexing="ij"), axis=-1
-    )
-    k = (frac @ RECIPROCAL).reshape(-1, 2)
-    arr = qgt_sample_arrays(k, p, theta)
-    cell = CELL_AREA / (nx * ny)
+    arr, cell = _mesh_samples(p, theta, N)
     return float(-(arr.im_qs_xy * cell).sum() / math.pi)
 
 
@@ -263,13 +235,7 @@ def curvature_riemann_total(p: ModelParams, N) -> float:
     this converges to the Chern number only in the N -> infinity limit; the
     integrand is smooth and periodic, so convergence is spectral.
     """
-    nx, ny = (int(N[0]), int(N[1])) if isinstance(N, (tuple, list)) else (int(N), int(N))
-    frac = np.stack(
-        np.meshgrid(np.arange(nx) / nx, np.arange(ny) / ny, indexing="ij"), axis=-1
-    )
-    k = (frac @ RECIPROCAL).reshape(-1, 2)
-    arr = qgt_sample_arrays(k, p, 0.0)
-    cell = CELL_AREA / (nx * ny)
+    arr, cell = _mesh_samples(p, 0.0, N)
     return float((arr.Fxy * cell).sum() / TWO_PI)
 
 
@@ -322,17 +288,31 @@ class InequalityReport:
         }
 
 
-def _collect_violations(checks, slack: float):
-    """checks: name -> (lhs array, rhs array). Returns (max_slack, offenders)."""
+def _bound_report(cls, checks, slack: float, where=None, **fields):
+    """Report of type ``cls`` from bound checks, or ViolationFound carrying it.
+
+    ``checks`` maps a bound name to (lhs array, rhs array); the report gets
+    the max slack (lhs - rhs) per bound and the violation count, plus
+    ``fields``.  ``where(i)`` optionally describes sample i in the message.
+    """
     max_slack = {}
     offenders = []
     for name, (lhs, rhs) in checks.items():
         gap = lhs - rhs
         max_slack[name] = float(gap.max())
-        bad = np.nonzero(gap > slack)[0]
-        for i in bad[:3]:
+        for i in np.nonzero(gap > slack)[0][:3]:
             offenders.append((name, int(i), float(lhs[i]), float(rhs[i])))
-    return max_slack, offenders
+    report = cls(max_slack=max_slack, violations=len(offenders), **fields)
+    if offenders:
+        name, i, lhs, rhs = offenders[0]
+        detail = f" ({where(i)})" if where is not None else ""
+        err = ViolationFound(
+            f"{len(offenders)} bound violation(s); first: {name} at sample {i}: "
+            f"lhs = {lhs!r} > rhs = {rhs!r}{detail}"
+        )
+        err.report = report
+        raise err
+    return report
 
 
 def inequality_suite(
@@ -356,7 +336,7 @@ def inequality_suite(
     (carrying the report) if any bound fails by more than ``slack`` --- that
     signals an implementation bug, never an expected outcome.
     """
-    nx, ny = (int(N[0]), int(N[1])) if isinstance(N, (tuple, list)) else (int(N), int(N))
+    nx, ny = _mesh_dims(N)
     rng = np.random.Generator(np.random.Philox(seed))
     uv = rng.random((int(samples), 2))
     psi = rng.random(int(samples)) * TWO_PI
@@ -384,27 +364,16 @@ def inequality_suite(
         np.array([bound]),
     )
 
-    max_slack, offenders = _collect_violations(checks, slack)
-    report = InequalityReport(
+    return _bound_report(
+        InequalityReport, checks, slack,
+        where=lambda i: f"k = {arr.k[i % len(arr.k)]}, theta = {arr.theta[i % len(arr.theta)]}",
         samples=int(samples),
         seed=int(seed),
         theta=float(theta),
         mesh_size=(nx, ny),
-        max_slack=max_slack,
         nu_S=report_s.nu_S,
         nu_S_bound=float(bound),
-        violations=len(offenders),
     )
-    if offenders:
-        name, i, lhs, rhs = offenders[0]
-        err = ViolationFound(
-            f"{len(offenders)} bound violation(s); first: {name} at sample {i}: "
-            f"lhs = {lhs!r} > rhs = {rhs!r} (k = {arr.k[i % len(arr.k)]}, "
-            f"theta = {float(np.atleast_1d(arr.theta)[i % len(arr.theta)])})"
-        )
-        err.report = report
-        raise err
-    return report
 
 
 @dataclass(frozen=True)
@@ -493,23 +462,12 @@ def multiorbital_bounds(
     nu_bound = float(y_norm * (c_mesh * np.abs(F.F)).sum() / TWO_PI)
     checks["global_nu"] = (np.array([abs(nu)]), np.array([nu_bound]))
 
-    max_slack, offenders = _collect_violations(checks, slack)
-    report = MultiOrbitalBoundsReport(
+    return _bound_report(
+        MultiOrbitalBoundsReport, checks, slack,
         samples=int(samples),
         seed=int(seed),
         theta=float(theta),
         y_operator_norm=y_norm,
-        max_slack=max_slack,
         nu=float(nu),
         nu_bound=nu_bound,
-        violations=len(offenders),
     )
-    if offenders:
-        name, i, lhs, rhs = offenders[0]
-        err = ViolationFound(
-            f"{len(offenders)} bound violation(s); first: {name} at sample {i}: "
-            f"lhs = {lhs!r} > rhs = {rhs!r}"
-        )
-        err.report = report
-        raise err
-    return report

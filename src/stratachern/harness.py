@@ -168,6 +168,24 @@ class Workspace:
         )
 
     @cached_property
+    def inequalities(self):
+        """Sampled bound checks with the configured sample count and seed."""
+        cfg = self.cfg
+        return inequality_suite(
+            cfg.model,
+            self.theta,
+            (cfg.mesh.nx, cfg.mesh.ny),
+            cfg.qfi_scan.samples,
+            cfg.qfi_scan.seed,
+        )
+
+    @cached_property
+    def residual_max(self) -> float:
+        """Worst sector-identity residual max(r_mu, r_nu) along the sweep."""
+        reports, _ = self.sweep
+        return max((max(r.r_mu, r.r_nu) for r in reports), default=0.0)
+
+    @cached_property
     def tomography(self):
         """(thetas, nu_direct, nu_reconstructed, max_err) on the 64-point grid."""
         thetas = theta_grid(64)
@@ -191,6 +209,20 @@ class Workspace:
     def multi_jf(self):
         x, y = self.probe_pair
         return coherence_matrix(self.mesh, self.curvature, x, y)
+
+    @cached_property
+    def probe_responses(self) -> dict:
+        """Basis-probe scan (i, j, theta) -> nu_minus for every basis pair
+        (e_i, f_j) at theta in (THETA_REAL, THETA_IMAG), in that row order."""
+        mu = self.sector.mu
+        m, n = self.cfg.multi.m, self.cfg.multi.n
+        eye_m, eye_n = np.eye(m, dtype=complex), np.eye(n, dtype=complex)
+        return {
+            (i, j, theta): sector_response_multi(self.multi_jf, mu, eye_m[i], eye_n[j], theta)[0]
+            for i in range(m)
+            for j in range(n)
+            for theta in (THETA_REAL, THETA_IMAG)
+        }
 
     @cached_property
     def qfi_samples(self):
@@ -262,22 +294,8 @@ def _panel_f(ws: Workspace):
 
 
 def _panel_g(ws: Workspace):
-    mu = ws.sector.mu
-    jf = ws.multi_jf
-    m, n = ws.cfg.multi.m, ws.cfg.multi.n
-
-    def rows():
-        for i in range(m):
-            for j in range(n):
-                for theta in (THETA_REAL, THETA_IMAG):
-                    e_i = np.zeros(m, dtype=complex)
-                    e_i[i] = 1.0
-                    f_j = np.zeros(n, dtype=complex)
-                    f_j[j] = 1.0
-                    nu_minus, _ = sector_response_multi(jf, mu, e_i, f_j, theta)
-                    yield (i, j, theta, nu_minus)
-
-    return ["i", "j", "theta", "nu_minus"], rows()
+    rows = ((i, j, theta, nu) for (i, j, theta), nu in ws.probe_responses.items())
+    return ["i", "j", "theta", "nu_minus"], rows
 
 
 def _panel_h(ws: Workspace):
@@ -342,30 +360,13 @@ def run_all(cfg: RunConfig) -> dict:
         first.args = (f"{detail} [failed panels: {names}]",)
         raise first
 
-    suite = inequality_suite(
-        cfg.model,
-        ws.theta,
-        (cfg.mesh.nx, cfg.mesh.ny),
-        cfg.qfi_scan.samples,
-        cfg.qfi_scan.seed,
-    )
-
-    reports, jumps = ws.sweep
-    residual_max = max((max(r.r_mu, r.r_nu) for r in reports), default=0.0)
     summary = {
         "chern_fhs": ws.sector.mu,
         "chern_analytic": ws.analytic,
-        "residual_max": residual_max,
+        "residual_max": ws.residual_max,
         "tomography_max_err": ws.tomography[3],
-        "inequality_violations": suite.violations,
-        "jump_records": [
-            {
-                "wall_location": j.wall_location,
-                "delta_mu": j.delta_mu,
-                "delta_nu_S": j.delta_nu_S,
-            }
-            for j in jumps
-        ],
+        "inequality_violations": ws.inequalities.violations,
+        "jump_records": [j.to_dict() for j in ws.sweep[1]],
         "seed": cfg.qfi_scan.seed,
         "mesh": {"nx": cfg.mesh.nx, "ny": cfg.mesh.ny},
         "version": VERSION,

@@ -9,7 +9,6 @@ in the admissible branch, no matter how coarse the mesh.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +33,7 @@ class TorusMesh:
     """Valence states on an nx-by-ny discretized Brillouin torus.
 
     Per-point data is stored as (nx, ny) arrays for vectorized work; the
-    ``state(m, n)``/``states`` views give the same data as BlochState records.
+    ``state(m, n)`` view gives the same data as a BlochState record.
     Indexing is periodic: the +x neighbour of (nx-1, n) is (0, n), and
     likewise in y.  Construction guarantees every point passed the gap check.
     """
@@ -58,15 +57,6 @@ class TorusMesh:
             float(self.nz[m, n]),
             complex(self.coherence[m, n]),
         )
-
-    @cached_property
-    def states(self) -> np.ndarray:
-        """Object array of BlochState indexed by (m, n)."""
-        out = np.empty((self.nx, self.ny), dtype=object)
-        for m in range(self.nx):
-            for n in range(self.ny):
-                out[m, n] = self.state(m, n)
-        return out
 
     def rephased(self, chi: np.ndarray) -> "TorusMesh":
         """Copy with each state multiplied by exp(i*chi[m, n]) (pure gauge)."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GaplessPoint, OnWall
+from .errors import GaplessPoint, OnWall, ValidationError
 
 # Fixed honeycomb geometry (NN distance = 1).
 NN_VECTORS = np.array(
@@ -50,8 +50,6 @@ K_PLUS = np.array([4.0 * math.pi / (3.0 * math.sqrt(3.0)), 0.0])
 GAP_FLOOR = 1e-12
 #: Dirac masses within this of zero count as sitting on a wall.
 WALL_TOL = 1e-12
-#: 1 - |nz| below this triggers the fixed-spinor pole convention.
-POLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,6 +60,12 @@ class ModelParams:
     t2: float
     phi: float
     M: float
+
+    def __post_init__(self):
+        for name in ("t1", "t2", "phi", "M"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"ModelParams.{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ class BlochState:
 
     ``nz`` and ``coherence`` (= vA * conj(vB) = (-nx + i*ny)/2) are computed
     directly from the unit Bloch vector, never from the gauge-dependent
-    amplitudes, so they stay exact even where the spinor phase is conventional.
+    amplitudes (see ``valence_amplitudes`` for the gauge).
     """
 
     vA: complex
@@ -174,39 +178,56 @@ def bloch_vector_fields(k, p: ModelParams, gap_floor: float = GAP_FLOOR):
 # Valence eigenstates.
 # ---------------------------------------------------------------------------
 
-def valence_amplitudes(n):
+def valence_amplitudes(n, dn=None):
     """Valence spinor (vA, vB) for unit Bloch vectors n of shape (..., 3).
 
-    Gauge: vA = sin(T/2) real >= 0, vB = -exp(+i*phase(nx+i*ny)) cos(T/2),
-    evaluated through the numerically stable branch for each hemisphere so
-    |vA|^2 + |vB|^2 = 1 holds to machine precision.  Within POLE_TOL of the
-    poles the spinor is fixed by convention: north (0, -1), south (1, 0).
+    This is the package's one valence gauge: a smooth local section on each
+    hemisphere, with a = sqrt((1 - nz)/2), b = sqrt((1 + nz)/2), w = nx + i*ny,
+
+        south (nz <= 0):  (vA, vB) = (a, -w/(2a))
+        north (nz > 0):   (vA, vB) = (conj(w)/(2b), -b)
+
+    Both are exact eigenvectors of n.sigma with eigenvalue -1, neither divides
+    by a small number on its own hemisphere, and the poles need no special
+    case: the south pole gives (1, 0) and the north pole (0, -1).  The two
+    charts differ by the phase conj(w)/|w| on the equator; that mismatch is
+    what the Chern number counts.
+
+    Given the gradients dn of shape (..., 2, 3), dn[..., a, c] = d n_c / d k_a,
+    also returns the exact derivatives (dvA, dvB) of shape (..., 2).
     """
     n = np.asarray(n, dtype=float)
-    nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
-    w = nx + 1j * ny
+    nz = n[..., 2]
+    w = n[..., 0] + 1j * n[..., 1]
     vA = np.empty(nz.shape, dtype=complex)
     vB = np.empty(nz.shape, dtype=complex)
 
-    north_pole = (1.0 - nz) < POLE_TOL
-    south_pole = (1.0 + nz) < POLE_TOL
-    south = (nz <= 0.0) & ~south_pole
-    north = (nz > 0.0) & ~north_pole
+    s = nz <= 0.0
+    m = ~s
+    a = np.sqrt(0.5 * (1.0 - nz[s]))
+    vA[s] = a
+    vB[s] = -w[s] / (2.0 * a)
+    b = np.sqrt(0.5 * (1.0 + nz[m]))
+    vA[m] = np.conj(w[m]) / (2.0 * b)
+    vB[m] = -b
+    if dn is None:
+        return vA, vB
 
-    a = np.sqrt(0.5 * (1.0 - nz[south]))
-    vA[south] = a
-    vB[south] = -w[south] / (2.0 * a)
+    dn = np.asarray(dn, dtype=float)
+    dw = dn[..., 0] + 1j * dn[..., 1]         # (..., 2)
+    dnz = dn[..., 2]
+    dvA = np.empty(dw.shape, dtype=complex)
+    dvB = np.empty(dw.shape, dtype=complex)
 
-    b = np.sqrt(0.5 * (1.0 + nz[north]))
-    aw = np.abs(w[north])
-    vA[north] = aw / (2.0 * b)
-    vB[north] = -(w[north] / aw) * b
-
-    vA[north_pole] = 0.0
-    vB[north_pole] = -1.0
-    vA[south_pole] = 1.0
-    vB[south_pole] = 0.0
-    return vA, vB
+    da = -dnz[s] / (4.0 * a[:, None])
+    dvA[s] = da
+    dvB[s] = -dw[s] / (2.0 * a[:, None]) + w[s, None] * da / (2.0 * (a**2)[:, None])
+    db = dnz[m] / (4.0 * b[:, None])
+    dvA[m] = np.conj(dw[m]) / (2.0 * b[:, None]) - np.conj(w[m])[:, None] * db / (
+        2.0 * (b**2)[:, None]
+    )
+    dvB[m] = -db
+    return vA, vB, dvA, dvB
 
 
 def valence_state(d: DVector, gap_floor: float = GAP_FLOOR) -> BlochState:

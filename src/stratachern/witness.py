@@ -84,6 +84,13 @@ class JumpRecord:
     delta_nu_S: float
     side_values: tuple[float, float, float, float]  # (mu_lo, nu_S_lo, mu_hi, nu_S_hi)
 
+    def to_dict(self) -> dict:
+        return {
+            "wall_location": self.wall_location,
+            "delta_mu": self.delta_mu,
+            "delta_nu_S": self.delta_nu_S,
+        }
+
 
 def reference_phase(mesh: TorusMesh) -> float:
     """arg of the mesh-averaged vB * conj(vA); DegeneratePhase if the average

@@ -32,7 +32,6 @@ TWO_PI = 2.0 * math.pi
 def test_build_mesh_layout(p_half):
     mesh = build_mesh(p_half, 4, 4)
     assert mesh.kpoints.shape == (4, 4, 2)
-    assert mesh.states.shape == (4, 4)
     # fractional coordinates m/nx, n/ny in the reciprocal basis
     want = (2.0 / 4.0) * RECIPROCAL[0] + (3.0 / 4.0) * RECIPROCAL[1]
     np.testing.assert_allclose(mesh.kpoints[2, 3], want, atol=1e-15)

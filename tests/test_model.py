@@ -9,16 +9,35 @@ from stratachern import (
     GaplessPoint,
     ModelParams,
     OnWall,
+    ValidationError,
     analytic_chern,
     d_derivatives,
     d_vector,
     dirac_masses,
     min_gap_on_mesh,
+    sweep_mass,
     valence_state,
 )
-from stratachern.model import K_PLUS
+from stratachern.model import K_PLUS, bloch_vector_fields, valence_amplitudes
 
 SQRT3 = math.sqrt(3.0)
+
+
+# --- ModelParams --------------------------------------------------------------
+
+@pytest.mark.parametrize("field", ["t1", "t2", "phi", "M"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_params_reject_non_finite(field, bad):
+    values = dict(t1=1.0, t2=1.0 / 3.0, phi=math.pi / 2.0, M=0.5)
+    values[field] = bad
+    with pytest.raises(ValidationError, match=rf"ModelParams\.{field} must be finite") as excinfo:
+        ModelParams(**values)
+    assert excinfo.value.exit_code == 2
+
+
+def test_sweep_rejects_non_finite_mass(p_half):
+    with pytest.raises(ValidationError, match="ModelParams.M"):
+        sweep_mass(p_half, [0.5, math.nan], (8, 8))
 
 
 # --- d_vector ---------------------------------------------------------------
@@ -131,6 +150,46 @@ def test_valence_state_invariants():
         # spinor is the exact lower eigenvector of the traceless part
         h = np.array([[v[2], v[0] - 1j * v[1]], [v[0] + 1j * v[1], -v[2]]])
         np.testing.assert_allclose(h @ spinor, -nrm * spinor, atol=1e-12)
+
+
+# For p_half, K_PLUS maps to the south pole of the Bloch sphere and -K_PLUS to
+# the north pole; the offsets put n within 1e-9 of the pole (1 - |nz| ~ 1e-11).
+DU_POINTS = [
+    (0.3, 0.7),                                  # north, nz = 0.25
+    (2.0, 1.3),                                  # north, nz = 0.56
+    (-0.9, 2.2),                                 # south, nz = -0.92
+    (1.8, 0.2),                                  # south, nz = -0.60
+    tuple(K_PLUS),                               # south pole
+    tuple(K_PLUS + np.array([1e-5, 0.0])),
+    tuple(K_PLUS + np.array([-3e-6, 4e-6])),
+    tuple(-K_PLUS),                              # north pole
+    tuple(-K_PLUS + np.array([0.0, 1e-5])),
+    tuple(-K_PLUS + np.array([4e-6, -3e-6])),
+]
+
+
+@pytest.mark.parametrize("k", DU_POINTS)
+def test_valence_amplitudes_derivative_matches_finite_differences(p_half, k):
+    k = np.asarray(k, dtype=float)
+    n, dn, _ = bloch_vector_fields(k, p_half)
+    vA, vB, dvA, dvB = valence_amplitudes(n, dn)
+    u = np.array([vA, vB])
+    h = 1e-6
+    for a in range(2):
+        step = h * np.eye(2)[a]
+        plus = np.array(valence_amplitudes(bloch_vector_fields(k + step, p_half)[0]))
+        minus = np.array(valence_amplitudes(bloch_vector_fields(k - step, p_half)[0]))
+        np.testing.assert_allclose(np.array([dvA[a], dvB[a]]), (plus - minus) / (2.0 * h),
+                                   atol=1e-8)
+    n_sigma = np.array([[n[2], n[0] - 1j * n[1]], [n[0] + 1j * n[1], -n[2]]])
+    np.testing.assert_allclose(n_sigma @ u, -u, atol=1e-15)
+    np.testing.assert_allclose(np.vdot(u, u).real, 1.0, atol=1e-15)
+
+
+def test_valence_amplitudes_exact_at_poles():
+    vA, vB = valence_amplitudes(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+    assert vA.tolist() == [0.0, 1.0]
+    assert vB.tolist() == [-1.0, 0.0]
 
 
 def test_valence_state_gapless_point():
