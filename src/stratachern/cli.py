@@ -22,7 +22,6 @@ from .config import RunConfig, default_config, load_config, with_overrides
 from .errors import StrataChernError, ValidationError
 from .harness import PANEL_IDS, Workspace, _run_panel, run_all
 from .geometry import saturation_case
-from .model import min_gap_on_mesh
 from .multiorbital import levi_type, reconstruct_JF
 
 _MESH_RE = re.compile(r"^(\d+)x(\d+)$")
@@ -75,7 +74,7 @@ def _cmd_chern(cfg: RunConfig) -> dict:
         "chern_fhs": report.mu,
         "chern_analytic": analytic,
         "match": bool(report.mu == analytic),
-        "min_gap": min_gap_on_mesh(cfg.model, (cfg.mesh.nx, cfg.mesh.ny)),
+        "min_gap": 2.0 * ws.mesh.min_norm,
         "mesh": {"nx": cfg.mesh.nx, "ny": cfg.mesh.ny},
     }
 

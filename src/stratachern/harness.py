@@ -90,26 +90,41 @@ class PanelOutput:
         }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        raise ValidationError("booleans have no CSV encoding here")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+#: Rows formatted, written and hashed together by `_write_csv`.
+_BLOCK_ROWS = 4096
 
 
-def _write_csv(path: Path, header, rows) -> tuple[int, str]:
-    digest = hashlib.sha256()
-    count = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        line = ",".join(header) + "\n"
-        fh.write(line)
-        digest.update(line.encode("utf-8"))
-        for row in rows:
-            line = ",".join(_fmt(v) for v in row) + "\n"
-            fh.write(line)
-            digest.update(line.encode("utf-8"))
-            count += 1
+def _write_csv(path: Path, header, columns) -> tuple[int, str]:
+    """Write a header and equal-length 1-D columns as CSV; return (rows, sha256).
+
+    The encoding is set per column by its dtype: integers as ``str(v)``,
+    floats as ``"%.17g" % v`` (the digits of ``format(v, ".17g")``, so every
+    float64 reads back exactly).  Any other dtype (bool, complex, object)
+    has no encoding here and raises ValidationError.  Rows are formatted,
+    written and hashed in blocks of _BLOCK_ROWS, so memory stays flat in the
+    panel length.
+    """
+    cols = [np.asarray(c) for c in columns]
+    count = len(cols[0])
+    encoders = []
+    for c in cols:
+        if c.ndim != 1 or len(c) != count:
+            raise ValidationError(f"CSV columns must be 1-D of length {count}, got shape {c.shape}")
+        if c.dtype.kind in "iu":
+            encoders.append(str)
+        elif c.dtype.kind == "f":
+            encoders.append("%.17g".__mod__)
+        else:
+            raise ValidationError(f"{c.dtype} columns have no CSV encoding here")
+    head = (",".join(header) + "\n").encode("utf-8")
+    digest = hashlib.sha256(head)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for start in range(0, count, _BLOCK_ROWS):
+            cells = [map(enc, c[start:start + _BLOCK_ROWS].tolist()) for enc, c in zip(encoders, cols)]
+            data = ("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8")
+            fh.write(data)
+            digest.update(data)
     return count, digest.hexdigest()
 
 
@@ -243,65 +258,56 @@ class Workspace:
 
 
 # ---------------------------------------------------------------------------
-# Panel builders: each returns (header, row iterable).
+# Panel builders: each returns (header, list of equal-length 1-D columns).
 # ---------------------------------------------------------------------------
 
-def _field_rows(ws: Workspace, values: np.ndarray):
-    mesh = ws.mesh
-    for i in range(mesh.nx):
-        for j in range(mesh.ny):
-            kx, ky = mesh.kpoints[i, j]
-            yield (i, j, kx, ky, values[i, j])
+def _field_panel(ws: Workspace, name: str, values: np.ndarray):
+    m, n = np.indices(values.shape).reshape(2, -1)
+    k = ws.mesh.kpoints.reshape(-1, 2)
+    return ["m", "n", "k_x", "k_y", name], [m, n, k[:, 0], k[:, 1], values.ravel()]
 
 
 def _panel_a(ws: Workspace):
-    return ["m", "n", "k_x", "k_y", "F"], _field_rows(ws, ws.curvature.F)
+    return _field_panel(ws, "F", ws.curvature.F)
 
 
 def _panel_b(ws: Workspace):
-    alpha = alpha_field(ws.mesh, ws.theta)
-    return ["m", "n", "k_x", "k_y", "alpha"], _field_rows(ws, alpha)
+    return _field_panel(ws, "alpha", alpha_field(ws.mesh, ws.theta))
 
 
 def _panel_c(ws: Workspace):
     alpha = alpha_field(ws.mesh, ws.theta)
-    density = (1.0 - 2.0 * alpha) * ws.curvature.F / TWO_PI
-    return ["m", "n", "k_x", "k_y", "density"], _field_rows(ws, density)
+    return _field_panel(ws, "density", (1.0 - 2.0 * alpha) * ws.curvature.F / TWO_PI)
+
+
+def _sweep_panel(ws: Workspace, *fields: str):
+    reports, _ = ws.sweep
+    # one field per column, so the integer mu stays an integer column
+    columns = [np.array([getattr(r, name) for r in reports]) for name in fields]
+    return ["M", *fields], [ws.cfg.sweep.values(), *columns]
 
 
 def _panel_d(ws: Workspace):
-    reports, _ = ws.sweep
-    rows = (
-        (mval, r.mu, r.nu_plus, r.nu_minus, r.nu_S)
-        for mval, r in zip(ws.cfg.sweep.values(), reports)
-    )
-    return ["M", "mu", "nu_plus", "nu_minus", "nu_S"], rows
+    return _sweep_panel(ws, "mu", "nu_plus", "nu_minus", "nu_S")
 
 
 def _panel_e(ws: Workspace):
-    reports, _ = ws.sweep
-    rows = (
-        (mval, r.r_mu, r.r_nu)
-        for mval, r in zip(ws.cfg.sweep.values(), reports)
-    )
-    return ["M", "r_mu", "r_nu"], rows
+    return _sweep_panel(ws, "r_mu", "r_nu")
 
 
 def _panel_f(ws: Workspace):
     thetas, direct, reconstructed, _ = ws.tomography
-    rows = zip(thetas, direct, reconstructed)
-    return ["theta", "nu_direct", "nu_reconstructed"], rows
+    return ["theta", "nu_direct", "nu_reconstructed"], [thetas, direct, reconstructed]
 
 
 def _panel_g(ws: Workspace):
-    rows = ((i, j, theta, nu) for (i, j, theta), nu in ws.probe_responses.items())
-    return ["i", "j", "theta", "nu_minus"], rows
+    i, j, theta = map(np.array, zip(*ws.probe_responses))
+    return ["i", "j", "theta", "nu_minus"], [i, j, theta, np.array(list(ws.probe_responses.values()))]
 
 
 def _panel_h(ws: Workspace):
     k, th, arr = ws.qfi_samples
-    rows = zip(arr.FQ, arr.FQS, k[:, 0], k[:, 1], th)
-    return ["FQ", "FQS", "k_x", "k_y", "theta"], rows
+    return ["FQ", "FQS", "k_x", "k_y", "theta"], [arr.FQ, arr.FQS, k[:, 0], k[:, 1], th]
 
 
 _PANELS = {
@@ -319,11 +325,11 @@ _PANELS = {
 def _run_panel(ws: Workspace, panel: str) -> PanelOutput:
     if panel not in _PANELS:
         raise ValidationError(f"unknown panel {panel!r}; expected one of {PANEL_IDS}")
-    header, rows = _PANELS[panel](ws)
+    header, columns = _PANELS[panel](ws)
     outdir = Path(ws.cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"panel_{panel}.csv"
-    count, checksum = _write_csv(path, header, rows)
+    count, checksum = _write_csv(path, header, columns)
     return PanelOutput(panel=panel, path=str(path), rows=count, checksum=checksum)
 
 

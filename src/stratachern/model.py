@@ -64,7 +64,11 @@ class ModelParams:
     def __post_init__(self):
         for name in ("t1", "t2", "phi", "M"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                raise ValidationError(f"ModelParams.{name} must be a real number, got {value!r}") from None
+            if not finite:
                 raise ValidationError(f"ModelParams.{name} must be finite, got {value!r}")
 
 

@@ -22,6 +22,8 @@ from stratachern import (
     ParseError,
     ValidationError,
     ViolationFound,
+    load_config,
+    min_gap_on_mesh,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -67,6 +69,16 @@ def test_chern_subcommand(tmp_path):
     assert payload["chern_fhs"] == payload["chern_analytic"] == -1
     assert payload["match"] is True
     assert payload["min_gap"] > 0.0
+
+
+@pytest.mark.parametrize("mesh", [(12, 12), (17, 33)])
+def test_chern_min_gap_equals_mesh_scan(tmp_path, mesh):
+    # the reported gap comes from the mesh build; it must equal an
+    # independent d-field scan over the same points bit for bit
+    path = _write_cfg(tmp_path)
+    res = _run("chern", "--config", path, "--mesh", f"{mesh[0]}x{mesh[1]}")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["min_gap"] == min_gap_on_mesh(load_config(path).model, mesh)
 
 
 def test_mesh_flag_overrides_config(tmp_path):

@@ -18,7 +18,8 @@ from stratachern import (
     run_panel,
     thread_cap,
 )
-from stratachern.harness import PANEL_IDS, default_probe_pair
+from stratachern.harness import _BLOCK_ROWS, PANEL_IDS, _run_panel, _write_csv, default_probe_pair
+from stratachern.witness import alpha_field
 
 SQRT3 = math.sqrt(3.0)
 
@@ -120,6 +121,110 @@ def test_run_panel_deterministic(tmp_path):
 def test_run_panel_rejects_unknown(tmp_path):
     with pytest.raises(ValidationError):
         run_panel(_small_cfg(tmp_path), "z")
+
+
+# --- CSV writer -----------------------------------------------------------------
+# The reference is the original per-cell rule, applied one row at a time: the
+# column-wise writer must reproduce its bytes exactly.
+
+HEADERS = {
+    "a": ["m", "n", "k_x", "k_y", "F"],
+    "b": ["m", "n", "k_x", "k_y", "alpha"],
+    "c": ["m", "n", "k_x", "k_y", "density"],
+    "d": ["M", "mu", "nu_plus", "nu_minus", "nu_S"],
+    "e": ["M", "r_mu", "r_nu"],
+    "f": ["theta", "nu_direct", "nu_reconstructed"],
+    "g": ["i", "j", "theta", "nu_minus"],
+    "h": ["FQ", "FQS", "k_x", "k_y", "theta"],
+}
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e308, 0.1, -1e308, -5e-324]
+EDGE_INTS = [np.int64(-7), 2**62, 0, np.int64(-(2**62))]
+
+
+def _reference_cell(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def _reference_csv(header, rows) -> bytes:
+    lines = [",".join(header)] + [",".join(_reference_cell(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _reference_rows(ws, panel):
+    """Each panel's rows built cell by cell from the workspace, in file order."""
+    if panel in "abc":
+        alpha = alpha_field(ws.mesh, ws.theta)
+        values = {
+            "a": ws.curvature.F,
+            "b": alpha,
+            "c": (1.0 - 2.0 * alpha) * ws.curvature.F / (2.0 * math.pi),
+        }[panel]
+        return [(i, j, *ws.mesh.kpoints[i, j], values[i, j])
+                for i in range(ws.mesh.nx) for j in range(ws.mesh.ny)]
+    if panel in "de":
+        reports, _ = ws.sweep
+        masses = ws.cfg.sweep.values()
+        if panel == "d":
+            return [(m, r.mu, r.nu_plus, r.nu_minus, r.nu_S) for m, r in zip(masses, reports)]
+        return [(m, r.r_mu, r.r_nu) for m, r in zip(masses, reports)]
+    if panel == "f":
+        thetas, direct, reconstructed, _ = ws.tomography
+        return list(zip(thetas, direct, reconstructed))
+    if panel == "g":
+        return [(i, j, theta, nu) for (i, j, theta), nu in ws.probe_responses.items()]
+    k, th, arr = ws.qfi_samples
+    return list(zip(arr.FQ, arr.FQS, k[:, 0], k[:, 1], th))
+
+
+def test_panels_match_per_cell_reference(tmp_path):
+    cfg = config_from_dict({
+        "model": {"M": 0.5},
+        "mesh": {"nx": 5, "ny": 7},
+        "qfi_scan": {"samples": 200, "seed": 42},
+        "output_dir": str(tmp_path / "out"),
+    })
+    ws = Workspace(cfg)
+    for panel in PANEL_IDS:
+        rows = _reference_rows(ws, panel)
+        out = _run_panel(ws, panel)
+        blob = (tmp_path / "out" / f"panel_{panel}.csv").read_bytes()
+        assert blob == _reference_csv(HEADERS[panel], rows), panel
+        assert out.rows == len(rows)
+        assert out.checksum == hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("count", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   2 * _BLOCK_ROWS + 3])
+def test_write_csv_matches_per_cell_reference_across_blocks(tmp_path, count):
+    rng = np.random.default_rng(count)
+    ints = rng.integers(-(2**62), 2**62, size=count)
+    floats = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, size=count)
+    ints[0::2] = np.resize(np.array(EDGE_INTS, dtype=np.int64), len(ints[0::2]))
+    floats[0::2] = np.resize(EDGE_FLOATS, len(floats[0::2]))
+    path = tmp_path / "block.csv"
+    rows, checksum = _write_csv(path, ["i", "x", "y"], [ints, floats, floats[::-1]])
+    blob = path.read_bytes()
+    assert blob == _reference_csv(["i", "x", "y"], zip(ints, floats, floats[::-1]))
+    assert rows == count
+    assert checksum == hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([True, False]),
+    np.array([1 + 2j, 0j]),
+    np.array([1, "x"], dtype=object),
+    np.arange(3.0),
+    np.zeros((2, 1)),
+])
+def test_write_csv_refuses_unencodable_columns(tmp_path, bad):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValidationError) as excinfo:
+        _write_csv(path, ["ok", "bad"], [np.arange(2), bad])
+    assert excinfo.value.exit_code == 2
+    assert not path.exists()
 
 
 # --- run_all --------------------------------------------------------------------

@@ -35,6 +35,16 @@ def test_model_params_reject_non_finite(field, bad):
     assert excinfo.value.exit_code == 2
 
 
+@pytest.mark.parametrize("field", ["t1", "t2", "phi", "M"])
+@pytest.mark.parametrize("bad", [None, "1", 1 + 0j])
+def test_model_params_reject_non_real(field, bad):
+    values = dict(t1=1.0, t2=1.0 / 3.0, phi=math.pi / 2.0, M=0.5)
+    values[field] = bad
+    with pytest.raises(ValidationError, match=rf"ModelParams\.{field} must be a real number") as excinfo:
+        ModelParams(**values)
+    assert excinfo.value.exit_code == 2
+
+
 def test_sweep_rejects_non_finite_mass(p_half):
     with pytest.raises(ValidationError, match="ModelParams.M"):
         sweep_mass(p_half, [0.5, math.nan], (8, 8))
