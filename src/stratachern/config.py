@@ -1,31 +1,32 @@
 """Run configuration: a strict JSON schema with defaults and canonical dump.
 
 The configuration document is plain JSON with five optional sections plus an
-output directory.  Unknown keys anywhere are rejected (naming the offending
-``section.key``), numbers are type-checked (booleans are not numbers), and
-structural invariants (mesh at least 4x4, at least 2 sweep steps, at least one
-scan sample) are enforced at parse time so every downstream routine can trust
-its inputs.  ``canonical_dict`` emits a normalized document that reparses to
-an equal configuration, which keeps run manifests byte-reproducible.
+output directory.  The dataclasses below are the schema: each field's name,
+default and lower bound (``metadata["minimum"]``) are stated there once, and
+`config_from_dict` reads them from ``dataclasses.fields``.  Unknown keys
+anywhere are rejected (naming the offending ``section.key``), numbers are
+type-checked (booleans are not numbers) and bounds are enforced at parse time,
+so every downstream routine can trust its inputs.  ``canonical_dict`` emits a
+normalized document that reparses to an equal configuration, which keeps run
+manifests byte-reproducible.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 from .model import ModelParams
 
-_SECTIONS = ("model", "mesh", "witness", "multi", "sweep", "qfi_scan", "output_dir")
-
 
 @dataclass(frozen=True)
 class MeshSpec:
-    nx: int = 48
-    ny: int = 48
+    nx: int = field(default=48, metadata={"minimum": 4})
+    # square by default: ny shares nx's default and bound
+    ny: int = field(default=nx.default, metadata=nx.metadata)
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,8 @@ class WitnessConfig:
 
 @dataclass(frozen=True)
 class MultiConfig:
-    m: int = 2
-    n: int = 2
+    m: int = field(default=2, metadata={"minimum": 1})
+    n: int = field(default=m.default, metadata=m.metadata)
     #: Probe embedding pairs ((x, y), ...) with x in C^m, y in C^n, stored as
     #: tuples of complex numbers.  Empty means "use seeded defaults".
     probes: tuple = ()
@@ -47,7 +48,7 @@ class MultiConfig:
 class SweepConfig:
     m_min: float = -3.0
     m_max: float = 3.0
-    steps: int = 25
+    steps: int = field(default=25, metadata={"minimum": 2})
 
     def values(self) -> np.ndarray:
         return np.linspace(self.m_min, self.m_max, self.steps)
@@ -55,8 +56,8 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class QfiScanConfig:
-    samples: int = 10000
-    seed: int = 42
+    samples: int = field(default=10000, metadata={"minimum": 1})
+    seed: int = field(default=42, metadata={"minimum": 0})
 
 
 def _default_model() -> ModelParams:
@@ -96,33 +97,30 @@ def _reject_unknown(doc: dict, allowed, where: str) -> None:
             raise ValidationError(f"unknown key {where}.{key}" if where else f"unknown key {key}")
 
 
-def _number(doc: dict, key: str, where: str, default):
-    value = doc.get(key, default)
+def _number(value, key: str, kind: str = "a number") -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}.{key} must be a number")
-    value = float(value)
+        raise ValidationError(f"{key} must be {kind}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValidationError(f"{key} must be finite, got an integer too large for a float") from None
     if not math.isfinite(value):
-        raise ValidationError(f"{where}.{key} must be finite")
+        raise ValidationError(f"{key} must be finite")
     return value
 
 
-def _integer(doc: dict, key: str, where: str, default, minimum: int):
-    value = doc.get(key, default)
+def _integer(value, key: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{where}.{key} must be an integer")
+        raise ValidationError(f"{key} must be an integer")
     if value < minimum:
-        raise ValidationError(f"{where}.{key} must be >= {minimum}, got {value}")
-    return int(value)
+        raise ValidationError(f"{key} must be >= {minimum}, got {value}")
+    return value
 
 
 def _complex_entry(value, where: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValidationError(f"{where} must be a [re, im] pair of numbers")
-    return complex(float(value[0]), float(value[1]))
+    return complex(*(_number(v, where, "a [re, im] pair of numbers") for v in value))
 
 
 def _probe_vector(value, length: int, where: str) -> tuple:
@@ -147,124 +145,86 @@ def _parse_probes(value, m: int, n: int, where: str) -> tuple:
     return tuple(probes)
 
 
+def _section(doc, default, where: str):
+    """Parse one section against the fields of its default instance.
+
+    Integer fields (integer default) are checked against their
+    ``metadata["minimum"]``, float fields for finiteness; ``witness.theta``,
+    ``multi.probes`` and ``model.t2`` have formats of their own.
+    """
+    doc = _require_mapping(doc, where)
+    _reject_unknown(doc, [f.name for f in fields(default)], where)
+    values = {}
+    for f in fields(default):
+        key = f"{where}.{f.name}"
+        fallback = getattr(default, f.name)
+        value = doc.get(f.name, fallback)
+        if key == "witness.theta":
+            value = value if value == "auto" else _number(value, key, 'a number or "auto"')
+        elif key == "multi.probes":
+            value = _parse_probes(value, values["m"], values["n"], key)
+        elif isinstance(fallback, int):
+            value = _integer(value, key, f.metadata["minimum"])
+        else:
+            value = _number(value, key)
+            if key == "model.t2" and value < 0.0:
+                raise ValidationError(f"model.t2 must be >= 0, got {value}")
+        values[f.name] = value
+    return type(default)(**values)
+
+
 def config_from_dict(doc: dict) -> RunConfig:
     """Build and validate a RunConfig from a parsed JSON document."""
     doc = _require_mapping(doc, "config")
-    _reject_unknown(doc, _SECTIONS, "")
-
-    model_doc = _require_mapping(doc.get("model", {}), "model")
-    _reject_unknown(model_doc, ("t1", "t2", "phi", "M"), "model")
-    base = _default_model()
-    t2 = _number(model_doc, "t2", "model", base.t2)
-    if t2 < 0.0:
-        raise ValidationError(f"model.t2 must be >= 0, got {t2}")
-    model = ModelParams(
-        t1=_number(model_doc, "t1", "model", base.t1),
-        t2=t2,
-        phi=_number(model_doc, "phi", "model", base.phi),
-        M=_number(model_doc, "M", "model", base.M),
-    )
-
-    mesh_doc = _require_mapping(doc.get("mesh", {}), "mesh")
-    _reject_unknown(mesh_doc, ("nx", "ny"), "mesh")
-    mesh = MeshSpec(
-        nx=_integer(mesh_doc, "nx", "mesh", 48, minimum=4),
-        ny=_integer(mesh_doc, "ny", "mesh", 48, minimum=4),
-    )
-
-    wit_doc = _require_mapping(doc.get("witness", {}), "witness")
-    _reject_unknown(wit_doc, ("theta",), "witness")
-    theta = wit_doc.get("theta", "auto")
-    if theta != "auto":
-        if isinstance(theta, bool) or not isinstance(theta, (int, float)):
-            raise ValidationError('witness.theta must be a number or "auto"')
-        theta = float(theta)
-        if not math.isfinite(theta):
-            raise ValidationError("witness.theta must be finite")
-    witness = WitnessConfig(theta=theta)
-
-    multi_doc = _require_mapping(doc.get("multi", {}), "multi")
-    _reject_unknown(multi_doc, ("m", "n", "probes"), "multi")
-    m = _integer(multi_doc, "m", "multi", 2, minimum=1)
-    n = _integer(multi_doc, "n", "multi", 2, minimum=1)
-    probes = _parse_probes(multi_doc.get("probes", []), m, n, "multi.probes")
-    multi = MultiConfig(m=m, n=n, probes=probes)
-
-    sweep_doc = _require_mapping(doc.get("sweep", {}), "sweep")
-    _reject_unknown(sweep_doc, ("m_min", "m_max", "steps"), "sweep")
-    sweep = SweepConfig(
-        m_min=_number(sweep_doc, "m_min", "sweep", -3.0),
-        m_max=_number(sweep_doc, "m_max", "sweep", 3.0),
-        steps=_integer(sweep_doc, "steps", "sweep", 25, minimum=2),
-    )
-
-    scan_doc = _require_mapping(doc.get("qfi_scan", {}), "qfi_scan")
-    _reject_unknown(scan_doc, ("samples", "seed"), "qfi_scan")
-    scan = QfiScanConfig(
-        samples=_integer(scan_doc, "samples", "qfi_scan", 10000, minimum=1),
-        seed=_integer(scan_doc, "seed", "qfi_scan", 42, minimum=0),
-    )
-
-    output_dir = doc.get("output_dir", "out")
+    base = RunConfig()
+    _reject_unknown(doc, [f.name for f in fields(base)], "")
+    sections = {
+        f.name: _section(doc.get(f.name, {}), getattr(base, f.name), f.name)
+        for f in fields(base)
+        if f.name != "output_dir"
+    }
+    output_dir = doc.get("output_dir", base.output_dir)
     if not isinstance(output_dir, str) or not output_dir:
         raise ValidationError("output_dir must be a non-empty string")
-
-    return RunConfig(
-        model=model, mesh=mesh, witness=witness, multi=multi,
-        sweep=sweep, qfi_scan=scan, output_dir=output_dir,
-    )
+    return RunConfig(output_dir=output_dir, **sections)
 
 
 def load_config(path) -> RunConfig:
-    """Parse a JSON config file.  Raises ParseError for unreadable or invalid
-    JSON and ValidationError for schema problems."""
+    """Parse a JSON config file.  Raises ParseError for an unreadable file or
+    content that is not JSON in UTF-8, and ValidationError for schema
+    problems."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError and integers over Python's
+        # digit limit are all ValueErrors raised while reading the document
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     return config_from_dict(doc)
 
 
 def canonical_dict(cfg: RunConfig) -> dict:
     """Normalized plain-JSON form; config_from_dict(canonical_dict(c)) == c."""
-    return {
-        "model": {
-            "t1": cfg.model.t1, "t2": cfg.model.t2,
-            "phi": cfg.model.phi, "M": cfg.model.M,
-        },
-        "mesh": {"nx": cfg.mesh.nx, "ny": cfg.mesh.ny},
-        "witness": {"theta": cfg.witness.theta},
-        "multi": {
-            "m": cfg.multi.m,
-            "n": cfg.multi.n,
-            "probes": [
-                [[[z.real, z.imag] for z in vec] for vec in pair]
-                for pair in cfg.multi.probes
-            ],
-        },
-        "sweep": {
-            "m_min": cfg.sweep.m_min, "m_max": cfg.sweep.m_max,
-            "steps": cfg.sweep.steps,
-        },
-        "qfi_scan": {"samples": cfg.qfi_scan.samples, "seed": cfg.qfi_scan.seed},
-        "output_dir": cfg.output_dir,
-    }
+    doc = asdict(cfg)
+    doc["multi"]["probes"] = [
+        [[[z.real, z.imag] for z in vec] for vec in pair] for pair in cfg.multi.probes
+    ]
+    return doc
 
 
 def with_overrides(cfg: RunConfig, *, mesh=None, seed=None, output_dir=None) -> RunConfig:
-    """Apply command-line style overrides on top of a parsed configuration."""
+    """Apply command-line style overrides on top of a parsed configuration.
+
+    The overrides go through `config_from_dict`, so they are checked and
+    named (``mesh.nx``, ``qfi_scan.seed``, ``output_dir``) like file fields.
+    """
+    doc = canonical_dict(cfg)
     if mesh is not None:
-        nx, ny = mesh
-        if nx < 4 or ny < 4:
-            raise ValidationError(f"mesh must be at least 4x4, got {nx}x{ny}")
-        cfg = replace(cfg, mesh=MeshSpec(nx=int(nx), ny=int(ny)))
+        doc["mesh"] = {"nx": mesh[0], "ny": mesh[1]}
     if seed is not None:
-        if seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {seed}")
-        cfg = replace(cfg, qfi_scan=replace(cfg.qfi_scan, seed=int(seed)))
+        doc["qfi_scan"]["seed"] = seed
     if output_dir is not None:
-        cfg = replace(cfg, output_dir=str(output_dir))
-    return cfg
+        doc["output_dir"] = output_dir
+    return config_from_dict(doc)

@@ -50,26 +50,10 @@ PANEL_IDS = "abcdefgh"
 
 TWO_PI = 2.0 * math.pi
 
-#: Environment variable capping the sweep thread pool.
-THREADS_ENV = "STRATA_CHERN_THREADS"
-
 
 def thread_cap() -> int:
-    """Worker cap for parallel sections, from STRATA_CHERN_THREADS.
-
-    Unset or empty means min(4, cpu count).  Anything that is not a positive
-    integer is a configuration error, not something to guess around.
-    """
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None or not raw.strip():
-        return max(1, min(4, os.cpu_count() or 1))
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError(f"{THREADS_ENV} must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValidationError(f"{THREADS_ENV} must be >= 1, got {cap}")
-    return cap
+    """Worker count for the sweep thread pool: min(4, cpu count), at least 1."""
+    return max(1, min(4, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -160,12 +144,7 @@ class Workspace:
 
     @cached_property
     def theta(self) -> float:
-        raw = self.cfg.witness.theta
-        if isinstance(raw, str):
-            spec = WitnessSpec(mode="auto")
-        else:
-            spec = WitnessSpec(theta=float(raw), mode="fixed")
-        return spec.resolve(self.mesh)
+        return WitnessSpec.from_policy(self.cfg.witness.theta).resolve(self.mesh)
 
     @cached_property
     def sector(self):
@@ -173,12 +152,11 @@ class Workspace:
 
     @cached_property
     def sweep(self):
-        policy = self.cfg.witness.theta if not isinstance(self.cfg.witness.theta, str) else "auto"
         return sweep_mass(
             self.cfg.model,
             self.cfg.sweep.values(),
             (self.cfg.mesh.nx, self.cfg.mesh.ny),
-            theta_policy=policy,
+            theta_policy=self.cfg.witness.theta,
             workers=thread_cap(),
         )
 

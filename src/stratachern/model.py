@@ -68,6 +68,8 @@ class ModelParams:
                 finite = math.isfinite(value)
             except TypeError:
                 raise ValidationError(f"ModelParams.{name} must be a real number, got {value!r}") from None
+            except OverflowError:
+                raise ValidationError(f"ModelParams.{name} must be finite, got an integer too large for a float") from None
             if not finite:
                 raise ValidationError(f"ModelParams.{name} must be finite, got {value!r}")
 

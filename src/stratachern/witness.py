@@ -50,6 +50,15 @@ class WitnessSpec:
             t += TWO_PI
         object.__setattr__(self, "theta", t)
 
+    @classmethod
+    def from_policy(cls, policy) -> "WitnessSpec":
+        """The spec for a phase policy: "auto" or a fixed phase in radians."""
+        if not isinstance(policy, str):
+            return cls(theta=float(policy), mode="fixed")
+        if policy != "auto":
+            raise ValidationError(f'witness phase policy must be "auto" or a number, got {policy!r}')
+        return cls(mode="auto")
+
     def resolve(self, mesh: TorusMesh) -> float:
         """Effective phase for a mesh: fixed value, or arg of the mesh-average
         coherence with the theta = 0 fallback when that average is degenerate."""
@@ -186,11 +195,7 @@ def sweep_mass(
     """
     M_values = [float(m) for m in M_values]
     nx, ny = mesh_size
-    spec = (
-        WitnessSpec(mode="auto")
-        if isinstance(theta_policy, str) and theta_policy == "auto"
-        else WitnessSpec(theta=float(theta_policy), mode="fixed")
-    )
+    spec = WitnessSpec.from_policy(theta_policy)
 
     def one(mval: float) -> SectorReport:
         p = replace(p_base, M=mval)

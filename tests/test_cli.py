@@ -1,7 +1,6 @@
 """End-to-end CLI contract: subcommands, exit codes, stderr format, determinism."""
 import json
 import math
-import os
 import shutil
 import subprocess
 import sys
@@ -32,8 +31,7 @@ SQRT3 = math.sqrt(3.0)
 def _run(*args, cwd=None):
     exe = shutil.which("stratachern")
     cmd = [exe] + list(args) if exe else [sys.executable, "-m", "stratachern.cli"] + list(args)
-    return subprocess.run(cmd, capture_output=True, text=True, cwd=cwd,
-                          env={**os.environ, "STRATA_CHERN_THREADS": "1"})
+    return subprocess.run(cmd, capture_output=True, text=True, cwd=cwd)
 
 
 def _write_cfg(tmp_path, name="run.json", **doc):
@@ -93,6 +91,12 @@ def test_bad_mesh_flag(tmp_path):
     assert res.stderr.startswith("ValidationError:")
 
 
+def test_mesh_flag_below_minimum_names_the_field(tmp_path):
+    res = _run("chern", "--config", _write_cfg(tmp_path), "--mesh", "3x8")
+    assert res.returncode == 2
+    assert res.stderr == "ValidationError: mesh.nx must be >= 4, got 3\n"
+
+
 def test_unknown_config_key(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"nope": 1}))
@@ -107,6 +111,15 @@ def test_malformed_config(tmp_path):
     res = _run("chern", "--config", str(path))
     assert res.returncode == 2
     assert res.stderr.startswith("ParseError:")
+
+
+def test_config_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"output_dir": "\xff"}')
+    res = _run("chern", "--config", str(path))
+    assert res.returncode == 2
+    assert res.stderr.startswith("ParseError:")
+    assert res.stderr.count("\n") == 1
 
 
 def test_on_wall_exit_code(tmp_path):

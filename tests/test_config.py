@@ -1,6 +1,7 @@
 """Config schema: defaults, strict validation, JSON round-trip, overrides."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,24 @@ def test_type_strictness():
         config_from_dict({"witness": {"theta": "sideways"}})
 
 
+_HUGE = 10**400  # a JSON integer that no float can hold
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"model": {"M": _HUGE}}, "model.M"),
+    ({"model": {"t2": _HUGE}}, "model.t2"),
+    ({"witness": {"theta": _HUGE}}, "witness.theta"),
+    ({"sweep": {"m_min": -_HUGE}}, "sweep.m_min"),
+    ({"sweep": {"m_max": _HUGE}}, "sweep.m_max"),
+    ({"multi": {"probes": [[[[_HUGE, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]]}},
+     "multi.probes[0].x[0]"),
+])
+def test_integer_too_large_for_a_float_is_refused(doc, key):
+    with pytest.raises(ValidationError, match=rf"^{re.escape(key)} must be finite") as excinfo:
+        config_from_dict(doc)
+    assert excinfo.value.exit_code == 2
+
+
 def test_witness_theta_modes():
     assert config_from_dict({"witness": {"theta": "auto"}}).witness.theta == "auto"
     assert config_from_dict({"witness": {"theta": 0.4}}).witness.theta == 0.4
@@ -121,6 +140,10 @@ def test_load_config(tmp_path):
         load_config(str(bad))
     with pytest.raises(ParseError):
         load_config(str(tmp_path / "absent.json"))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"output_dir": "\xff"}')
+    with pytest.raises(ParseError):
+        load_config(str(latin1))
 
 
 def test_with_overrides():
@@ -131,7 +154,7 @@ def test_with_overrides():
     assert out.output_dir == "x"
     # untouched fields survive
     assert out.model == cfg.model
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="mesh.nx must be >= 4, got 3"):
         with_overrides(cfg, mesh=(3, 8))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="qfi_scan.seed must be >= 0, got -1"):
         with_overrides(cfg, seed=-1)

@@ -3,7 +3,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -36,23 +35,8 @@ def _small_cfg(tmp_path, **model):
 
 # --- thread_cap -----------------------------------------------------------------
 
-def test_thread_cap_default(monkeypatch):
-    monkeypatch.delenv("STRATA_CHERN_THREADS", raising=False)
+def test_thread_cap_default():
     assert 1 <= thread_cap() <= 4
-    monkeypatch.setenv("STRATA_CHERN_THREADS", "")
-    assert 1 <= thread_cap() <= 4
-
-
-def test_thread_cap_explicit(monkeypatch):
-    monkeypatch.setenv("STRATA_CHERN_THREADS", "3")
-    assert thread_cap() == 3
-
-
-def test_thread_cap_rejects_garbage(monkeypatch):
-    for bad in ("0", "-2", "many"):
-        monkeypatch.setenv("STRATA_CHERN_THREADS", bad)
-        with pytest.raises(ValidationError):
-            thread_cap()
 
 
 # --- workspace ------------------------------------------------------------------

@@ -26,7 +26,7 @@ SQRT3 = math.sqrt(3.0)
 # --- ModelParams --------------------------------------------------------------
 
 @pytest.mark.parametrize("field", ["t1", "t2", "phi", "M"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
 def test_model_params_reject_non_finite(field, bad):
     values = dict(t1=1.0, t2=1.0 / 3.0, phi=math.pi / 2.0, M=0.5)
     values[field] = bad

@@ -9,6 +9,7 @@ from stratachern import (
     DegeneratePhase,
     DVector,
     ModelParams,
+    ValidationError,
     chern_number,
     plaquette_curvature,
     build_mesh,
@@ -217,3 +218,8 @@ def test_sweep_fixed_phase_policy(p_default):
     reports, _ = sweep_mass(
         p_default, np.linspace(-1.0, 1.0, 3), (12, 12), theta_policy=0.4)
     assert all(r.theta == 0.4 for r in reports)
+
+
+def test_sweep_rejects_unknown_phase_policy(p_default):
+    with pytest.raises(ValidationError, match="sideways"):
+        sweep_mass(p_default, [0.5], (8, 8), theta_policy="sideways")
