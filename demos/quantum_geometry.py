@@ -16,11 +16,9 @@ from stratachern import (
     ModelParams,
     build_mesh,
     filtered_chern_from_qgt,
-    filtered_qgt,
     inequality_suite,
     plaquette_curvature,
-    qfi,
-    qgt,
+    qgt_sample_arrays,
     reference_phase,
     saturation_case,
     sector_responses,
@@ -32,7 +30,8 @@ p = ModelParams(t1=1.0, t2=1.0 / 3.0, phi=math.pi / 2.0, M=0.5)
 # --- the tensor at one k-point ------------------------------------------------
 
 k = np.array([0.3, 0.7])
-g, fxy = qgt(k, p)
+sample = qgt_sample_arrays(k, p, theta=0.4)
+g, fxy = sample.g[0], sample.Fxy[0]
 print(f"k = {k}:")
 print(f"  metric g = [[{g[0, 0]:.6f}, {g[0, 1]:.6f}], "
       f"[{g[1, 0]:.6f}, {g[1, 1]:.6f}]]")
@@ -40,11 +39,11 @@ print(f"  curvature Fxy = {fxy:+.6f}")
 det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
 print(f"  two-band purity: det g = {det:.3e} vs Fxy^2/4 = {fxy * fxy / 4:.3e}")
 
-sample = filtered_qgt(k, p, theta=0.4)
-print(f"  sign average eta = {sample.eta:+.6f}, concurrence C = {sample.C:.6f}")
-print(f"  filtered tensor Im Q^S_xy = {sample.QS[0, 1].imag:+.6f}  "
-      f"(= eta/2 x Fxy = {0.5 * sample.eta * fxy:+.6f})")
-print(f"  insertion form vs eta-product: {sample.dual_path_deviation:.2e}")
+eta = sample.eta[0]
+print(f"  sign average eta = {eta:+.6f}, concurrence C = {sample.C[0]:.6f}")
+print(f"  filtered tensor Im Q^S_xy = {sample.im_qs_xy[0]:+.6f}  "
+      f"(= eta/2 x Fxy = {0.5 * eta * fxy:+.6f})")
+print(f"  insertion form vs eta-product: {sample.dual_dev[0]:.2e}")
 
 # --- Fisher information grows as the gap closes -----------------------------------
 
@@ -52,14 +51,15 @@ print("\nquench sensitivity near the zone corner (x-direction):")
 k_near = K_PLUS + np.array([0.05, 0.0])
 for mass in (1.0, 0.5, 0.1):
     q = ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, math.sqrt(3.0) - mass)
-    gq, _ = qgt(k_near, q)
-    print(f"  Dirac mass {mass:4.2f} -> F^Q = {qfi(gq, (1.0, 0.0)):10.4f}")
+    fq = qgt_sample_arrays(k_near, q, 0.0, direction=(1.0, 0.0)).FQ[0]
+    print(f"  Dirac mass {mass:4.2f} -> F^Q = {fq:10.4f}")
 
 # --- saturation of the filtered bound -----------------------------------------------
 
 sat = saturation_case()
-print(f"\nequator point with aligned phase: F^QS = {sat.FQS:.12f}, "
-      f"F^Q = {sat.FQ:.12f}, gap = {abs(sat.FQS - sat.FQ):.2e}")
+fq, fqs = sat.FQ[0], sat.FQS[0]
+print(f"\nequator point with aligned phase: F^QS = {fqs:.12f}, "
+      f"F^Q = {fq:.12f}, gap = {abs(fqs - fq):.2e}")
 
 # --- lattice totals ------------------------------------------------------------------
 

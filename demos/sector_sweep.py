@@ -13,6 +13,7 @@ import numpy as np
 
 from stratachern import (
     ModelParams,
+    alpha_field,
     build_mesh,
     plaquette_curvature,
     reference_phase,
@@ -20,7 +21,6 @@ from stratachern import (
     sweep_mass,
     theta_grid,
     theta_scan,
-    weight_alpha,
 )
 
 p = ModelParams(t1=1.0, t2=1.0 / 3.0, phi=math.pi / 2.0, M=0.5)
@@ -32,10 +32,9 @@ F = plaquette_curvature(mesh)
 theta = reference_phase(mesh)
 print(f"mesh-derived witness phase: theta = {theta:.12f}")
 print("\nnegative-sector weight alpha and sign average <S> = 1 - 2 alpha:")
+alpha = alpha_field(mesh, theta)
 for m, n in ((0, 0), (12, 30), (40, 7)):
-    s = mesh.state(m, n)
-    alpha, sign_avg = weight_alpha(s, theta)
-    print(f"  k[{m:2d},{n:2d}]  alpha = {alpha:.6f}   <S> = {sign_avg:+.6f}")
+    print(f"  k[{m:2d},{n:2d}]  alpha = {alpha[m, n]:.6f}   <S> = {1.0 - 2.0 * alpha[m, n]:+.6f}")
 
 # --- sector responses and their identities ---------------------------------------
 

@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("chern", "lattice and analytic Chern numbers")
     add("sweep", "stagger-mass sweep with identity residuals (panels d, e)")
     add("tomography", "witness-phase tomography scan (panel f)")
-    add("multiorbital", "basis-probe responses and matrix reconstruction (panel g)")
+    add("multiorbital", "basis-probe responses, matrix reconstruction and operator-norm bounds (panel g)")
     add("qgt", "seeded filtered quantum-geometry samples (panel h)")
     add("inequalities", "sampled bound checks for the filtered geometry")
     fig = add("figure", "write one figure-data panel")
@@ -113,6 +113,7 @@ def _cmd_multiorbital(cfg: RunConfig) -> dict:
     return {
         "reconstruction_max_err": rec_err,
         "levi_type": [kind.r_plus, kind.r_minus, kind.r_zero],
+        "bounds": ws.multi_bounds.to_dict(),
         "panels": [out_g.to_dict()],
     }
 
@@ -128,11 +129,12 @@ def _cmd_qgt(cfg: RunConfig) -> dict:
         "panels": [out_h.to_dict()],
     }
     if sat is not None:
+        fq, fqs = float(sat.FQ[0]), float(sat.FQS[0])
         result["saturation"] = {
-            "FQ": sat.FQ,
-            "FQS": sat.FQS,
-            "theta": sat.theta,
-            "gap": abs(sat.FQ - sat.FQS),
+            "FQ": fq,
+            "FQS": fqs,
+            "theta": float(sat.theta[0]),
+            "gap": abs(fq - fqs),
         }
     return result
 

@@ -183,6 +183,9 @@ def config_from_dict(doc: dict) -> RunConfig:
         for f in fields(base)
         if f.name != "output_dir"
     }
+    limit = np.iinfo(np.intp).max  # the platform's array-index bound, not a setting
+    if sections["mesh"].nx * sections["mesh"].ny > limit:
+        raise ValidationError(f"mesh.nx * mesh.ny must be <= {limit}, the largest array index")
     output_dir = doc.get("output_dir", base.output_dir)
     if not isinstance(output_dir, str) or not output_dir:
         raise ValidationError("output_dir must be a non-empty string")

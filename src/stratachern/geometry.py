@@ -35,13 +35,10 @@ from .mesh import CurvatureField, TorusMesh, build_mesh, chern_number, plaquette
 from .model import (
     CELL_AREA,
     RECIPROCAL,
-    BlochState,
     ModelParams,
     bloch_vector_fields,
-    d_vector,
     mesh_kpoints,
     valence_amplitudes,
-    valence_state,
 )
 from .multiorbital import witness_block
 from .witness import sector_responses
@@ -50,22 +47,6 @@ from .witness import sector_responses
 BOUND_SLACK = 1e-12
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class QgtSample:
-    """Quantum-geometric data at one (k, theta, direction)."""
-
-    g: np.ndarray            # (2, 2) real Fubini-Study metric
-    Fxy: float               # curvature two-form component
-    eta: float               # witness expectation on the conduction state
-    QS: np.ndarray           # (2, 2) complex filtered tensor (insertion form)
-    C: float                 # concurrence
-    FQ: float                # Fisher information along the direction
-    FQS: float               # filtered Fisher information along the direction
-    dual_path_deviation: float  # max |insertion - eta * Q| over entries
-    theta: float = 0.0
-    direction: tuple[float, float] = (1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -158,59 +139,6 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
     )
 
 
-# ---------------------------------------------------------------------------
-# Scalar operations.
-# ---------------------------------------------------------------------------
-
-def qgt(k, p: ModelParams) -> tuple[np.ndarray, float]:
-    """Fubini-Study metric g (2x2) and curvature component F_xy at one k."""
-    arr = qgt_sample_arrays(k, p, 0.0)
-    return arr.g[0], float(arr.Fxy[0])
-
-
-def qfi(g, direction) -> float:
-    """Fisher information 4 * d^T g d of the (not re-normalized) direction."""
-    d = np.asarray(direction, dtype=float)
-    return float(4.0 * d @ np.asarray(g, dtype=float) @ d)
-
-
-def eta_value(s: BlochState, theta: float) -> float:
-    """Witness expectation on the conduction state, 2 Re(exp(i*theta) vA vB*).
-
-    Equals 2*alpha - 1 from the sector weights and -<u_minus|S'|u_minus> by a
-    direct matrix sandwich.
-    """
-    return float(2.0 * (np.exp(1j * theta) * s.coherence).real)
-
-
-def concurrence(s: BlochState) -> float:
-    """Concurrence 2 |vA vB| of the single-excitation state; also sqrt(1-nz^2)."""
-    return float(2.0 * abs(s.vA * s.vB))
-
-
-def coherence_gradient(k, p: ModelParams) -> np.ndarray:
-    """Exact k-gradient of vA vB* = (-nx + i ny)/2; shape (2,) complex."""
-    return qgt_sample_arrays(k, p, 0.0).dcoherence[0]
-
-
-def filtered_qgt(k, p: ModelParams, theta: float, direction=(1.0, 0.0)) -> QgtSample:
-    """Filtered QGT at one k, via the insertion form, with the eta-product
-    cross-check recorded in ``dual_path_deviation``."""
-    arr = qgt_sample_arrays(np.atleast_2d(np.asarray(k, dtype=float)), p, theta, direction)
-    return QgtSample(
-        g=arr.g[0],
-        Fxy=float(arr.Fxy[0]),
-        eta=float(arr.eta[0]),
-        QS=arr.QS[0],
-        C=float(arr.C[0]),
-        FQ=float(arr.FQ[0]),
-        FQS=float(arr.FQS[0]),
-        dual_path_deviation=float(arr.dual_dev[0]),
-        theta=float(arr.theta[0]),
-        direction=(float(arr.direction[0, 0]), float(arr.direction[0, 1])),
-    )
-
-
 def _mesh_samples(p: ModelParams, theta: float, N):
     """Geometry fields at the N x N plaquette base corners, and the cell area."""
     nx, ny = _mesh_dims(N)
@@ -239,8 +167,8 @@ def curvature_riemann_total(p: ModelParams, N) -> float:
     return float((arr.Fxy * cell).sum() / TWO_PI)
 
 
-def saturation_case(p: ModelParams | None = None, k=(0.0, 1.0)) -> QgtSample:
-    """A (k, theta) pair that saturates |FQS| = FQ.
+def saturation_case(p: ModelParams | None = None, k=(0.0, 1.0)) -> GeometrySamples:
+    """The one-point sample at a (k, theta) pair that saturates |FQS| = FQ.
 
     At an equator point (nz = 0, concurrence 1) the phase theta aligned with
     -arg(vA vB*) gives eta = 1, so the filtered Fisher information equals the
@@ -249,13 +177,12 @@ def saturation_case(p: ModelParams | None = None, k=(0.0, 1.0)) -> QgtSample:
     """
     if p is None:
         p = ModelParams(t1=1.0, t2=1.0 / 3.0, phi=math.pi / 2.0, M=0.0)
-    state = valence_state(d_vector(np.asarray(k, dtype=float), p))
-    if abs(state.nz) > 1e-9:
+    probe = qgt_sample_arrays(k, p, 0.0)
+    if abs(probe.nz[0]) > 1e-9:
         raise ValidationError(
-            f"saturation point must sit on the equator; nz = {state.nz!r} at k = {k}"
+            f"saturation point must sit on the equator; nz = {float(probe.nz[0])!r} at k = {k}"
         )
-    theta = float(-np.angle(state.coherence))
-    return filtered_qgt(np.asarray(k, dtype=float), p, theta)
+    return qgt_sample_arrays(k, p, -np.angle(probe.coherence[0]))
 
 
 # ---------------------------------------------------------------------------

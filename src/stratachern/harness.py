@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import StrataChernError, ValidationError
-from .geometry import inequality_suite, qgt_sample_arrays
+from .geometry import inequality_suite, multiorbital_bounds, qgt_sample_arrays
 from .mesh import build_mesh, plaquette_curvature
 from .model import RECIPROCAL, analytic_chern
 from .multiorbital import coherence_matrix, sector_response_multi, THETA_IMAG, THETA_REAL
@@ -204,6 +204,16 @@ class Workspace:
         return coherence_matrix(self.mesh, self.curvature, x, y)
 
     @cached_property
+    def multi_bounds(self):
+        """Operator-norm bound checks for the configured probe pair, with the
+        configured sample count and seed."""
+        x, y = self.probe_pair
+        scan = self.cfg.qfi_scan
+        return multiorbital_bounds(
+            self.mesh, self.curvature, x, y, self.theta, scan.samples, scan.seed
+        )
+
+    @cached_property
     def probe_responses(self) -> dict:
         """Basis-probe scan (i, j, theta) -> nu_minus for every basis pair
         (e_i, f_j) at theta in (THETA_REAL, THETA_IMAG), in that row order."""
@@ -309,11 +319,6 @@ def _run_panel(ws: Workspace, panel: str) -> PanelOutput:
     path = outdir / f"panel_{panel}.csv"
     count, checksum = _write_csv(path, header, columns)
     return PanelOutput(panel=panel, path=str(path), rows=count, checksum=checksum)
-
-
-def run_panel(cfg: RunConfig, panel: str) -> PanelOutput:
-    """Compute and write one panel CSV under cfg.output_dir."""
-    return _run_panel(Workspace(cfg), panel)
 
 
 def run_all(cfg: RunConfig) -> dict:

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DegenerateOverlap, GaplessMesh, GaplessPoint, NonIntegerTotal, ValidationError
 from .model import (
     GAP_FLOOR,
-    BlochState,
     ModelParams,
     d_components,
     mesh_kpoints,
@@ -32,10 +31,9 @@ INTEGER_TOL = 1e-10
 class TorusMesh:
     """Valence states on an nx-by-ny discretized Brillouin torus.
 
-    Per-point data is stored as (nx, ny) arrays for vectorized work; the
-    ``state(m, n)`` view gives the same data as a BlochState record.
-    Indexing is periodic: the +x neighbour of (nx-1, n) is (0, n), and
-    likewise in y.  Construction guarantees every point passed the gap check.
+    Per-point data is stored as (nx, ny) arrays.  Indexing is periodic: the
+    +x neighbour of (nx-1, n) is (0, n), and likewise in y.  Construction
+    guarantees every point passed the gap check.
     """
 
     nx: int
@@ -47,16 +45,6 @@ class TorusMesh:
     coherence: np.ndarray          # (nx, ny) complex = vA * conj(vB)
     params: ModelParams | None = None
     min_norm: float = 0.0          # min |d(k)| encountered during the build
-
-    def state(self, m: int, n: int) -> BlochState:
-        m %= self.nx
-        n %= self.ny
-        return BlochState(
-            complex(self.vA[m, n]),
-            complex(self.vB[m, n]),
-            float(self.nz[m, n]),
-            complex(self.coherence[m, n]),
-        )
 
     def rephased(self, chi: np.ndarray) -> "TorusMesh":
         """Copy with each state multiplied by exp(i*chi[m, n]) (pure gauge)."""
@@ -108,15 +96,6 @@ def build_mesh(p: ModelParams, nx: int, ny: int, gap_floor: float = GAP_FLOOR) -
         params=p,
         min_norm=float(nrm.min()),
     )
-
-
-def link_variable(s1: BlochState, s2: BlochState, overlap_floor: float = OVERLAP_FLOOR) -> complex:
-    """Normalized valence-state overlap <u1|u2>/|<u1|u2>| between two states."""
-    o = np.conj(s1.vA) * s2.vA + np.conj(s1.vB) * s2.vB
-    mag = abs(o)
-    if mag <= overlap_floor:
-        raise DegenerateOverlap(f"|<u1|u2>| = {mag:.3e} <= {overlap_floor:g}")
-    return complex(o / mag)
 
 
 def _normalized_links(mesh: TorusMesh, overlap_floor: float):

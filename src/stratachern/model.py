@@ -74,40 +74,6 @@ class ModelParams:
                 raise ValidationError(f"ModelParams.{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class DVector:
-    """Pauli decomposition of h(k); the band gap is 2*norm."""
-
-    d0: float
-    dx: float
-    dy: float
-    dz: float
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.dx * self.dx + self.dy * self.dy + self.dz * self.dz)
-
-    @property
-    def unit(self) -> np.ndarray:
-        n = self.norm
-        return np.array([self.dx / n, self.dy / n, self.dz / n])
-
-
-@dataclass(frozen=True)
-class BlochState:
-    """Valence-band amplitudes on the two sublattices at one k.
-
-    ``nz`` and ``coherence`` (= vA * conj(vB) = (-nx + i*ny)/2) are computed
-    directly from the unit Bloch vector, never from the gauge-dependent
-    amplitudes (see ``valence_amplitudes`` for the gauge).
-    """
-
-    vA: complex
-    vB: complex
-    nz: float
-    coherence: complex
-
-
 # ---------------------------------------------------------------------------
 # d-vector and its exact derivatives, batched over arbitrary k-array shapes.
 # ---------------------------------------------------------------------------
@@ -137,20 +103,6 @@ def d_component_gradients(k, p: ModelParams):
     dd0 = -2.0 * p.t2 * math.cos(p.phi) * (np.sin(nnn) @ NNN_VECTORS)
     ddz = -2.0 * p.t2 * math.sin(p.phi) * (np.cos(nnn) @ NNN_VECTORS)
     return ddx, ddy, dd0, ddz
-
-
-def d_vector(k, p: ModelParams) -> DVector:
-    """Evaluate the Pauli decomposition at a single k (2-vector)."""
-    d0, dx, dy, dz = d_components(np.asarray(k, dtype=float), p)
-    return DVector(float(d0), float(dx), float(dy), float(dz))
-
-
-def d_derivatives(k, p: ModelParams) -> tuple[DVector, DVector]:
-    """Exact (d/dkx, d/dky) of the d-vector at a single k."""
-    ddx, ddy, dd0, ddz = d_component_gradients(np.asarray(k, dtype=float), p)
-    along_x = DVector(float(dd0[0]), float(ddx[0]), float(ddy[0]), float(ddz[0]))
-    along_y = DVector(float(dd0[1]), float(ddx[1]), float(ddy[1]), float(ddz[1]))
-    return along_x, along_y
 
 
 def bloch_vector_fields(k, p: ModelParams, gap_floor: float = GAP_FLOOR):
@@ -234,18 +186,6 @@ def valence_amplitudes(n, dn=None):
     )
     dvB[m] = -db
     return vA, vB, dvA, dvB
-
-
-def valence_state(d: DVector, gap_floor: float = GAP_FLOOR) -> BlochState:
-    """Valence BlochState of a single DVector; GaplessPoint if |d| < gap_floor."""
-    nrm = d.norm
-    if nrm < gap_floor:
-        raise GaplessPoint(f"|d| = {nrm:.3e} < {gap_floor:g}")
-    n = np.array([[d.dx / nrm, d.dy / nrm, d.dz / nrm]])
-    vA, vB = valence_amplitudes(n)
-    nz = n[0, 2]
-    coherence = 0.5 * (-n[0, 0] + 1j * n[0, 1])
-    return BlochState(complex(vA[0]), complex(vB[0]), float(nz), complex(coherence))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import MissingProbe, NonUnitary, NonUnitProbe, NotPartialIsometry
 from .mesh import CurvatureField, TorusMesh
-from .model import BlochState
 
 #: Norm tolerance for unit probes and unitarity checks.
 UNIT_TOL = 1e-12
@@ -31,14 +30,6 @@ ISOMETRY_TOL = 1e-10
 #: Witness phases used by basis-probe tomography.
 THETA_REAL = 0.0
 THETA_IMAG = math.pi / 2.0
-
-
-@dataclass(frozen=True)
-class MultiState:
-    """Single-excitation amplitudes (a on the first register, b on the second)."""
-
-    a: np.ndarray
-    b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -63,13 +54,6 @@ def _require_unit(vec, name: str) -> np.ndarray:
     if abs(nrm - 1.0) > UNIT_TOL:
         raise NonUnitProbe(f"probe {name} has norm {nrm!r}, expected 1 within {UNIT_TOL:g}")
     return v
-
-
-def embed_state(s: BlochState, x, y) -> MultiState:
-    """Product embedding a = vA * x, b = vB * y for unit probes."""
-    x = _require_unit(x, "x")
-    y = _require_unit(y, "y")
-    return MultiState(a=s.vA * x, b=s.vB * y)
 
 
 def coherence_matrix(mesh: TorusMesh, F: CurvatureField, x, y) -> CoherenceMatrix:
@@ -162,25 +146,9 @@ def levi_type(Y, tol: float = ISOMETRY_TOL) -> LeviType:
     return LeviType(r_plus=r, r_minus=r, r_zero=m + n - 2 * r)
 
 
-def hecke_pairing(lambda_plus, lambda_minus) -> int:
-    """Integer pairing sum(lambda_plus) - sum(lambda_minus); additive over
-    concatenation of the weight lists."""
-    return int(sum(int(v) for v in lambda_plus) - sum(int(v) for v in lambda_minus))
-
-
 def witness_block(x, y, theta: float = 0.0) -> np.ndarray:
     """Off-diagonal block Y_theta = exp(-i*theta) x y^dagger of the rank-one
     equal-split witness; operator norm ||x|| * ||y||."""
     x = np.asarray(x, dtype=complex).reshape(-1)
     y = np.asarray(y, dtype=complex).reshape(-1)
     return np.exp(-1j * theta) * np.outer(x, np.conj(y))
-
-
-def multi_witness_expectation(state: MultiState, Y) -> float:
-    """Witness expectation -2 Re(a^dagger Y b) of a single-excitation state.
-
-    For Y = exp(-i*theta) x y^dagger and the product embedding this equals
-    -2 Re(exp(i*theta) vA conj(vB)), i.e. minus the filtered-geometry eta.
-    """
-    val = complex(np.conj(state.a) @ np.asarray(Y, dtype=complex) @ state.b)
-    return float(-2.0 * val.real)

@@ -44,8 +44,14 @@ class WitnessSpec:
     def __post_init__(self):
         if self.mode not in ("fixed", "auto"):
             raise ValidationError(f"witness mode must be 'fixed' or 'auto', got {self.mode!r}")
+        try:
+            t = float(self.theta)
+        except OverflowError:
+            raise ValidationError("witness theta must be finite, got an integer too large for a float") from None
+        if not math.isfinite(t):
+            raise ValidationError(f"witness theta must be finite, got {t!r}")
         # normalize into (-pi, pi]; alpha(theta) is 2pi-periodic so this is free
-        t = math.remainder(float(self.theta), TWO_PI)
+        t = math.remainder(t, TWO_PI)
         if t <= -math.pi:
             t += TWO_PI
         object.__setattr__(self, "theta", t)
@@ -54,7 +60,7 @@ class WitnessSpec:
     def from_policy(cls, policy) -> "WitnessSpec":
         """The spec for a phase policy: "auto" or a fixed phase in radians."""
         if not isinstance(policy, str):
-            return cls(theta=float(policy), mode="fixed")
+            return cls(theta=policy, mode="fixed")
         if policy != "auto":
             raise ValidationError(f'witness phase policy must be "auto" or a number, got {policy!r}')
         return cls(mode="auto")
@@ -110,18 +116,9 @@ def reference_phase(mesh: TorusMesh) -> float:
     return float(np.angle(z))
 
 
-def weight_alpha(s, theta: float) -> tuple[float, float]:
-    """Negative-sector weight and witness expectation of one state.
-
-    Returns (alpha, <S>) with alpha = 1/2 + Re(exp(i*theta) * coherence) and
-    <S> = 1 - 2*alpha.
-    """
-    alpha = 0.5 + (np.exp(1j * theta) * s.coherence).real
-    return float(alpha), float(1.0 - 2.0 * alpha)
-
-
 def alpha_field(mesh: TorusMesh, theta: float) -> np.ndarray:
-    """alpha(k) over the whole mesh (base-corner values)."""
+    """Negative-sector weight alpha(k) = 1/2 + Re(exp(i*theta) * vA * conj(vB))
+    at every mesh point; the witness expectation there is <S> = 1 - 2*alpha."""
     return 0.5 + np.real(np.exp(1j * theta) * mesh.coherence)
 
 

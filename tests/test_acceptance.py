@@ -21,19 +21,18 @@ from stratachern import (
     ModelParams,
     NotPartialIsometry,
     OnWall,
+    alpha_field,
     analytic_chern,
     build_mesh,
     chern_number,
     coherence_matrix,
     curvature_riemann_total,
     default_config,
-    eta_value,
     filtered_chern_from_qgt,
-    filtered_qgt,
     inequality_suite,
     levi_type,
     plaquette_curvature,
-    qgt,
+    qgt_sample_arrays,
     reconstruct_JF,
     run_all,
     saturation_case,
@@ -44,7 +43,6 @@ from stratachern import (
     theta_scan,
     tomography_reconstruct,
     unitary_invariance_check,
-    weight_alpha,
 )
 from stratachern.config import with_overrides
 from stratachern.multiorbital import THETA_IMAG, THETA_REAL
@@ -173,24 +171,19 @@ def test_criterion_05_levi_typing():
 
 def test_criterion_06_filtered_geometry_consistency(p_half, mesh48_half):
     rng = np.random.default_rng(404)
-    worst_dual = 0.0
-    for _ in range(200):
-        k = rng.uniform(-math.pi, math.pi, size=2)
-        theta = rng.uniform(-math.pi, math.pi)
-        worst_dual = max(worst_dual, filtered_qgt(k, p_half, theta).dual_path_deviation)
+    draws = [(rng.uniform(-math.pi, math.pi, size=2), rng.uniform(-math.pi, math.pi))
+             for _ in range(200)]
+    k, thetas = (np.array(c) for c in zip(*draws))
+    worst_dual = float(qgt_sample_arrays(k, p_half, thetas).dual_dev.max())
     theta = 0.4
-    worst_eta = 0.0
-    for m in range(48):
-        for n in range(48):
-            s = mesh48_half.state(m, n)
-            alpha, _ = weight_alpha(s, theta)
-            worst_eta = max(worst_eta, abs(eta_value(s, theta) - (2.0 * alpha - 1.0)))
-    worst_det = 0.0
-    for k in rng.uniform(-math.pi, math.pi, size=(100, 2)):
-        g, fxy = qgt(k, p_half)
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        want = fxy * fxy / 4.0
-        worst_det = max(worst_det, abs(det - want) / max(abs(want), 1e-300))
+    eta = qgt_sample_arrays(mesh48_half.kpoints.reshape(-1, 2), p_half, theta).eta
+    alpha = alpha_field(mesh48_half, theta).ravel()
+    worst_eta = float(np.abs(eta - (2.0 * alpha - 1.0)).max())
+    arr = qgt_sample_arrays(rng.uniform(-math.pi, math.pi, size=(100, 2)), p_half, 0.0)
+    g = arr.g
+    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+    want = arr.Fxy * arr.Fxy / 4.0
+    worst_det = float((np.abs(det - want) / np.maximum(np.abs(want), 1e-300)).max())
     ok = worst_dual <= 1e-10 and worst_eta <= 1e-13 and worst_det <= 1e-10
     _line(6, ok, f"dual-path {worst_dual:.3e} <= 1e-10 (200 samples); "
                  f"eta cross-module {worst_eta:.3e} <= 1e-13 (2304 mesh points); "
@@ -203,7 +196,7 @@ def test_criterion_06_filtered_geometry_consistency(p_half, mesh48_half):
 def test_criterion_07_inequality_suite(p_half):
     report = inequality_suite(p_half, 0.4, (48, 48), samples=10_000, seed=42)
     sat = saturation_case()
-    gap = abs(sat.FQS - sat.FQ)
+    gap = abs(sat.FQS[0] - sat.FQ[0])
     ok = report.violations == 0 and gap <= 1e-12
     _line(7, ok, f"10^4 seeded samples, {report.violations} violations; "
                  f"saturation |FQS - FQ| = {gap:.3e} <= 1e-12")

@@ -1,4 +1,5 @@
 """End-to-end CLI contract: subcommands, exit codes, stderr format, determinism."""
+import functools
 import json
 import math
 import shutil
@@ -24,6 +25,7 @@ from stratachern import (
     load_config,
     min_gap_on_mesh,
 )
+from stratachern import cli, harness
 
 SQRT3 = math.sqrt(3.0)
 
@@ -97,6 +99,14 @@ def test_mesh_flag_below_minimum_names_the_field(tmp_path):
     assert res.stderr == "ValidationError: mesh.nx must be >= 4, got 3\n"
 
 
+def test_mesh_too_large_for_an_array_index(tmp_path):
+    # checked before anything is allocated
+    res = _run("chern", "--config", _write_cfg(tmp_path, mesh={"nx": 10**400, "ny": 12}))
+    assert res.returncode == 2
+    assert res.stderr.startswith("ValidationError: mesh.nx * mesh.ny must be <= ")
+    assert res.stderr.count("\n") == 1
+
+
 def test_unknown_config_key(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"nope": 1}))
@@ -156,6 +166,20 @@ def test_multiorbital_subcommand(tmp_path):
     payload = json.loads(res.stdout)
     assert payload["reconstruction_max_err"] <= 1e-12
     assert payload["levi_type"] == [1, 1, 2]
+    bounds = payload["bounds"]
+    assert (bounds["samples"], bounds["seed"], bounds["violations"]) == (200, 42, 0)
+    assert set(bounds["max_slack"]) == {"witness_expectation", "im_qs", "fqs_le_4g", "global_nu"}
+
+
+def test_multiorbital_bound_violation_exit_code(tmp_path, monkeypatch, capsys):
+    # an impossible slack makes every bound fail
+    monkeypatch.setattr(harness, "multiorbital_bounds",
+                        functools.partial(harness.multiorbital_bounds, slack=-1.0))
+    code = cli.main(["multiorbital", "--config", _write_cfg(tmp_path),
+                     "--out", str(tmp_path / "multi")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ViolationFound:") and err.count("\n") == 1
 
 
 def test_qgt_subcommand_with_saturation(tmp_path):

@@ -6,27 +6,20 @@ import numpy as np
 import pytest
 
 from stratachern import (
+    GeometrySamples,
     ModelParams,
     ValidationError,
     ViolationFound,
-    coherence_gradient,
-    concurrence,
+    alpha_field,
     curvature_riemann_total,
-    d_vector,
-    eta_value,
     filtered_chern_from_qgt,
-    filtered_qgt,
     inequality_suite,
     multiorbital_bounds,
-    qfi,
-    qgt,
     qgt_sample_arrays,
     reference_phase,
     saturation_case,
     sector_responses,
     sign_operator_matrix,
-    valence_state,
-    weight_alpha,
 )
 from stratachern.model import K_PLUS
 
@@ -51,37 +44,32 @@ FD_SPOTS = [
 P_FLAT = ModelParams(t1=0.0, t2=1.0 / 3.0, phi=math.pi / 2.0, M=4.0)
 
 
-def _state_at(k, p):
-    return valence_state(d_vector(np.asarray(k, float), p))
-
-
-# --- qgt ------------------------------------------------------------------------
+# --- metric and curvature -------------------------------------------------------------
 
 def test_qgt_vanishes_without_nn_hopping():
     # with t1=0 the Bloch vector never leaves the pole: no geometry at all
-    for k in ((0.2, 0.4), (1.0, -2.0)):
-        g, fxy = qgt(np.asarray(k), P_FLAT)
-        np.testing.assert_allclose(g, 0.0, atol=1e-15)
-        np.testing.assert_allclose(fxy, 0.0, atol=1e-15)
+    arr = qgt_sample_arrays([(0.2, 0.4), (1.0, -2.0)], P_FLAT, 0.0)
+    np.testing.assert_allclose(arr.g, 0.0, atol=1e-15)
+    np.testing.assert_allclose(arr.Fxy, 0.0, atol=1e-15)
 
 
 def test_qgt_determinant_curvature_identity(p_half):
     # two-band purity: det g = Fxy^2 / 4 pointwise
     rng = np.random.default_rng(31)
-    for k in rng.uniform(-math.pi, math.pi, size=(100, 2)):
-        g, fxy = qgt(k, p_half)
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        want = fxy * fxy / 4.0
-        assert abs(det - want) <= 1e-10 * max(abs(want), 1e-30)
+    arr = qgt_sample_arrays(rng.uniform(-math.pi, math.pi, size=(100, 2)), p_half, 0.0)
+    g = arr.g
+    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+    want = arr.Fxy * arr.Fxy / 4.0
+    assert np.all(np.abs(det - want) <= 1e-10 * np.maximum(np.abs(want), 1e-30))
 
 
 def test_qgt_frozen_finite_difference_spots(p_half):
-    for k, theta, g00, g01, g11, fxy, eta in FD_SPOTS:
-        g, f = qgt(np.asarray(k), p_half)
-        np.testing.assert_allclose(
-            [g[0, 0], g[0, 1], g[1, 1], f], [g00, g01, g11, fxy], atol=5e-8)
-        s = _state_at(k, p_half)
-        np.testing.assert_allclose(eta_value(s, theta), eta, atol=1e-11)
+    k, theta, g00, g01, g11, fxy, eta = (np.array(c) for c in zip(*FD_SPOTS))
+    arr = qgt_sample_arrays(k, p_half, theta)
+    np.testing.assert_allclose(
+        [arr.g[:, 0, 0], arr.g[:, 0, 1], arr.g[:, 1, 1], arr.Fxy], [g00, g01, g11, fxy],
+        atol=5e-8)
+    np.testing.assert_allclose(arr.eta, eta, atol=1e-11)
 
 
 def test_riemann_total_recovers_invariant(p_half):
@@ -90,17 +78,16 @@ def test_riemann_total_recovers_invariant(p_half):
     np.testing.assert_allclose(total, -1.0, atol=5.0 / 48 ** 2)
 
 
-# --- qfi ------------------------------------------------------------------------
+# --- Fisher information FQ = 4 d.g.d ----------------------------------------------------
 
 def test_qfi_zero_metric():
-    g, _ = qgt(np.array([0.3, 0.1]), P_FLAT)
-    assert qfi(g, (1.0, 0.0)) == 0.0
+    assert qgt_sample_arrays([0.3, 0.1], P_FLAT, 0.0, (1.0, 0.0)).FQ[0] == 0.0
 
 
 def test_qfi_direction_scaling(p_half):
-    g, _ = qgt(np.array([0.9, -0.2]), p_half)
-    base = qfi(g, (0.6, -1.1))
-    np.testing.assert_allclose(qfi(g, (2.1, -3.85)), 3.5 ** 2 * base, rtol=1e-13)
+    k = [(0.9, -0.2), (0.9, -0.2)]
+    fq = qgt_sample_arrays(k, p_half, 0.0, [(0.6, -1.1), (2.1, -3.85)]).FQ
+    np.testing.assert_allclose(fq[1], 3.5 ** 2 * fq[0], rtol=1e-13)
 
 
 def test_qfi_grows_as_dirac_mass_shrinks():
@@ -109,8 +96,7 @@ def test_qfi_grows_as_dirac_mass_shrinks():
     values = []
     for mass in (0.5, 0.1):
         p = ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, SQRT3 - mass)
-        g, _ = qgt(k, p)
-        values.append(qfi(g, (1.0, 0.0)))
+        values.append(qgt_sample_arrays(k, p, 0.0, (1.0, 0.0)).FQ[0])
     np.testing.assert_allclose(
         values, [8.503698890572737, 103.64272878149912], rtol=1e-12)
     assert values[1] > values[0]
@@ -119,44 +105,40 @@ def test_qfi_grows_as_dirac_mass_shrinks():
 # --- eta / concurrence ------------------------------------------------------------
 
 def test_eta_zero_coherence():
-    s = _state_at((0.3, 0.1), P_FLAT)  # polar state, coherence 0
-    assert eta_value(s, 0.7) == 0.0
+    # polar state, coherence 0
+    assert qgt_sample_arrays([0.3, 0.1], P_FLAT, 0.7).eta[0] == 0.0
 
 
 def test_eta_matches_weight(p_half, mesh48_half):
     rng = np.random.default_rng(37)
-    for _ in range(1000):
-        m, n = rng.integers(0, 48, size=2)
-        theta = rng.uniform(-math.pi, math.pi)
-        s = mesh48_half.state(m, n)
-        alpha, _ = weight_alpha(s, theta)
-        np.testing.assert_allclose(eta_value(s, theta), 2.0 * alpha - 1.0, atol=1e-14)
+    m, n = rng.integers(0, 48, size=(2, 1000))
+    theta = rng.uniform(-math.pi, math.pi, size=1000)
+    eta = qgt_sample_arrays(mesh48_half.kpoints[m, n], p_half, theta).eta
+    alpha = np.array([alpha_field(mesh48_half, t)[i, j] for i, j, t in zip(m, n, theta)])
+    np.testing.assert_allclose(eta, 2.0 * alpha - 1.0, atol=1e-14)
 
 
 def test_concurrence_values(p_half):
-    pole = _state_at((0.3, 0.1), P_FLAT)
-    assert concurrence(pole) == 0.0
-    equator = valence_state(d_vector(np.zeros(2), ModelParams(1.0, 0.0, 0.0, 0.0)))
-    np.testing.assert_allclose(concurrence(equator), 1.0, atol=1e-15)
+    pole = qgt_sample_arrays([0.3, 0.1], P_FLAT, 0.0)
+    assert pole.C[0] == 0.0
+    equator = qgt_sample_arrays(np.zeros(2), ModelParams(1.0, 0.0, 0.0, 0.0), 0.0)
+    np.testing.assert_allclose(equator.C, 1.0, atol=1e-15)
     rng = np.random.default_rng(41)
-    for k in rng.uniform(-math.pi, math.pi, size=(50, 2)):
-        s = _state_at(k, p_half)
-        np.testing.assert_allclose(
-            concurrence(s), math.sqrt(max(0.0, 1.0 - s.nz ** 2)), atol=1e-13)
-        np.testing.assert_allclose(concurrence(s), 2.0 * abs(s.coherence), atol=1e-13)
+    arr = qgt_sample_arrays(rng.uniform(-math.pi, math.pi, size=(50, 2)), p_half, 0.0)
+    np.testing.assert_allclose(arr.C, np.sqrt(np.maximum(0.0, 1.0 - arr.nz ** 2)), atol=1e-13)
+    np.testing.assert_allclose(arr.C, 2.0 * np.abs(arr.coherence), atol=1e-13)
 
 
 def test_coherence_gradient_matches_finite_differences(p_half):
     rng = np.random.default_rng(43)
     h = 1e-5
-    for k in rng.uniform(-math.pi, math.pi, size=(20, 2)):
-        grad = coherence_gradient(k, p_half)
-        for axis in (0, 1):
-            step = np.zeros(2)
-            step[axis] = h
-            fd = (_state_at(k + step, p_half).coherence
-                  - _state_at(k - step, p_half).coherence) / (2.0 * h)
-            np.testing.assert_allclose(grad[axis], fd, atol=1e-7)
+    k = rng.uniform(-math.pi, math.pi, size=(20, 2))
+    grad = qgt_sample_arrays(k, p_half, 0.0).dcoherence
+    for axis in (0, 1):
+        step = h * np.eye(2)[axis]
+        fd = (qgt_sample_arrays(k + step, p_half, 0.0).coherence
+              - qgt_sample_arrays(k - step, p_half, 0.0).coherence) / (2.0 * h)
+        np.testing.assert_allclose(grad[:, axis], fd, atol=1e-7)
 
 
 # --- filtered tensor -----------------------------------------------------------------
@@ -175,38 +157,37 @@ def test_sign_operator_matrix():
 
 def test_filtered_tensor_vanishes_at_perpendicular_phase(p_half):
     k = np.array([0.4, 1.3])
-    s = _state_at(k, p_half)
-    theta = math.pi / 2.0 - np.angle(s.coherence)  # makes eta = 0
-    sample = filtered_qgt(k, p_half, theta)
-    assert abs(sample.eta) <= 1e-14
+    theta = math.pi / 2.0 - np.angle(qgt_sample_arrays(k, p_half, 0.0).coherence[0])  # eta = 0
+    sample = qgt_sample_arrays(k, p_half, theta)
+    assert abs(sample.eta[0]) <= 1e-14
     assert np.max(np.abs(sample.QS)) <= 1e-10
 
 
 def test_filtered_tensor_imaginary_part(p_half):
     rng = np.random.default_rng(47)
-    for _ in range(50):
-        k = rng.uniform(-math.pi, math.pi, size=2)
-        theta = rng.uniform(-math.pi, math.pi)
-        sample = filtered_qgt(k, p_half, theta)
-        np.testing.assert_allclose(
-            sample.QS[0, 1].imag, 0.5 * sample.eta * sample.Fxy, atol=1e-12)
-        assert sample.dual_path_deviation <= 1e-10
+    draws = [(rng.uniform(-math.pi, math.pi, size=2), rng.uniform(-math.pi, math.pi))
+             for _ in range(50)]
+    k, theta = (np.array(c) for c in zip(*draws))
+    arr = qgt_sample_arrays(k, p_half, theta)
+    np.testing.assert_allclose(arr.im_qs_xy, 0.5 * arr.eta * arr.Fxy, atol=1e-12)
+    assert np.all(arr.dual_dev <= 1e-10)
 
 
 def test_qgt_sample_arrays_matches_pointwise(p_half):
+    # a batch gives each point what a one-point call gives it
     rng = np.random.default_rng(53)
     k = rng.uniform(-math.pi, math.pi, size=(10, 2))
     theta = rng.uniform(-math.pi, math.pi, size=10)
     direction = rng.normal(size=(10, 2))
     arr = qgt_sample_arrays(k, p_half, theta, direction)
     for i in range(10):
-        one = filtered_qgt(k[i], p_half, theta[i], tuple(direction[i]))
-        np.testing.assert_allclose(arr.g[i], one.g, atol=1e-14)
-        np.testing.assert_allclose(arr.Fxy[i], one.Fxy, atol=1e-14)
-        np.testing.assert_allclose(arr.eta[i], one.eta, atol=1e-14)
-        np.testing.assert_allclose(arr.QS[i], one.QS, atol=1e-14)
-        np.testing.assert_allclose(arr.FQ[i], one.FQ, atol=1e-13)
-        np.testing.assert_allclose(arr.FQS[i], one.FQS, atol=1e-13)
+        one = qgt_sample_arrays(k[i], p_half, theta[i], direction[i])
+        np.testing.assert_allclose(arr.g[i], one.g[0], atol=1e-14)
+        np.testing.assert_allclose(arr.Fxy[i], one.Fxy[0], atol=1e-14)
+        np.testing.assert_allclose(arr.eta[i], one.eta[0], atol=1e-14)
+        np.testing.assert_allclose(arr.QS[i], one.QS[0], atol=1e-14)
+        np.testing.assert_allclose(arr.FQ[i], one.FQ[0], atol=1e-13)
+        np.testing.assert_allclose(arr.FQS[i], one.FQS[0], atol=1e-13)
 
 
 def test_filtered_sum_without_nn_hopping():
@@ -224,6 +205,7 @@ def test_filtered_sum_tracks_graded_response(p_half, mesh48_half, curv48_half):
 
 def test_saturation_case_default():
     sample = saturation_case()
+    assert isinstance(sample, GeometrySamples) and sample.k.shape == (1, 2)
     np.testing.assert_allclose(sample.FQ, 0.21794124959757002, rtol=1e-12)
     np.testing.assert_allclose(sample.FQS, sample.FQ, atol=1e-12)
     np.testing.assert_allclose(sample.eta, 1.0, atol=1e-13)

@@ -11,14 +11,13 @@ from stratachern import (
     OnWall,
     ValidationError,
     Workspace,
+    alpha_field,
     config_from_dict,
     reference_phase,
     run_all,
-    run_panel,
     thread_cap,
 )
 from stratachern.harness import _BLOCK_ROWS, PANEL_IDS, _run_panel, _write_csv, default_probe_pair
-from stratachern.witness import alpha_field
 
 SQRT3 = math.sqrt(3.0)
 
@@ -73,11 +72,11 @@ def test_workspace_tomography(tmp_path):
     assert max_err <= 1e-12
 
 
-# --- run_panel ------------------------------------------------------------------
+# --- _run_panel -----------------------------------------------------------------
 
 def test_run_panel_curvature_csv(tmp_path):
     cfg = _small_cfg(tmp_path)
-    out = run_panel(cfg, "a")
+    out = _run_panel(Workspace(cfg), "a")
     assert out.panel == "a"
     assert out.rows == 144
     with open(out.path, "rb") as fh:
@@ -97,14 +96,14 @@ def test_run_panel_curvature_csv(tmp_path):
 
 def test_run_panel_deterministic(tmp_path):
     cfg = _small_cfg(tmp_path)
-    first = {pid: run_panel(cfg, pid).checksum for pid in PANEL_IDS}
-    second = {pid: run_panel(cfg, pid).checksum for pid in PANEL_IDS}
+    first = {pid: _run_panel(Workspace(cfg), pid).checksum for pid in PANEL_IDS}
+    second = {pid: _run_panel(Workspace(cfg), pid).checksum for pid in PANEL_IDS}
     assert first == second
 
 
 def test_run_panel_rejects_unknown(tmp_path):
     with pytest.raises(ValidationError):
-        run_panel(_small_cfg(tmp_path), "z")
+        _run_panel(Workspace(_small_cfg(tmp_path)), "z")
 
 
 # --- CSV writer -----------------------------------------------------------------

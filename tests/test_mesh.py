@@ -1,5 +1,4 @@
 """Torus mesh construction, link variables, plaquette field, lattice invariant."""
-import dataclasses
 import math
 
 import numpy as np
@@ -8,19 +7,19 @@ import pytest
 from stratachern import (
     CurvatureField,
     DegenerateOverlap,
-    DVector,
     GaplessMesh,
     ModelParams,
     NonIntegerTotal,
-    OnWall,
+    TorusMesh,
     analytic_chern,
     build_mesh,
     chern_number,
-    link_variable,
+    coherence_matrix,
     min_gap_on_mesh,
+    multiorbital_bounds,
     plaquette_curvature,
-    valence_state,
 )
+from stratachern.mesh import _normalized_links
 from stratachern.model import RECIPROCAL
 
 SQRT3 = math.sqrt(3.0)
@@ -35,10 +34,6 @@ def test_build_mesh_layout(p_half):
     # fractional coordinates m/nx, n/ny in the reciprocal basis
     want = (2.0 / 4.0) * RECIPROCAL[0] + (3.0 / 4.0) * RECIPROCAL[1]
     np.testing.assert_allclose(mesh.kpoints[2, 3], want, atol=1e-15)
-    s = mesh.state(1, 2)
-    assert s.vA == mesh.vA[1, 2]
-    assert s.vB == mesh.vB[1, 2]
-    assert s.coherence == mesh.coherence[1, 2]
 
 
 def test_build_mesh_refuses_gapless():
@@ -53,32 +48,58 @@ def test_min_norm_matches_min_gap(p_half, mesh48_half):
         2.0 * mesh48_half.min_norm, min_gap_on_mesh(p_half, mesh48_half), atol=1e-15)
 
 
-# --- link_variable ------------------------------------------------------------
+# --- link variables -------------------------------------------------------------
+
+def _constant_mesh(vA, vB):
+    """A 4x4 mesh holding the same state (vA, vB) at every point."""
+    shape = (4, 4)
+    return TorusMesh(
+        nx=4, ny=4, kpoints=np.zeros(shape + (2,)),
+        vA=np.full(shape, vA, dtype=complex), vB=np.full(shape, vB, dtype=complex),
+        nz=np.full(shape, abs(vB) ** 2 - abs(vA) ** 2),
+        coherence=np.full(shape, vA * np.conj(vB), dtype=complex),
+    )
+
 
 def test_link_variable_identity(mesh24):
     for m, n in ((0, 0), (5, 17), (23, 1)):
-        s = mesh24.state(m, n)
-        np.testing.assert_allclose(link_variable(s, s), 1.0 + 0.0j, atol=1e-14)
+        ux, uy = _normalized_links(_constant_mesh(mesh24.vA[m, n], mesh24.vB[m, n]), 1e-10)
+        np.testing.assert_allclose(ux, 1.0 + 0.0j, atol=1e-14)
+        np.testing.assert_allclose(uy, 1.0 + 0.0j, atol=1e-14)
 
 
-def test_link_variable_gauge_covariance(mesh24):
-    s1 = mesh24.state(3, 4)
-    s2 = mesh24.state(3, 5)
-    base = link_variable(s1, s2)
-    chi1, chi2 = 0.8, -2.3
-    r1 = dataclasses.replace(
-        s1, vA=s1.vA * np.exp(1j * chi1), vB=s1.vB * np.exp(1j * chi1))
-    r2 = dataclasses.replace(
-        s2, vA=s2.vA * np.exp(1j * chi2), vB=s2.vB * np.exp(1j * chi2))
+def test_rephasing_leaves_outputs_unchanged(mesh48_half, curv48_half):
+    # links pick up exp(i(chi' - chi)), which cancels around every plaquette
+    # and in every product vA conj(vB)
+    rng = np.random.default_rng(22)
+    rephased = mesh48_half.rephased(rng.uniform(0.0, 2.0 * math.pi, size=(48, 48)))
+    F2 = plaquette_curvature(rephased)
+    np.testing.assert_allclose(F2.F, curv48_half.F, atol=1e-13)
+    x = np.array([0.6, 0.8j])
+    y = np.array([0.8, -0.6])
     np.testing.assert_allclose(
-        link_variable(r1, r2), np.exp(1j * (chi2 - chi1)) * base, atol=1e-14)
+        coherence_matrix(rephased, F2, x, y).JF,
+        coherence_matrix(mesh48_half, curv48_half, x, y).JF, atol=1e-13)
+    before = multiorbital_bounds(mesh48_half, curv48_half, x, y, 0.4, samples=500, seed=3)
+    after = multiorbital_bounds(rephased, F2, x, y, 0.4, samples=500, seed=3)
+    np.testing.assert_allclose(after.nu, before.nu, atol=1e-13)
+    np.testing.assert_allclose(after.nu_bound, before.nu_bound, atol=1e-13)
+    for name, slack in before.max_slack.items():
+        np.testing.assert_allclose(after.max_slack[name], slack, atol=1e-13, err_msg=name)
 
 
 def test_link_variable_orthogonal_states():
-    north = valence_state(DVector(0.0, 0.0, 0.0, 1.0))
-    south = valence_state(DVector(0.0, 0.0, 0.0, -1.0))
-    with pytest.raises(DegenerateOverlap):
-        link_variable(north, south)
+    # the m = 0 row holds the north pole and every other row the south pole,
+    # so the +x link from (0, n) to (1, n) joins two orthogonal states
+    vA = np.ones((4, 4), dtype=complex)
+    vB = np.zeros((4, 4), dtype=complex)
+    vA[0], vB[0] = 0.0, -1.0
+    mesh = TorusMesh(
+        nx=4, ny=4, kpoints=np.zeros((4, 4, 2)), vA=vA, vB=vB,
+        nz=abs(vB) ** 2 - abs(vA) ** 2, coherence=vA * np.conj(vB),
+    )
+    with pytest.raises(DegenerateOverlap, match=r"x-link overlap 0\.000e\+00 .* at \(m, n\) = \(0, 0\)"):
+        plaquette_curvature(mesh)
 
 
 # --- plaquette_curvature / chern_number ----------------------------------------

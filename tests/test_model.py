@@ -5,20 +5,22 @@ import numpy as np
 import pytest
 
 from stratachern import (
-    DVector,
     GaplessPoint,
     ModelParams,
     OnWall,
     ValidationError,
     analytic_chern,
-    d_derivatives,
-    d_vector,
     dirac_masses,
     min_gap_on_mesh,
     sweep_mass,
-    valence_state,
 )
-from stratachern.model import K_PLUS, bloch_vector_fields, valence_amplitudes
+from stratachern.model import (
+    K_PLUS,
+    bloch_vector_fields,
+    d_component_gradients,
+    d_components,
+    valence_amplitudes,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -50,116 +52,108 @@ def test_sweep_rejects_non_finite_mass(p_half):
         sweep_mass(p_half, [0.5, math.nan], (8, 8))
 
 
-# --- d_vector ---------------------------------------------------------------
+# --- d_components ------------------------------------------------------------
 
 def test_d_vector_at_gamma():
     # At k=0 every NN phase is 1 and every NNN sine vanishes.
     p = ModelParams(t1=0.7, t2=0.2, phi=0.9, M=1.3)
-    d = d_vector(np.zeros(2), p)
-    np.testing.assert_allclose(d.dx, 3.0 * p.t1, atol=1e-15)
-    np.testing.assert_allclose(d.dy, 0.0, atol=1e-15)
-    np.testing.assert_allclose(d.d0, 6.0 * p.t2 * math.cos(p.phi), atol=1e-15)
-    np.testing.assert_allclose(d.dz, p.M, atol=1e-15)
+    d0, dx, dy, dz = d_components(np.zeros(2), p)
+    np.testing.assert_allclose(dx, 3.0 * p.t1, atol=1e-15)
+    np.testing.assert_allclose(dy, 0.0, atol=1e-15)
+    np.testing.assert_allclose(d0, 6.0 * p.t2 * math.cos(p.phi), atol=1e-15)
+    np.testing.assert_allclose(dz, p.M, atol=1e-15)
 
 
 def test_d_vector_at_dirac_point(p_half):
     # The NN sum cancels at the zone corner and dz reduces to the Dirac mass.
-    d = d_vector(K_PLUS, p_half)
-    assert abs(d.dx + 1j * d.dy) <= 1e-14
+    _, dx, dy, dz = d_components(K_PLUS, p_half)
+    assert abs(dx + 1j * dy) <= 1e-14
     m_k, _ = dirac_masses(p_half)
-    np.testing.assert_allclose(d.dz, m_k, atol=1e-14)
+    np.testing.assert_allclose(dz, m_k, atol=1e-14)
 
 
 def test_d_vector_hopping_free():
     p = ModelParams(t1=0.0, t2=0.0, phi=0.4, M=1.3)
-    for k in (np.array([0.1, -2.0]), np.array([1.7, 0.3])):
-        d = d_vector(k, p)
-        np.testing.assert_allclose([d.d0, d.dx, d.dy], 0.0, atol=1e-15)
-        np.testing.assert_allclose(d.dz, 1.3, atol=1e-15)
+    d0, dx, dy, dz = d_components(np.array([[0.1, -2.0], [1.7, 0.3]]), p)
+    np.testing.assert_allclose([d0, dx, dy], 0.0, atol=1e-15)
+    np.testing.assert_allclose(dz, 1.3, atol=1e-15)
 
 
-# --- d_derivatives ----------------------------------------------------------
+# --- d_component_gradients ------------------------------------------------------
+# Each returns (ddx, ddy, dd0, ddz) with the last axis the kx / ky derivative.
 
 def test_d_derivatives_vanish_at_gamma():
     # k=0 is an extremum of every component: all eight partials are zero
     # (the NN/NNN displacement sets each sum to zero).
     p = ModelParams(t1=0.9, t2=0.27, phi=0.6, M=0.8)
-    dkx, dky = d_derivatives(np.zeros(2), p)
-    for dd in (dkx, dky):
-        np.testing.assert_allclose([dd.d0, dd.dx, dd.dy, dd.dz], 0.0, atol=1e-14)
+    np.testing.assert_allclose(d_component_gradients(np.zeros(2), p), 0.0, atol=1e-14)
 
 
 def test_d_derivatives_match_finite_differences():
     p = ModelParams(t1=0.9, t2=0.27, phi=0.6, M=0.8)
     rng = np.random.default_rng(11)
     h = 1e-5
-    for k in rng.uniform(-math.pi, math.pi, size=(100, 2)):
-        dkx, dky = d_derivatives(k, p)
-        for axis, dd in ((0, dkx), (1, dky)):
-            step = np.zeros(2)
-            step[axis] = h
-            dp = d_vector(k + step, p)
-            dm = d_vector(k - step, p)
-            fd = (np.array([dp.d0, dp.dx, dp.dy, dp.dz])
-                  - np.array([dm.d0, dm.dx, dm.dy, dm.dz])) / (2.0 * h)
-            np.testing.assert_allclose(
-                [dd.d0, dd.dx, dd.dy, dd.dz], fd, atol=1e-8)
+    k = rng.uniform(-math.pi, math.pi, size=(100, 2))
+    ddx, ddy, dd0, ddz = d_component_gradients(k, p)
+    exact = np.stack([dd0, ddx, ddy, ddz])           # (component, point, axis)
+    for axis in (0, 1):
+        step = h * np.eye(2)[axis]
+        fd = (np.stack(d_components(k + step, p))
+              - np.stack(d_components(k - step, p))) / (2.0 * h)
+        np.testing.assert_allclose(exact[..., axis], fd, atol=1e-8)
 
 
 def test_d_derivatives_without_nnn_hopping():
     p = ModelParams(t1=1.0, t2=0.0, phi=0.7, M=0.5)
-    for k in (np.array([0.3, 1.1]), np.array([-2.0, 0.4])):
-        for dd in d_derivatives(k, p):
-            assert dd.d0 == 0.0
-            assert dd.dz == 0.0
+    _, _, dd0, ddz = d_component_gradients(np.array([[0.3, 1.1], [-2.0, 0.4]]), p)
+    assert np.all(dd0 == 0.0)
+    assert np.all(ddz == 0.0)
 
 
-# --- valence_state ----------------------------------------------------------
+# --- valence_amplitudes -----------------------------------------------------------
 
 def test_valence_state_north_pole():
-    s = valence_state(DVector(0.0, 0.0, 0.0, 1.0))
-    np.testing.assert_allclose(abs(s.vA) ** 2, 0.0, atol=1e-15)
-    np.testing.assert_allclose(s.vB, -1.0, atol=1e-15)
-    assert s.nz == 1.0
-    assert s.coherence == 0.0
+    vA, vB = valence_amplitudes(np.array([0.0, 0.0, 1.0]))
+    np.testing.assert_allclose(abs(vA) ** 2, 0.0, atol=1e-15)
+    np.testing.assert_allclose(vB, -1.0, atol=1e-15)
+    assert abs(vB) ** 2 - abs(vA) ** 2 == 1.0   # nz
+    assert vA * np.conj(vB) == 0.0              # coherence
 
 
 def test_valence_state_south_pole():
-    s = valence_state(DVector(0.0, 0.0, 0.0, -1.0))
-    np.testing.assert_allclose(s.vA, 1.0, atol=1e-15)
-    np.testing.assert_allclose(s.vB, 0.0, atol=1e-15)
-    assert s.nz == -1.0
+    vA, vB = valence_amplitudes(np.array([0.0, 0.0, -1.0]))
+    np.testing.assert_allclose(vA, 1.0, atol=1e-15)
+    np.testing.assert_allclose(vB, 0.0, atol=1e-15)
+    assert abs(vB) ** 2 - abs(vA) ** 2 == -1.0  # nz
 
 
 def test_valence_state_equator_x():
-    s = valence_state(DVector(0.0, 1.0, 0.0, 0.0))
-    np.testing.assert_allclose(s.coherence, -0.5, atol=1e-15)
+    vA, vB = valence_amplitudes(np.array([1.0, 0.0, 0.0]))
+    np.testing.assert_allclose(vA * np.conj(vB), -0.5, atol=1e-15)
 
 
 def test_valence_state_equator_y():
-    s = valence_state(DVector(0.0, 0.0, 1.0, 0.0))
-    np.testing.assert_allclose(s.coherence, 0.5j, atol=1e-15)
+    vA, vB = valence_amplitudes(np.array([0.0, 1.0, 0.0]))
+    np.testing.assert_allclose(vA * np.conj(vB), 0.5j, atol=1e-15)
 
 
 def test_valence_state_invariants():
     rng = np.random.default_rng(5)
-    checked = 0
-    while checked < 200:
-        v = rng.normal(size=3)
-        nrm = np.linalg.norm(v)
-        if nrm < 0.2:
-            continue
-        checked += 1
-        s = valence_state(DVector(rng.normal(), *v))
-        spinor = np.array([s.vA, s.vB])
-        np.testing.assert_allclose(np.vdot(spinor, spinor).real, 1.0, atol=1e-13)
-        np.testing.assert_allclose(s.vA * np.conj(s.vB), s.coherence, atol=1e-14)
-        n = v / nrm
-        np.testing.assert_allclose(s.coherence, (-n[0] + 1j * n[1]) / 2.0, atol=1e-13)
-        np.testing.assert_allclose(s.nz, n[2], atol=1e-14)
-        # spinor is the exact lower eigenvector of the traceless part
-        h = np.array([[v[2], v[0] - 1j * v[1]], [v[0] + 1j * v[1], -v[2]]])
-        np.testing.assert_allclose(h @ spinor, -nrm * spinor, atol=1e-12)
+    v = rng.normal(size=(400, 3))
+    v = v[np.linalg.norm(v, axis=-1) >= 0.2][:200]
+    assert len(v) == 200
+    nrm = np.linalg.norm(v, axis=-1)
+    n = v / nrm[:, None]
+    vA, vB = valence_amplitudes(n)
+    np.testing.assert_allclose(abs(vA) ** 2 + abs(vB) ** 2, 1.0, atol=1e-13)
+    np.testing.assert_allclose(vA * np.conj(vB), (-n[:, 0] + 1j * n[:, 1]) / 2.0, atol=1e-13)
+    np.testing.assert_allclose(abs(vB) ** 2 - abs(vA) ** 2, n[:, 2], atol=1e-14)
+    # the spinor is the exact lower eigenvector of the traceless part
+    h = np.array([[v[:, 2], v[:, 0] - 1j * v[:, 1]],
+                  [v[:, 0] + 1j * v[:, 1], -v[:, 2]]]).transpose(2, 0, 1)
+    spinor = np.stack([vA, vB], axis=-1)
+    np.testing.assert_allclose(
+        np.einsum("pij,pj->pi", h, spinor), -nrm[:, None] * spinor, atol=1e-12)
 
 
 # For p_half, K_PLUS maps to the south pole of the Bloch sphere and -K_PLUS to
@@ -203,8 +197,9 @@ def test_valence_amplitudes_exact_at_poles():
 
 
 def test_valence_state_gapless_point():
+    # t1 = t2 = 0 and M = 0: d vanishes identically
     with pytest.raises(GaplessPoint):
-        valence_state(DVector(0.3, 0.0, 0.0, 0.0))
+        bloch_vector_fields(np.array([[0.3, 0.1]]), ModelParams(0.0, 0.0, 0.0, 0.0))
 
 
 # --- dirac_masses / analytic_chern -------------------------------------------

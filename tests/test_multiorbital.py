@@ -5,23 +5,22 @@ import numpy as np
 import pytest
 
 from stratachern import (
-    DVector,
     MissingProbe,
+    ModelParams,
     NonUnitary,
     NonUnitProbe,
     NotPartialIsometry,
+    build_mesh,
     coherence_matrix,
-    embed_state,
-    eta_value,
-    hecke_pairing,
     levi_type,
-    multi_witness_expectation,
+    multiorbital_bounds,
+    plaquette_curvature,
+    qgt_sample_arrays,
     reconstruct_JF,
     sector_response_multi,
     sector_responses,
     tomography_reconstruct,
     unitary_invariance_check,
-    valence_state,
     witness_block,
 )
 from stratachern.multiorbital import THETA_IMAG, THETA_REAL
@@ -40,36 +39,42 @@ def jf_matrix(mesh48_half, curv48_half):
     return x, y, coherence_matrix(mesh48_half, curv48_half, x, y)
 
 
-# --- embed_state ----------------------------------------------------------------
+# --- product embedding a = vA x, b = vB y -----------------------------------------
 
-def test_embed_state_scalar_reduction():
-    s = valence_state(DVector(0.0, 0.6, -0.3, 0.4))
-    st = embed_state(s, [1.0], [1.0])
-    np.testing.assert_allclose(st.a, [s.vA], atol=1e-15)
-    np.testing.assert_allclose(st.b, [s.vB], atol=1e-15)
+def _embed(mesh, x, y):
+    return mesh.vA[..., None] * np.asarray(x), mesh.vB[..., None] * np.asarray(y)
 
 
-def test_embed_state_norm_product_is_half_concurrence():
+def test_embed_state_scalar_reduction(mesh48_half, curv48_half):
+    # with one-orbital probes the embedded amplitudes are (vA, vB) themselves
+    jf = coherence_matrix(mesh48_half, curv48_half, [1.0], [1.0])
+    want = (curv48_half.F * mesh48_half.vA * np.conj(mesh48_half.vB)).sum() / (2.0 * math.pi)
+    np.testing.assert_allclose(jf.JF[0, 0], want, atol=1e-15)
+
+
+def test_embed_state_norm_product_is_half_concurrence(p_half, mesh48_half):
     rng = np.random.default_rng(6)
-    s = valence_state(DVector(0.0, 0.6, -0.3, 0.4))
-    x, y = _unit(rng, 3), _unit(rng, 2)
-    st = embed_state(s, x, y)
-    c = 2.0 * abs(s.vA) * abs(s.vB)
+    a, b = _embed(mesh48_half, _unit(rng, 3), _unit(rng, 2))
+    c = qgt_sample_arrays(mesh48_half.kpoints.reshape(-1, 2), p_half, 0.0).C
     np.testing.assert_allclose(
-        np.linalg.norm(st.a) * np.linalg.norm(st.b), c / 2.0, atol=1e-14)
+        (np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)).ravel(), c / 2.0, atol=1e-14)
 
 
 def test_embed_state_pole():
-    north = valence_state(DVector(0.0, 0.0, 0.0, 1.0))
-    st = embed_state(north, [1.0, 0.0], [0.0, 1.0])
-    assert np.linalg.norm(st.a) == 0.0
-    np.testing.assert_allclose(np.linalg.norm(st.b), 1.0, atol=1e-15)
+    # t1 = 0 and M > 0 put every state at the north pole: vA = 0, |vB| = 1
+    mesh = build_mesh(ModelParams(0.0, 1.0 / 3.0, math.pi / 2.0, 4.0), 4, 4)
+    a, b = _embed(mesh, [1.0, 0.0], [0.0, 1.0])
+    assert np.all(np.linalg.norm(a, axis=-1) == 0.0)
+    np.testing.assert_allclose(np.linalg.norm(b, axis=-1), 1.0, atol=1e-15)
+    jf = coherence_matrix(mesh, plaquette_curvature(mesh), [1.0, 0.0], [0.0, 1.0])
+    assert np.all(jf.JF == 0.0)
 
 
-def test_embed_state_rejects_non_unit_probe():
-    s = valence_state(DVector(0.0, 0.6, -0.3, 0.4))
+def test_embed_state_rejects_non_unit_probe(mesh48_half, curv48_half):
     with pytest.raises(NonUnitProbe):
-        embed_state(s, [0.5], [1.0])
+        coherence_matrix(mesh48_half, curv48_half, [0.5], [1.0])
+    with pytest.raises(NonUnitProbe):
+        multiorbital_bounds(mesh48_half, curv48_half, [0.5], [1.0], 0.0, 10, 1)
 
 
 # --- coherence_matrix -------------------------------------------------------------
@@ -196,7 +201,7 @@ def test_unitary_invariance_rejects_non_unitary(jf_matrix):
         unitary_invariance_check(jf, x, y, np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
 
 
-# --- levi_type / hecke_pairing ------------------------------------------------------------
+# --- levi_type ------------------------------------------------------------------
 
 def test_levi_type_unit_dyad():
     rng = np.random.default_rng(17)
@@ -218,17 +223,6 @@ def test_levi_type_rejects_partial_strength():
         levi_type(y_block)
 
 
-def test_hecke_pairing_values():
-    assert hecke_pairing([1], []) == 1
-    assert hecke_pairing([], []) == 0
-    assert hecke_pairing([2, 1], [1]) == 2
-
-
-def test_hecke_pairing_additive():
-    assert hecke_pairing([2, 1] + [3], [1] + [2]) == \
-           hecke_pairing([2, 1], [1]) + hecke_pairing([3], [2])
-
-
 # --- witness_block / expectation -------------------------------------------------------------
 
 def test_witness_block_form():
@@ -241,28 +235,19 @@ def test_witness_block_form():
     np.testing.assert_allclose(np.linalg.norm(block, 2), 1.0, atol=1e-14)
 
 
-def test_expectation_zero_block():
-    s = valence_state(DVector(0.0, 0.6, -0.3, 0.4))
-    st = embed_state(s, [1.0, 0.0], [0.0, 1.0])
-    assert multi_witness_expectation(st, np.zeros((2, 2))) == 0.0
-
-
-def test_expectation_scalar_reduction_is_sign_average():
+def test_expectation_scalar_reduction_is_sign_average(p_half, mesh48_half):
+    # -2 Re(a^dagger Y b) with one-orbital probes is minus the geometry eta
     rng = np.random.default_rng(23)
-    for _ in range(20):
-        s = valence_state(DVector(0.0, *rng.normal(size=3)))
-        theta = rng.uniform(-math.pi, math.pi)
-        st = embed_state(s, [1.0], [1.0])
-        val = multi_witness_expectation(st, witness_block([1.0], [1.0], theta))
-        np.testing.assert_allclose(val, -eta_value(s, theta), atol=1e-14)
+    kpts = mesh48_half.kpoints.reshape(-1, 2)
+    for theta in rng.uniform(-math.pi, math.pi, size=20):
+        block = witness_block([1.0], [1.0], theta)[0, 0]
+        val = -2.0 * np.real(np.conj(mesh48_half.vA) * block * mesh48_half.vB)
+        eta = qgt_sample_arrays(kpts, p_half, theta).eta
+        np.testing.assert_allclose(val.ravel(), -eta, atol=1e-14)
 
 
-def test_expectation_operator_norm_bound(jf_matrix, mesh48_half):
+def test_expectation_operator_norm_bound(jf_matrix, mesh48_half, curv48_half):
+    # |<S'>| <= 2 ||Y|| ||a|| ||b|| at every sampled mesh point
     x, y, _ = jf_matrix
-    block = witness_block(x, y, 0.4)
-    rng = np.random.default_rng(29)
-    for _ in range(50):
-        m, n = rng.integers(0, 48, size=2)
-        st = embed_state(mesh48_half.state(m, n), x, y)
-        bound = 2.0 * np.linalg.norm(st.a) * np.linalg.norm(st.b)
-        assert abs(multi_witness_expectation(st, block)) <= bound + 1e-12
+    report = multiorbital_bounds(mesh48_half, curv48_half, x, y, 0.4, samples=50, seed=29)
+    assert report.max_slack["witness_expectation"] <= 1e-12

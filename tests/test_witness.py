@@ -7,21 +7,22 @@ import pytest
 
 from stratachern import (
     DegeneratePhase,
-    DVector,
     ModelParams,
     ValidationError,
+    WitnessSpec,
+    alpha_field,
     chern_number,
     plaquette_curvature,
     build_mesh,
+    qgt_sample_arrays,
     reference_phase,
     sector_responses,
     sweep_mass,
     theta_grid,
     theta_scan,
     tomography_reconstruct,
-    valence_state,
-    weight_alpha,
 )
+from stratachern.model import valence_amplitudes
 
 SQRT3 = math.sqrt(3.0)
 
@@ -40,43 +41,49 @@ SECTOR_M05 = dict(
 )
 
 
-def _equator_state(angle):
-    """State whose coherence is exp(-i*angle)/2."""
-    return valence_state(DVector(0.0, -math.cos(angle), -math.sin(angle), 0.0))
+def _mesh_of_state(mesh, n):
+    """``mesh`` with the valence state of the unit Bloch vector n at every point."""
+    vA, vB = valence_amplitudes(np.asarray(n, dtype=float))
+    return dataclasses.replace(mesh, coherence=np.full(mesh.coherence.shape, vA * np.conj(vB)))
 
 
-# --- weight_alpha -------------------------------------------------------------
+def _equator(angle):
+    """Unit Bloch vector whose state has coherence exp(-i*angle)/2."""
+    return (-math.cos(angle), -math.sin(angle), 0.0)
 
-def test_weight_alpha_zero_coherence():
-    north = valence_state(DVector(0.0, 0.0, 0.0, 1.0))
+
+# --- alpha_field ----------------------------------------------------------------
+
+def test_weight_alpha_zero_coherence(mesh24):
+    north = _mesh_of_state(mesh24, (0.0, 0.0, 1.0))
     for theta in (0.0, 0.7, -2.0):
-        alpha, expectation = weight_alpha(north, theta)
-        assert alpha == 0.5
-        assert expectation == 0.0
+        alpha = alpha_field(north, theta)
+        assert np.all(alpha == 0.5)
+        assert np.all(1.0 - 2.0 * alpha == 0.0)
 
 
-def test_weight_alpha_aligned_phase():
+def test_weight_alpha_aligned_phase(mesh24):
     theta = 0.7
-    alpha, expectation = weight_alpha(_equator_state(theta), theta)
+    alpha = alpha_field(_mesh_of_state(mesh24, _equator(theta)), theta)
     np.testing.assert_allclose(alpha, 1.0, atol=1e-14)
-    np.testing.assert_allclose(expectation, -1.0, atol=1e-14)
+    np.testing.assert_allclose(1.0 - 2.0 * alpha, -1.0, atol=1e-14)
 
 
-def test_weight_alpha_antialigned_phase():
-    s = valence_state(DVector(0.0, 1.0, 0.0, 0.0))  # coherence -1/2
-    alpha, expectation = weight_alpha(s, 0.0)
+def test_weight_alpha_antialigned_phase(mesh24):
+    alpha = alpha_field(_mesh_of_state(mesh24, (1.0, 0.0, 0.0)), 0.0)  # coherence -1/2
     np.testing.assert_allclose(alpha, 0.0, atol=1e-14)
-    np.testing.assert_allclose(expectation, 1.0, atol=1e-14)
+    np.testing.assert_allclose(1.0 - 2.0 * alpha, 1.0, atol=1e-14)
 
 
 def test_weight_alpha_range_and_identity(mesh24):
+    # the witness expectation <S> = 1 - 2 alpha is minus the geometry eta
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        m, n = rng.integers(0, 24, size=2)
-        theta = rng.uniform(-math.pi, math.pi)
-        alpha, expectation = weight_alpha(mesh24.state(m, n), theta)
-        assert -1e-15 <= alpha <= 1.0 + 1e-15
-        assert expectation == 1.0 - 2.0 * alpha
+    kpts = mesh24.kpoints.reshape(-1, 2)
+    for theta in rng.uniform(-math.pi, math.pi, size=50):
+        alpha = alpha_field(mesh24, theta)
+        assert np.all((-1e-15 <= alpha) & (alpha <= 1.0 + 1e-15))
+        eta = qgt_sample_arrays(kpts, mesh24.params, theta).eta
+        np.testing.assert_allclose(1.0 - 2.0 * alpha.ravel(), -eta, atol=1e-15)
 
 
 # --- reference_phase ----------------------------------------------------------
@@ -223,3 +230,12 @@ def test_sweep_fixed_phase_policy(p_default):
 def test_sweep_rejects_unknown_phase_policy(p_default):
     with pytest.raises(ValidationError, match="sideways"):
         sweep_mass(p_default, [0.5], (8, 8), theta_policy="sideways")
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan, 10**400])
+def test_witness_theta_must_be_finite(p_default, theta):
+    with pytest.raises(ValidationError, match="witness theta must be finite") as excinfo:
+        WitnessSpec(theta=theta)
+    assert excinfo.value.exit_code == 2
+    with pytest.raises(ValidationError, match="witness theta must be finite"):
+        sweep_mass(p_default, [0.5], (8, 8), theta_policy=theta)
