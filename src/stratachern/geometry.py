@@ -41,12 +41,10 @@ from .model import (
     valence_amplitudes,
 )
 from .multiorbital import witness_block
-from .witness import sector_responses
+from .witness import TWO_PI, sector_responses
 
 #: Additive slack allowed when checking the analytic inequalities.
 BOUND_SLACK = 1e-12
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -125,10 +123,8 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
     q_closed = g + 0.5j * fmat
     dual = np.abs(qs - eta[:, None, None] * q_closed).reshape(npts, -1).max(axis=1)
 
-    if direction is None:
-        dirs = np.broadcast_to(np.array([1.0, 0.0]), (npts, 2)).copy()
-    else:
-        dirs = np.broadcast_to(np.asarray(direction, dtype=float), (npts, 2)).copy()
+    dirs = (1.0, 0.0) if direction is None else direction
+    dirs = np.broadcast_to(np.asarray(dirs, dtype=float), (npts, 2)).copy()
     fq = 4.0 * np.einsum("pa,pab,pb->p", dirs, g, dirs)
     fqs = 4.0 * np.real(np.einsum("pa,pab,pb->p", dirs.astype(complex), qs, dirs.astype(complex)))
 

@@ -35,6 +35,7 @@ from .mesh import build_mesh, plaquette_curvature
 from .model import RECIPROCAL, analytic_chern
 from .multiorbital import coherence_matrix, sector_response_multi, THETA_IMAG, THETA_REAL
 from .witness import (
+    TWO_PI,
     WitnessSpec,
     alpha_field,
     sector_responses,
@@ -47,8 +48,6 @@ from .witness import (
 VERSION = "v0.1.0"
 
 PANEL_IDS = "abcdefgh"
-
-TWO_PI = 2.0 * math.pi
 
 
 def thread_cap() -> int:

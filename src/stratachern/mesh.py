@@ -73,9 +73,9 @@ def build_mesh(p: ModelParams, nx: int, ny: int, gap_floor: float = GAP_FLOOR) -
     if nx < 4 or ny < 4:
         raise ValidationError(f"mesh size must be at least 4x4, got {nx}x{ny}")
     kpts = mesh_kpoints(nx, ny)
-    _, dx, dy, dz = d_components(kpts, p)
+    dx, dy, dz = d_components(kpts, p)
     d = np.stack([dx, dy, dz], axis=-1)
-    nrm = np.linalg.norm(d, axis=-1)
+    nrm = np.sqrt(dx * dx + dy * dy + dz * dz)
     if np.any(nrm < gap_floor):
         m, n = np.unravel_index(int(np.argmin(nrm)), nrm.shape)
         raise GaplessMesh(

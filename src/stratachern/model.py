@@ -8,8 +8,9 @@ The Hamiltonian at crystal momentum k is h(k) = d0(k)*I + d(k).sigma with
 
 Everything downstream (curvature, witness weights, quantum geometry) is a
 function of the unit vector n = d/|d| and its exact k-derivatives, which this
-module provides in closed form.  Lattice geometry is fixed: the NN distance is
-1 and the oriented NNN difference vectors satisfy b1 + b2 + b3 = 0.
+module provides in closed form as (dx, dy, dz) and (ddx, ddy, ddz); d0 drops out
+of every computed quantity and is not evaluated.  Lattice geometry is fixed: the
+NN distance is 1 and the oriented NNN difference vectors satisfy b1 + b2 + b3 = 0.
 """
 from __future__ import annotations
 
@@ -79,20 +80,19 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 def d_components(k, p: ModelParams):
-    """Return (d0, dx, dy, dz) arrays for k of shape (..., 2)."""
+    """Return (dx, dy, dz) arrays for k of shape (..., 2)."""
     k = np.asarray(k, dtype=float)
     nn = k @ NN_VECTORS.T       # (..., 3) phases k.delta_m
     nnn = k @ NNN_VECTORS.T     # (..., 3) phases k.b_j
     f = p.t1 * np.exp(1j * nn).sum(axis=-1)
-    d0 = 2.0 * p.t2 * math.cos(p.phi) * np.cos(nnn).sum(axis=-1)
     dz = p.M - 2.0 * p.t2 * math.sin(p.phi) * np.sin(nnn).sum(axis=-1)
-    return d0, f.real, f.imag, dz
+    return f.real, f.imag, dz
 
 
 def d_component_gradients(k, p: ModelParams):
     """Exact term-by-term k-gradients of the d-vector components.
 
-    Returns (ddx, ddy, dd0, ddz), each of shape (..., 2) with the last axis
+    Returns (ddx, ddy, ddz), each of shape (..., 2) with the last axis
     indexing the kx / ky derivative.
     """
     k = np.asarray(k, dtype=float)
@@ -100,9 +100,8 @@ def d_component_gradients(k, p: ModelParams):
     nnn = k @ NNN_VECTORS.T
     ddx = -p.t1 * (np.sin(nn) @ NN_VECTORS)
     ddy = p.t1 * (np.cos(nn) @ NN_VECTORS)
-    dd0 = -2.0 * p.t2 * math.cos(p.phi) * (np.sin(nnn) @ NNN_VECTORS)
     ddz = -2.0 * p.t2 * math.sin(p.phi) * (np.cos(nnn) @ NNN_VECTORS)
-    return ddx, ddy, dd0, ddz
+    return ddx, ddy, ddz
 
 
 def bloch_vector_fields(k, p: ModelParams, gap_floor: float = GAP_FLOOR):
@@ -114,8 +113,7 @@ def bloch_vector_fields(k, p: ModelParams, gap_floor: float = GAP_FLOOR):
     Raises GaplessPoint if |d| < gap_floor anywhere.
     """
     k = np.asarray(k, dtype=float)
-    d0, dx, dy, dz = d_components(k, p)
-    d = np.stack([dx, dy, dz], axis=-1)
+    d = np.stack(d_components(k, p), axis=-1)
     nrm = np.linalg.norm(d, axis=-1)
     if np.any(nrm < gap_floor):
         idx = np.unravel_index(int(np.argmin(nrm)), nrm.shape)
@@ -123,8 +121,7 @@ def bloch_vector_fields(k, p: ModelParams, gap_floor: float = GAP_FLOOR):
             f"|d| = {nrm[idx]:.3e} < {gap_floor:g} at k = {k[idx]}"
         )
     n = d / nrm[..., None]
-    ddx, ddy, dd0, ddz = d_component_gradients(k, p)
-    dd = np.stack([ddx, ddy, ddz], axis=-1)          # (..., 2, 3)
+    dd = np.stack(d_component_gradients(k, p), axis=-1)    # (..., 2, 3)
     ddot = np.einsum("...c,...ac->...a", d, dd)      # d . (da d)
     dn = dd / nrm[..., None, None] - n[..., None, :] * (
         ddot / nrm[..., None] ** 2
@@ -233,5 +230,5 @@ def min_gap_on_mesh(p: ModelParams, mesh) -> float:
     if kpts is None:
         nx, ny = mesh
         kpts = mesh_kpoints(int(nx), int(ny))
-    _, dx, dy, dz = d_components(kpts, p)
+    dx, dy, dz = d_components(kpts, p)
     return float(2.0 * np.sqrt(dx * dx + dy * dy + dz * dz).min())

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import MissingProbe, NonUnitary, NonUnitProbe, NotPartialIsometry
 from .mesh import CurvatureField, TorusMesh
+from .witness import _finite_thetas
 
 #: Norm tolerance for unit probes and unitarity checks.
 UNIT_TOL = 1e-12
@@ -75,7 +76,9 @@ def sector_response_multi(JF: CoherenceMatrix, mu: int, x, y, theta: float) -> t
     """(nu_minus, nu) for probe pair (x, y) at witness phase theta.
 
     nu_minus = mu/2 + Re(exp(i*theta) x^dagger JF y), nu = -2 Re(...).
+    Raises ValidationError for a non-finite theta.
     """
+    _finite_thetas(theta)
     x = _require_unit(x, "x")
     y = _require_unit(y, "y")
     core = complex(np.conj(x) @ JF.JF @ y)

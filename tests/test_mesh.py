@@ -48,6 +48,19 @@ def test_min_norm_matches_min_gap(p_half, mesh48_half):
         2.0 * mesh48_half.min_norm, min_gap_on_mesh(p_half, mesh48_half), atol=1e-15)
 
 
+@pytest.mark.parametrize("p, size", [
+    (ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, 0.5), (48, 48)),
+    (ModelParams(0.8, 0.2, -2.0, 0.1), (17, 33)),
+    (ModelParams(1.0, 0.3, 0.7, -0.4), (24, 36)),
+])
+def test_build_gap_is_the_scanned_gap_exactly(p, size):
+    # `stratachern chern` reports 2 * min_norm from the build as its gap, so
+    # the build and the scan must use one |d| formula, bit for bit.
+    mesh = build_mesh(p, *size)
+    assert min_gap_on_mesh(p, mesh) == 2.0 * mesh.min_norm
+    assert min_gap_on_mesh(p, size) == 2.0 * mesh.min_norm
+
+
 # --- link variables -------------------------------------------------------------
 
 def _constant_mesh(vA, vB):

@@ -1,5 +1,7 @@
 """Closed-form Bloch vector, its gradients, valence gauge, and the sign formula."""
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,11 @@ from stratachern.model import (
 )
 
 SQRT3 = math.sqrt(3.0)
+
+_spec = importlib.util.spec_from_file_location(
+    "oracle_reference", Path(__file__).parent / "oracles" / "oracle_reference.py")
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
 
 
 # --- ModelParams --------------------------------------------------------------
@@ -57,16 +64,19 @@ def test_sweep_rejects_non_finite_mass(p_half):
 def test_d_vector_at_gamma():
     # At k=0 every NN phase is 1 and every NNN sine vanishes.
     p = ModelParams(t1=0.7, t2=0.2, phi=0.9, M=1.3)
-    d0, dx, dy, dz = d_components(np.zeros(2), p)
+    dx, dy, dz = d_components(np.zeros(2), p)
     np.testing.assert_allclose(dx, 3.0 * p.t1, atol=1e-15)
     np.testing.assert_allclose(dy, 0.0, atol=1e-15)
-    np.testing.assert_allclose(d0, 6.0 * p.t2 * math.cos(p.phi), atol=1e-15)
     np.testing.assert_allclose(dz, p.M, atol=1e-15)
+    # d0 drops out of n = d/|d| and is not evaluated by the package; the
+    # oracle's h(k) keeps it, as trace/2.
+    h = oracle.hamiltonian(np.zeros(2), p.t1, p.t2, p.phi, p.M)
+    np.testing.assert_allclose(np.trace(h).real / 2.0, 6.0 * p.t2 * math.cos(p.phi), atol=1e-15)
 
 
 def test_d_vector_at_dirac_point(p_half):
     # The NN sum cancels at the zone corner and dz reduces to the Dirac mass.
-    _, dx, dy, dz = d_components(K_PLUS, p_half)
+    dx, dy, dz = d_components(K_PLUS, p_half)
     assert abs(dx + 1j * dy) <= 1e-14
     m_k, _ = dirac_masses(p_half)
     np.testing.assert_allclose(dz, m_k, atol=1e-14)
@@ -74,16 +84,16 @@ def test_d_vector_at_dirac_point(p_half):
 
 def test_d_vector_hopping_free():
     p = ModelParams(t1=0.0, t2=0.0, phi=0.4, M=1.3)
-    d0, dx, dy, dz = d_components(np.array([[0.1, -2.0], [1.7, 0.3]]), p)
-    np.testing.assert_allclose([d0, dx, dy], 0.0, atol=1e-15)
+    dx, dy, dz = d_components(np.array([[0.1, -2.0], [1.7, 0.3]]), p)
+    np.testing.assert_allclose([dx, dy], 0.0, atol=1e-15)
     np.testing.assert_allclose(dz, 1.3, atol=1e-15)
 
 
 # --- d_component_gradients ------------------------------------------------------
-# Each returns (ddx, ddy, dd0, ddz) with the last axis the kx / ky derivative.
+# Each returns (ddx, ddy, ddz) with the last axis the kx / ky derivative.
 
 def test_d_derivatives_vanish_at_gamma():
-    # k=0 is an extremum of every component: all eight partials are zero
+    # k=0 is an extremum of every component: all six partials are zero
     # (the NN/NNN displacement sets each sum to zero).
     p = ModelParams(t1=0.9, t2=0.27, phi=0.6, M=0.8)
     np.testing.assert_allclose(d_component_gradients(np.zeros(2), p), 0.0, atol=1e-14)
@@ -94,8 +104,8 @@ def test_d_derivatives_match_finite_differences():
     rng = np.random.default_rng(11)
     h = 1e-5
     k = rng.uniform(-math.pi, math.pi, size=(100, 2))
-    ddx, ddy, dd0, ddz = d_component_gradients(k, p)
-    exact = np.stack([dd0, ddx, ddy, ddz])           # (component, point, axis)
+    ddx, ddy, ddz = d_component_gradients(k, p)
+    exact = np.stack([ddx, ddy, ddz])                # (component, point, axis)
     for axis in (0, 1):
         step = h * np.eye(2)[axis]
         fd = (np.stack(d_components(k + step, p))
@@ -105,8 +115,7 @@ def test_d_derivatives_match_finite_differences():
 
 def test_d_derivatives_without_nnn_hopping():
     p = ModelParams(t1=1.0, t2=0.0, phi=0.7, M=0.5)
-    _, _, dd0, ddz = d_component_gradients(np.array([[0.3, 1.1], [-2.0, 0.4]]), p)
-    assert np.all(dd0 == 0.0)
+    _, _, ddz = d_component_gradients(np.array([[0.3, 1.1], [-2.0, 0.4]]), p)
     assert np.all(ddz == 0.0)
 
 

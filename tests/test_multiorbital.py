@@ -10,6 +10,7 @@ from stratachern import (
     NonUnitary,
     NonUnitProbe,
     NotPartialIsometry,
+    ValidationError,
     build_mesh,
     coherence_matrix,
     levi_type,
@@ -115,6 +116,14 @@ def test_sector_response_multi_scalar_reduction(mesh48_half, curv48_half):
     nu_minus, nu = sector_response_multi(jf, rep.mu, [1.0], [1.0], 0.4)
     np.testing.assert_allclose(nu_minus, rep.nu_minus, atol=1e-13)
     np.testing.assert_allclose(nu, rep.nu_S, atol=1e-13)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_sector_response_multi_rejects_non_finite_theta(jf_matrix, theta):
+    x, y, jf = jf_matrix
+    with pytest.raises(ValidationError, match="witness theta must be finite") as excinfo:
+        sector_response_multi(jf, -1, x, y, theta)
+    assert excinfo.value.exit_code == 2
 
 
 def test_sector_response_multi_sinusoid(jf_matrix):

@@ -187,6 +187,49 @@ def test_two_phase_reconstruction_matches_direct_scan(mesh48_half, curv48_half):
     assert np.max(np.abs(direct - reconstructed)) <= 1e-12
 
 
+# --- theta_scan -----------------------------------------------------------------
+
+SCAN_THETAS = [-math.pi, math.pi, 3.0 * math.pi, 1e6, 0.0, *theta_grid(64)]
+
+
+def test_theta_scan_equals_sector_path_bit_for_bit(mesh48_half, curv48_half):
+    scan = theta_scan(mesh48_half, curv48_half, SCAN_THETAS)
+    direct = [sector_responses(mesh48_half, curv48_half, t).nu_S for t in SCAN_THETAS]
+    assert np.array_equal(scan, direct)
+
+
+@pytest.mark.parametrize("nx, ny", [(17, 33), (129, 131)])
+def test_theta_scan_equals_sector_path_on_rectangular_meshes(nx, ny):
+    # 17 x 33 fits in one short block; 129 x 131 spans two, the second ragged
+    mesh = build_mesh(ModelParams(0.8, 0.2, -2.0, 0.1), nx, ny)
+    F = plaquette_curvature(mesh)
+    scan = theta_scan(mesh, F, SCAN_THETAS)
+    assert np.array_equal(scan, [sector_responses(mesh, F, t).nu_S for t in SCAN_THETAS])
+
+
+def test_theta_scan_empty_grid(mesh48_half, curv48_half):
+    scan = theta_scan(mesh48_half, curv48_half, [])
+    assert scan.shape == (0,)
+    assert scan.dtype == float
+
+
+def test_theta_scan_rejects_mismatched_curvature(mesh24, curv48_half):
+    with pytest.raises(ValidationError, match="does not match mesh"):
+        theta_scan(mesh24, curv48_half, theta_grid(8))
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_theta_is_refused(mesh48_half, curv48_half, theta):
+    for call in (
+        lambda: alpha_field(mesh48_half, theta),
+        lambda: sector_responses(mesh48_half, curv48_half, theta),
+        lambda: theta_scan(mesh48_half, curv48_half, [0.0, theta]),
+    ):
+        with pytest.raises(ValidationError, match="witness theta must be finite") as excinfo:
+            call()
+        assert excinfo.value.exit_code == 2
+
+
 # --- sweep_mass -----------------------------------------------------------------
 
 def test_sweep_detects_both_walls(p_default):
