@@ -15,13 +15,18 @@ derivatives,
 
     QS_ab = <da(u)| Pperp S' Pperp |db(u)>,   Pperp = 1 - |u><u|,
 
-and is computed both this way (through the valence section and its exact
-derivatives from ``model.valence_amplitudes``) and via the pointwise
-proportionality QS = eta * Q with
-eta = 2 Re(exp(i*theta) vA conj(vB)); the two paths agree to rounding and the
-deviation is reported.  The quantum Fisher information along a direction is
-FQ = 4 g_dd, its filtered version FQS = 4 Re(QS_dd) = eta * FQ, and the whole
-family obeys the concurrence-weighted bounds checked by ``inequality_suite``.
+and is computed both this way and via the pointwise proportionality
+QS = eta * Q with eta = 2 Re(exp(i*theta) vA conj(vB)); the two paths agree to
+rounding and the deviation is reported.  The insertion form needs no 2 x 2
+matrices: it projects w_a = Pperp da(u) = da(u) - u <u|da(u)> from the valence
+section u = (vA, vB) and its exact derivatives (``model.valence_amplitudes``),
+then applies S' elementwise,
+
+    QS_ab = -(conj(wA_a) exp(-i theta) wB_b + conj(wB_a) exp(i theta) wA_b).
+
+The quantum Fisher information along a direction is FQ = 4 g_dd, its
+filtered version FQS = 4 Re(QS_dd) = eta * FQ, and the whole family obeys the
+concurrence-weighted bounds checked by ``inequality_suite``.
 """
 from __future__ import annotations
 
@@ -40,8 +45,8 @@ from .model import (
     mesh_kpoints,
     valence_amplitudes,
 )
-from .multiorbital import witness_block
-from .witness import TWO_PI, sector_responses
+from .multiorbital import _require_unit, coherence_matrix, sector_response_multi, witness_block
+from .witness import TWO_PI, _finite_thetas, sector_responses
 
 #: Additive slack allowed when checking the analytic inequalities.
 BOUND_SLACK = 1e-12
@@ -76,24 +81,13 @@ def _mesh_dims(N) -> tuple[int, int]:
     return (int(N[0]), int(N[1])) if isinstance(N, (tuple, list)) else (int(N), int(N))
 
 
-def sign_operator_matrix(theta) -> np.ndarray:
-    """Compressed witness on the two-level Bloch space:
-    S' = -(cos(theta) sx + sin(theta) sy) = [[0, -e^{-i t}], [-e^{i t}, 0]].
-    Accepts a scalar or a batch of phases; returns (..., 2, 2)."""
-    th = np.asarray(theta, dtype=float)
-    phase = np.exp(1j * th)
-    out = np.zeros(th.shape + (2, 2), dtype=complex)
-    out[..., 0, 1] = -np.conj(phase)
-    out[..., 1, 0] = -phase
-    return out
-
-
 def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySamples:
     """All geometry fields for a batch of k-points (the vector engine).
 
-    ``theta`` is a scalar or per-point array; ``direction`` is a per-point
+    ``theta`` is a finite scalar or per-point array; ``direction`` is a per-point
     (P, 2) array, a single 2-vector, or None for the x direction.
     """
+    th = _finite_thetas(theta)
     k = np.atleast_2d(np.asarray(k, dtype=float))
     npts = k.shape[0]
     n, dn, _ = bloch_vector_fields(k, p)
@@ -101,32 +95,33 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
     nz = n[:, 2]
     coherence = 0.5 * (-n[:, 0] + 1j * n[:, 1])
     dcoherence = 0.5 * (-dn[:, :, 0] + 1j * dn[:, :, 1])
-    g = 0.25 * np.einsum("pac,pbc->pab", dn, dn)
-    fxy = -0.5 * np.einsum("pc,pc->p", n, np.cross(dn[:, 0, :], dn[:, 1, :]))
+    dx, dy = dn[:, 0], dn[:, 1]
+    g01 = 0.25 * np.einsum("pc,pc->p", dx, dy)
+    g = np.stack([0.25 * np.einsum("pc,pc->p", dx, dx), g01, g01,
+                  0.25 * np.einsum("pc,pc->p", dy, dy)], axis=-1).reshape(npts, 2, 2)
+    fxy = -0.5 * np.einsum("pc,pc->p", n, np.cross(dx, dy))
 
-    th = np.broadcast_to(np.asarray(theta, dtype=float), (npts,)).copy()
+    th = np.broadcast_to(th, (npts,)).copy()
     phase = np.exp(1j * th)
     eta = 2.0 * np.real(phase * coherence)
     conc = np.sqrt(np.clip(1.0 - nz * nz, 0.0, None))
 
-    vA, vB, dvA, dvB = valence_amplitudes(n, dn)
-    u = np.stack([vA, vB], axis=-1)                  # (P, 2)
-    du = np.stack([dvA, dvB], axis=-1)               # (P, 2, 2) [point, direction, component]
-    del vA, vB, dvA, dvB  # large batches: free the copies before the 2x2 products
-    perp = np.eye(2)[None] - u[:, :, None] * np.conj(u[:, None, :])
-    inserted = perp @ sign_operator_matrix(th) @ perp
-    qs = np.einsum("pai,pij,pbj->pab", np.conj(du), inserted, du)
+    vA, vB, dvA, dvB = valence_amplitudes(n, dn)  # dvA, dvB: (P, 2) over directions
+    ov = np.conj(vA)[:, None] * dvA + np.conj(vB)[:, None] * dvB  # <u|da u>
+    wA = dvA - vA[:, None] * ov  # w = Pperp du
+    wB = dvB - vB[:, None] * ov
+    del vA, vB, dvA, dvB, ov, dn, dx, dy  # large batches: free them before the (P, 2, 2) products
+    pB = np.conj(phase)[:, None] * wB  # exp(-i theta) wB; conj(pB) = exp(i theta) conj(wB)
+    qs = -np.conj(wA)[:, :, None] * pB[:, None, :]
+    qs -= np.conj(pB)[:, :, None] * wA[:, None, :]
 
-    fmat = np.zeros((npts, 2, 2))
-    fmat[:, 0, 1] = fxy
-    fmat[:, 1, 0] = -fxy
-    q_closed = g + 0.5j * fmat
-    dual = np.abs(qs - eta[:, None, None] * q_closed).reshape(npts, -1).max(axis=1)
+    q_closed = (g[:, 0, 0], g01 + 0.5j * fxy, g01 - 0.5j * fxy, g[:, 1, 1])  # Q = g + (i/2) F
+    dual = np.maximum.reduce([np.abs(q - eta * c) for q, c in zip(qs.reshape(npts, 4).T, q_closed)])
 
     dirs = (1.0, 0.0) if direction is None else direction
     dirs = np.broadcast_to(np.asarray(dirs, dtype=float), (npts, 2)).copy()
     fq = 4.0 * np.einsum("pa,pab,pb->p", dirs, g, dirs)
-    fqs = 4.0 * np.real(np.einsum("pa,pab,pb->p", dirs.astype(complex), qs, dirs.astype(complex)))
+    fqs = 4.0 * np.einsum("pa,pab,pb->p", dirs, qs.real, dirs)
 
     return GeometrySamples(
         k=k, nz=nz, coherence=coherence, dcoherence=dcoherence, g=g, Fxy=fxy,
@@ -211,6 +206,12 @@ class InequalityReport:
         }
 
 
+def _sample_count(samples) -> int:
+    if int(samples) < 1:
+        raise ValidationError(f"samples must be >= 1, got {samples}")
+    return int(samples)
+
+
 def _bound_report(cls, checks, slack: float, where=None, **fields):
     """Report of type ``cls`` from bound checks, or ViolationFound carrying it.
 
@@ -260,9 +261,10 @@ def inequality_suite(
     signals an implementation bug, never an expected outcome.
     """
     nx, ny = _mesh_dims(N)
+    count = _sample_count(samples)
     rng = np.random.Generator(np.random.Philox(seed))
-    uv = rng.random((int(samples), 2))
-    psi = rng.random(int(samples)) * TWO_PI
+    uv = rng.random((count, 2))
+    psi = rng.random(count) * TWO_PI
     k = uv @ RECIPROCAL
     dirs = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
     arr = qgt_sample_arrays(k, p, theta, dirs)
@@ -290,7 +292,7 @@ def inequality_suite(
     return _bound_report(
         InequalityReport, checks, slack,
         where=lambda i: f"k = {arr.k[i % len(arr.k)]}, theta = {arr.theta[i % len(arr.theta)]}",
-        samples=int(samples),
+        samples=count,
         seed=int(seed),
         theta=float(theta),
         mesh_size=(nx, ny),
@@ -348,19 +350,18 @@ def multiorbital_bounds(
     """
     if mesh.params is None:
         raise ValidationError("mesh.params required (mesh not built from ModelParams)")
-    from .multiorbital import _require_unit, coherence_matrix, sector_response_multi
-
     xv = _require_unit(x, "x")
     yv = _require_unit(y, "y")
-    block = witness_block(xv, yv, theta)
-    y_norm = float(np.linalg.norm(block, 2))
+    count = _sample_count(samples)
 
     rng = np.random.Generator(np.random.Philox(seed))
-    flat = rng.integers(0, mesh.nx * mesh.ny, size=int(samples))
-    psi = rng.random(int(samples)) * TWO_PI
+    flat = rng.integers(0, mesh.nx * mesh.ny, size=count)
+    psi = rng.random(count) * TWO_PI
     dirs = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
     kpts = mesh.kpoints.reshape(-1, 2)[flat]
-    arr = qgt_sample_arrays(kpts, mesh.params, theta, dirs)
+    arr = qgt_sample_arrays(kpts, mesh.params, theta, dirs)  # first, to refuse a non-finite theta
+    block = witness_block(xv, yv, theta)
+    y_norm = float(np.linalg.norm(block, 2))
 
     va = mesh.vA.reshape(-1)[flat]
     vb = mesh.vB.reshape(-1)[flat]
@@ -387,7 +388,7 @@ def multiorbital_bounds(
 
     return _bound_report(
         MultiOrbitalBoundsReport, checks, slack,
-        samples=int(samples),
+        samples=count,
         seed=int(seed),
         theta=float(theta),
         y_operator_norm=y_norm,

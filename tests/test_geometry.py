@@ -19,9 +19,8 @@ from stratachern import (
     reference_phase,
     saturation_case,
     sector_responses,
-    sign_operator_matrix,
 )
-from stratachern.model import K_PLUS
+from stratachern.model import K_PLUS, bloch_vector_fields, valence_amplitudes
 
 SQRT3 = math.sqrt(3.0)
 
@@ -42,6 +41,18 @@ FD_SPOTS = [
 ]
 
 P_FLAT = ModelParams(t1=0.0, t2=1.0 / 3.0, phi=math.pi / 2.0, M=4.0)
+
+
+def sign_operator_matrix(theta) -> np.ndarray:
+    """Compressed witness on the two-level Bloch space:
+    S' = -(cos(theta) sx + sin(theta) sy) = [[0, -e^{-i t}], [-e^{i t}, 0]].
+    Accepts a scalar or a batch of phases; returns (..., 2, 2)."""
+    th = np.asarray(theta, dtype=float)
+    phase = np.exp(1j * th)
+    out = np.zeros(th.shape + (2, 2), dtype=complex)
+    out[..., 0, 1] = -np.conj(phase)
+    out[..., 1, 0] = -phase
+    return out
 
 
 # --- metric and curvature -------------------------------------------------------------
@@ -155,6 +166,30 @@ def test_sign_operator_matrix():
     np.testing.assert_allclose(batched[1], sign_operator_matrix(1.0), atol=1e-15)
 
 
+@pytest.mark.parametrize("p", [
+    ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, 0.5),  # p_half
+    ModelParams(0.8, 0.2, -2.0, 0.1),
+    P_FLAT,  # every point a pole
+], ids=["p_half", "p_other", "poles"])
+def test_insertion_form_matches_matrix_form(p):
+    # reference: the 2x2 matrix form <da u| Pperp S' Pperp |db u>, point by point
+    rng = np.random.default_rng(61)
+    k = rng.uniform(-math.pi, math.pi, size=(200, 2))
+    theta = rng.uniform(-math.pi, math.pi, size=200)
+    arr = qgt_sample_arrays(k, p, theta)
+
+    n, dn, _ = bloch_vector_fields(k, p)
+    vA, vB, dvA, dvB = valence_amplitudes(n, dn)
+    u = np.stack([vA, vB], axis=-1)                  # (P, 2)
+    du = np.stack([dvA, dvB], axis=-1)               # (P, 2, 2) [point, direction, component]
+    perp = np.eye(2)[None] - u[:, :, None] * np.conj(u[:, None, :])
+    want = np.einsum("pai,pij,pbj->pab", np.conj(du), perp @ sign_operator_matrix(theta) @ perp, du)
+
+    np.testing.assert_allclose(arr.QS, want, rtol=0.0, atol=1e-14)
+    assert np.all(arr.dual_dev <= 1e-10)
+    assert np.array_equal(arr.g, 0.25 * np.einsum("pac,pbc->pab", dn, dn))
+
+
 def test_filtered_tensor_vanishes_at_perpendicular_phase(p_half):
     k = np.array([0.4, 1.3])
     theta = math.pi / 2.0 - np.angle(qgt_sample_arrays(k, p_half, 0.0).coherence[0])  # eta = 0
@@ -188,6 +223,28 @@ def test_qgt_sample_arrays_matches_pointwise(p_half):
         np.testing.assert_allclose(arr.QS[i], one.QS[0], atol=1e-14)
         np.testing.assert_allclose(arr.FQ[i], one.FQ[0], atol=1e-13)
         np.testing.assert_allclose(arr.FQS[i], one.FQS[0], atol=1e-13)
+
+
+def test_empty_batch_gives_empty_fields(p_half):
+    arr = qgt_sample_arrays(np.zeros((0, 2)), p_half, 0.1)
+    assert arr.g.shape == (0, 2, 2) and arr.QS.shape == (0, 2, 2)
+    for name in ("nz", "coherence", "Fxy", "eta", "C", "dual_dev", "FQ", "FQS", "theta"):
+        assert getattr(arr, name).shape == (0,), name
+    assert arr.dcoherence.shape == (0, 2) and arr.direction.shape == (0, 2)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_theta_is_refused(p_half, mesh48_half, curv48_half, theta):
+    for call in (
+        lambda: qgt_sample_arrays([(0.3, 0.7)], p_half, theta),
+        lambda: qgt_sample_arrays([(0.3, 0.7), (1.1, -0.6)], p_half, [0.0, theta]),
+        lambda: filtered_chern_from_qgt(p_half, theta, 8),
+        lambda: inequality_suite(p_half, theta, 8, samples=10, seed=1),
+        lambda: multiorbital_bounds(mesh48_half, curv48_half, [1.0], [1.0], theta, 10, 1),
+    ):
+        with pytest.raises(ValidationError, match="witness theta must be finite") as excinfo:
+            call()
+        assert excinfo.value.exit_code == 2
 
 
 def test_filtered_sum_without_nn_hopping():
@@ -265,6 +322,17 @@ def test_multiorbital_bounds_scalar_reduction(mesh48_half, curv48_half):
         mesh48_half, curv48_half, [1.0], [1.0], theta=0.4, samples=100, seed=5)
     scalar = sector_responses(mesh48_half, curv48_half, 0.4)
     np.testing.assert_allclose(report.nu, scalar.nu_S, atol=1e-13)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_bound_suites_refuse_empty_sample_batches(p_half, mesh48_half, curv48_half, samples):
+    for call in (
+        lambda: inequality_suite(p_half, 0.1, 8, samples, 1),
+        lambda: multiorbital_bounds(mesh48_half, curv48_half, [1.0], [1.0], 0.1, samples, 1),
+    ):
+        with pytest.raises(ValidationError, match="samples") as excinfo:
+            call()
+        assert excinfo.value.exit_code == 2
 
 
 def test_multiorbital_bounds_requires_model(mesh48_half, curv48_half):

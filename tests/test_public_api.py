@@ -10,7 +10,7 @@ REMOVED = {
     "model": ("DVector", "BlochState", "d_vector", "d_derivatives", "valence_state"),
     "mesh": ("link_variable",),
     "geometry": ("qgt", "qfi", "eta_value", "concurrence", "coherence_gradient",
-                 "filtered_qgt", "QgtSample"),
+                 "filtered_qgt", "QgtSample", "sign_operator_matrix"),
     "witness": ("weight_alpha",),
     "multiorbital": ("embed_state", "MultiState", "multi_witness_expectation", "hecke_pairing"),
     "harness": ("run_panel",),
