@@ -89,7 +89,15 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
     """
     th = _finite_thetas(theta)
     k = np.atleast_2d(np.asarray(k, dtype=float))
+    if k.ndim != 2 or k.shape[1] != 2:
+        raise ValidationError(f"k must have shape (P, 2), got {k.shape}")
     npts = k.shape[0]
+    dirs = np.asarray((1.0, 0.0) if direction is None else direction, dtype=float)
+    for name, arr, shape in (("theta", th, (npts,)), ("direction", dirs, (npts, 2))):
+        try:
+            np.broadcast_to(arr, shape)
+        except ValueError:
+            raise ValidationError(f"{name} of shape {arr.shape} does not fit {npts} k-points") from None
     n, dn, _ = bloch_vector_fields(k, p)
 
     nz = n[:, 2]
@@ -118,8 +126,7 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
     q_closed = (g[:, 0, 0], g01 + 0.5j * fxy, g01 - 0.5j * fxy, g[:, 1, 1])  # Q = g + (i/2) F
     dual = np.maximum.reduce([np.abs(q - eta * c) for q, c in zip(qs.reshape(npts, 4).T, q_closed)])
 
-    dirs = (1.0, 0.0) if direction is None else direction
-    dirs = np.broadcast_to(np.asarray(dirs, dtype=float), (npts, 2)).copy()
+    dirs = np.broadcast_to(dirs, (npts, 2)).copy()
     fq = 4.0 * np.einsum("pa,pab,pb->p", dirs, g, dirs)
     fqs = 4.0 * np.einsum("pa,pab,pb->p", dirs, qs.real, dirs)
 

@@ -13,13 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateOverlap, GaplessMesh, GaplessPoint, NonIntegerTotal, ValidationError
-from .model import (
-    GAP_FLOOR,
-    ModelParams,
-    d_components,
-    mesh_kpoints,
-    valence_amplitudes,
-)
+from .model import GAP_FLOOR, ModelParams, _mesh_d_components, mesh_kpoints, valence_amplitudes
 
 #: Link overlaps with modulus at or below this are treated as degenerate.
 OVERLAP_FLOOR = 1e-10
@@ -73,8 +67,7 @@ def build_mesh(p: ModelParams, nx: int, ny: int, gap_floor: float = GAP_FLOOR) -
     if nx < 4 or ny < 4:
         raise ValidationError(f"mesh size must be at least 4x4, got {nx}x{ny}")
     kpts = mesh_kpoints(nx, ny)
-    dx, dy, dz = d_components(kpts, p)
-    d = np.stack([dx, dy, dz], axis=-1)
+    dx, dy, dz = _mesh_d_components(nx, ny, p)
     nrm = np.sqrt(dx * dx + dy * dy + dz * dz)
     if np.any(nrm < gap_floor):
         m, n = np.unravel_index(int(np.argmin(nrm)), nrm.shape)
@@ -82,16 +75,16 @@ def build_mesh(p: ModelParams, nx: int, ny: int, gap_floor: float = GAP_FLOOR) -
             f"gapless mesh point at (m, n) = ({m}, {n}), k = {kpts[m, n]}, "
             f"|d| = {nrm[m, n]:.3e}"
         ) from GaplessPoint(f"|d| < {gap_floor:g}")
-    nhat = d / nrm[..., None]
-    vA, vB = valence_amplitudes(nhat)
-    coherence = 0.5 * (-nhat[..., 0] + 1j * nhat[..., 1])
+    nx_hat, ny_hat, nz = dx / nrm, dy / nrm, dz / nrm
+    vA, vB = valence_amplitudes(np.stack([nx_hat, ny_hat, nz], axis=-1))
+    coherence = 0.5 * (-nx_hat + 1j * ny_hat)
     return TorusMesh(
         nx=nx,
         ny=ny,
         kpoints=kpts,
         vA=vA,
         vB=vB,
-        nz=nhat[..., 2],
+        nz=nz,
         coherence=coherence,
         params=p,
         min_norm=float(nrm.min()),
@@ -101,9 +94,12 @@ def build_mesh(p: ModelParams, nx: int, ny: int, gap_floor: float = GAP_FLOOR) -
 def _normalized_links(mesh: TorusMesh, overlap_floor: float):
     """Unit links U_x[m, n] -> (m+1, n) and U_y[m, n] -> (m, n+1)."""
     vA, vB = mesh.vA, mesh.vB
-    ox = np.conj(vA) * np.roll(vA, -1, axis=0) + np.conj(vB) * np.roll(vB, -1, axis=0)
-    oy = np.conj(vA) * np.roll(vA, -1, axis=1) + np.conj(vB) * np.roll(vB, -1, axis=1)
-    for name, o in (("x", ox), ("y", oy)):
+    cA, cB = np.conj(vA), np.conj(vB)
+    links = []
+    for name, axis in (("x", 0), ("y", 1)):
+        # np.multiply keeps conj first; `*` may swap operands and change FMA rounding.
+        o = np.multiply(cA, np.roll(vA, -1, axis=axis))
+        o += np.multiply(cB, np.roll(vB, -1, axis=axis))
         mag = np.abs(o)
         if np.any(mag <= overlap_floor):
             m, n = np.unravel_index(int(np.argmin(mag)), mag.shape)
@@ -111,7 +107,8 @@ def _normalized_links(mesh: TorusMesh, overlap_floor: float):
                 f"{name}-link overlap {mag[m, n]:.3e} <= {overlap_floor:g} "
                 f"at (m, n) = ({m}, {n}); mesh too coarse for this gap"
             )
-    return ox / np.abs(ox), oy / np.abs(oy)
+        links.append(np.divide(o, mag, out=o))
+    return tuple(links)
 
 
 def plaquette_curvature(mesh: TorusMesh, overlap_floor: float = OVERLAP_FLOOR) -> CurvatureField:

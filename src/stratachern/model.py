@@ -11,6 +11,8 @@ function of the unit vector n = d/|d| and its exact k-derivatives, which this
 module provides in closed form as (dx, dy, dz) and (ddx, ddy, ddz); d0 drops out
 of every computed quantity and is not evaluated.  Lattice geometry is fixed: the
 NN distance is 1 and the oriented NNN difference vectors satisfy b1 + b2 + b3 = 0.
+On the mesh k = (m/nx) g1 + (n/ny) g2 each exp(i k.delta) is a product of 1-D
+tables in m and n: two rank-3 matrix products, no per-point transcendental.
 """
 from __future__ import annotations
 
@@ -32,6 +34,8 @@ NNN_VECTORS = np.array(
      [math.sqrt(3.0) / 2.0, 1.5],
      [math.sqrt(3.0) / 2.0, -1.5]]
 )
+#: NN indices with b_j = delta_p - delta_q for p = _NNN_P[j], q = _NNN_Q[j] (mesh NNN phases).
+_NNN_P, _NNN_Q = [1, 0, 2], [2, 1, 0]
 
 # Bravais primitive vectors and the dual reciprocal basis, g_i . a_j = 2pi d_ij.
 BRAVAIS = np.array([[math.sqrt(3.0), 0.0], [math.sqrt(3.0) / 2.0, 1.5]])
@@ -79,14 +83,28 @@ class ModelParams:
 # d-vector and its exact derivatives, batched over arbitrary k-array shapes.
 # ---------------------------------------------------------------------------
 
+def _coupled(nn_sum, nnn_sin_sum, p: ModelParams):
+    """(dx, dy, dz) from sum_m exp(i k.delta_m) and sum_j sin(k.b_j)."""
+    f = p.t1 * nn_sum
+    dz = p.M - 2.0 * p.t2 * math.sin(p.phi) * nnn_sin_sum
+    return f.real, f.imag, dz
+
+
 def d_components(k, p: ModelParams):
     """Return (dx, dy, dz) arrays for k of shape (..., 2)."""
     k = np.asarray(k, dtype=float)
     nn = k @ NN_VECTORS.T       # (..., 3) phases k.delta_m
     nnn = k @ NNN_VECTORS.T     # (..., 3) phases k.b_j
-    f = p.t1 * np.exp(1j * nn).sum(axis=-1)
-    dz = p.M - 2.0 * p.t2 * math.sin(p.phi) * np.sin(nnn).sum(axis=-1)
-    return f.real, f.imag, dz
+    return _coupled(np.exp(1j * nn).sum(axis=-1), np.sin(nnn).sum(axis=-1), p)
+
+
+def _mesh_d_components(nx: int, ny: int, p: ModelParams):
+    """(dx, dy, dz) at mesh_kpoints(nx, ny) from ex[j, m] = exp(i (m/nx) g1.delta_j) and ey."""
+    ex = np.exp(1j * np.outer(NN_VECTORS @ RECIPROCAL[0], np.arange(nx) / nx))
+    ey = np.exp(1j * np.outer(NN_VECTORS @ RECIPROCAL[1], np.arange(ny) / ny))
+    wx, wy = ex[_NNN_P] * np.conj(ex[_NNN_Q]), ey[_NNN_P] * np.conj(ey[_NNN_Q])
+    # einsum, not matmul: BLAS calls contend across the sweep_mass worker threads.
+    return _coupled(np.einsum("jm,jn->mn", ex, ey), np.einsum("jm,jn->mn", wx, wy).imag, p)
 
 
 def d_component_gradients(k, p: ModelParams):
@@ -222,13 +240,9 @@ def mesh_kpoints(nx: int, ny: int) -> np.ndarray:
 def min_gap_on_mesh(p: ModelParams, mesh) -> float:
     """Minimum of the spectral gap 2|d(k)| over the mesh points.
 
-    ``mesh`` is either an (nx, ny) pair or any object with a ``kpoints``
-    array, so the scan also works for gapless parameter sets where a state
-    mesh cannot be built.
+    ``mesh`` is a ``TorusMesh`` or an (nx, ny) pair, so the scan also works for
+    gapless parameter sets where a state mesh cannot be built.
     """
-    kpts = getattr(mesh, "kpoints", None)
-    if kpts is None:
-        nx, ny = mesh
-        kpts = mesh_kpoints(int(nx), int(ny))
-    dx, dy, dz = d_components(kpts, p)
+    nx, ny = (mesh.nx, mesh.ny) if hasattr(mesh, "nx") else mesh
+    dx, dy, dz = _mesh_d_components(int(nx), int(ny), p)
     return float(2.0 * np.sqrt(dx * dx + dy * dy + dz * dz).min())

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import MissingProbe, NonUnitary, NonUnitProbe, NotPartialIsometry
 from .mesh import CurvatureField, TorusMesh
-from .witness import _finite_thetas
+from .witness import TWO_PI, _finite_thetas
 
 #: Norm tolerance for unit probes and unitarity checks.
 UNIT_TOL = 1e-12
@@ -60,16 +60,13 @@ def _require_unit(vec, name: str) -> np.ndarray:
 def coherence_matrix(mesh: TorusMesh, F: CurvatureField, x, y) -> CoherenceMatrix:
     """Lattice sum of F(k) * a(k) b(k)^dagger over plaquette base corners.
 
-    For the product embedding this equals the scalar coherence sum times the
-    dyad x y^dagger, but the sum is taken over the per-k dyads so non-product
-    amplitude fields can reuse the same accumulation later.
+    For the product embedding a = vA x, b = vB y this is the scalar sum
+    (1/2pi) sum F * vA conj(vB) of ``SectorReport.JF`` times the dyad x y^dagger.
     """
     x = _require_unit(x, "x")
     y = _require_unit(y, "y")
-    a = mesh.vA[..., None] * x          # (nx, ny, m)
-    b = mesh.vB[..., None] * y          # (nx, ny, n)
-    jf = np.einsum("mn,mni,mnj->ij", F.F, a, np.conj(b)) / (2.0 * math.pi)
-    return CoherenceMatrix(JF=jf)
+    jf = complex((F.F * mesh.coherence).sum() / TWO_PI)
+    return CoherenceMatrix(JF=jf * np.outer(x, np.conj(y)))
 
 
 def sector_response_multi(JF: CoherenceMatrix, mu: int, x, y, theta: float) -> tuple[float, float]:

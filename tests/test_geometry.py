@@ -233,6 +233,22 @@ def test_empty_batch_gives_empty_fields(p_half):
     assert arr.dcoherence.shape == (0, 2) and arr.direction.shape == (0, 2)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda p: qgt_sample_arrays(np.zeros((2, 3)), p, 0.1), "k"),
+    (lambda p: qgt_sample_arrays([], p, 0.1), "k"),
+    (lambda p: qgt_sample_arrays(np.zeros((3, 2)), p, [0.1, 0.2]), "theta"),
+    (lambda p: qgt_sample_arrays(np.zeros((3, 2)), p, 0.1, np.ones((2, 2))), "direction"),
+])
+def test_mismatched_input_shapes_are_refused_before_any_work(p_half, monkeypatch, call, name):
+    def no_work(*args, **kwargs):
+        raise AssertionError("geometry evaluated before the shape check")
+
+    monkeypatch.setattr("stratachern.geometry.bloch_vector_fields", no_work)
+    with pytest.raises(ValidationError, match=rf"^{name} ") as excinfo:
+        call(p_half)
+    assert excinfo.value.exit_code == 2
+
+
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
 def test_non_finite_theta_is_refused(p_half, mesh48_half, curv48_half, theta):
     for call in (

@@ -18,9 +18,15 @@ from stratachern import (
 )
 from stratachern.model import (
     K_PLUS,
+    NN_VECTORS,
+    NNN_VECTORS,
+    _NNN_P,
+    _NNN_Q,
+    _mesh_d_components,
     bloch_vector_fields,
     d_component_gradients,
     d_components,
+    mesh_kpoints,
     valence_amplitudes,
 )
 
@@ -87,6 +93,25 @@ def test_d_vector_hopping_free():
     dx, dy, dz = d_components(np.array([[0.1, -2.0], [1.7, 0.3]]), p)
     np.testing.assert_allclose([dx, dy], 0.0, atol=1e-15)
     np.testing.assert_allclose(dz, 1.3, atol=1e-15)
+
+
+# --- mesh d-field from 1-D phase tables ---------------------------------------
+
+@pytest.mark.parametrize("p", [
+    ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, 0.5),
+    ModelParams(0.8, 0.0, -2.0, 0.1),
+])
+@pytest.mark.parametrize("size", [(4, 4), (17, 33), (48, 48), (129, 131)])
+def test_mesh_d_field_matches_pointwise(p, size):
+    table = np.stack(_mesh_d_components(*size, p))
+    pointwise = np.stack(d_components(mesh_kpoints(*size), p))
+    assert table.shape == (3,) + size
+    assert np.abs(table - pointwise).max() <= 4e-15
+
+
+def test_nnn_vectors_are_nn_differences():
+    # the mesh path builds exp(i k.b_j) as exp(i k.delta_p) conj(exp(i k.delta_q))
+    assert np.array_equal(NN_VECTORS[_NNN_P] - NN_VECTORS[_NNN_Q], NNN_VECTORS)
 
 
 # --- d_component_gradients ------------------------------------------------------
