@@ -94,10 +94,8 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
     npts = k.shape[0]
     dirs = np.asarray((1.0, 0.0) if direction is None else direction, dtype=float)
     for name, arr, shape in (("theta", th, (npts,)), ("direction", dirs, (npts, 2))):
-        try:
-            np.broadcast_to(arr, shape)
-        except ValueError:
-            raise ValidationError(f"{name} of shape {arr.shape} does not fit {npts} k-points") from None
+        if arr.ndim > len(shape) or any(a not in (1, b) for a, b in zip(arr.shape[::-1], shape[::-1])):
+            raise ValidationError(f"{name} of shape {arr.shape} does not broadcast to {npts} k-points")
     n, dn, _ = bloch_vector_fields(k, p)
 
     nz = n[:, 2]

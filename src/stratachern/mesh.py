@@ -13,7 +13,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateOverlap, GaplessMesh, GaplessPoint, NonIntegerTotal, ValidationError
-from .model import GAP_FLOOR, ModelParams, _mesh_d_components, mesh_kpoints, valence_amplitudes
+from .model import (
+    GAP_FLOOR,
+    ModelParams,
+    _MeshGrid,
+    d_components,
+    mesh_kpoints,
+    valence_amplitudes,
+)
 
 #: Link overlaps with modulus at or below this are treated as degenerate.
 OVERLAP_FLOOR = 1e-10
@@ -67,7 +74,7 @@ def build_mesh(p: ModelParams, nx: int, ny: int, gap_floor: float = GAP_FLOOR) -
     if nx < 4 or ny < 4:
         raise ValidationError(f"mesh size must be at least 4x4, got {nx}x{ny}")
     kpts = mesh_kpoints(nx, ny)
-    dx, dy, dz = _mesh_d_components(nx, ny, p)
+    dx, dy, dz = d_components(_MeshGrid((nx, ny)), p)
     nrm = np.sqrt(dx * dx + dy * dy + dz * dz)
     if np.any(nrm < gap_floor):
         m, n = np.unravel_index(int(np.argmin(nrm)), nrm.shape)
@@ -98,8 +105,7 @@ def _normalized_links(mesh: TorusMesh, overlap_floor: float):
     links = []
     for name, axis in (("x", 0), ("y", 1)):
         # np.multiply keeps conj first; `*` may swap operands and change FMA rounding.
-        o = np.multiply(cA, np.roll(vA, -1, axis=axis))
-        o += np.multiply(cB, np.roll(vB, -1, axis=axis))
+        o = np.multiply(cA, np.roll(vA, -1, axis=axis)) + np.multiply(cB, np.roll(vB, -1, axis=axis))
         mag = np.abs(o)
         if np.any(mag <= overlap_floor):
             m, n = np.unravel_index(int(np.argmin(mag)), mag.shape)

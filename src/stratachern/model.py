@@ -34,8 +34,7 @@ NNN_VECTORS = np.array(
      [math.sqrt(3.0) / 2.0, 1.5],
      [math.sqrt(3.0) / 2.0, -1.5]]
 )
-#: NN indices with b_j = delta_p - delta_q for p = _NNN_P[j], q = _NNN_Q[j] (mesh NNN phases).
-_NNN_P, _NNN_Q = [1, 0, 2], [2, 1, 0]
+_NNN_P, _NNN_Q = [1, 0, 2], [2, 1, 0]  #: b_j = delta_p - delta_q, p = _NNN_P[j], q = _NNN_Q[j]
 
 # Bravais primitive vectors and the dual reciprocal basis, g_i . a_j = 2pi d_ij.
 BRAVAIS = np.array([[math.sqrt(3.0), 0.0], [math.sqrt(3.0) / 2.0, 1.5]])
@@ -83,28 +82,25 @@ class ModelParams:
 # d-vector and its exact derivatives, batched over arbitrary k-array shapes.
 # ---------------------------------------------------------------------------
 
-def _coupled(nn_sum, nnn_sin_sum, p: ModelParams):
-    """(dx, dy, dz) from sum_m exp(i k.delta_m) and sum_j sin(k.b_j)."""
-    f = p.t1 * nn_sum
-    dz = p.M - 2.0 * p.t2 * math.sin(p.phi) * nnn_sin_sum
-    return f.real, f.imag, dz
+class _MeshGrid(tuple):
+    """(nx, ny) standing in for the mesh_kpoints(nx, ny) array, whose shape it reports."""
+    shape = property(lambda self: (*self, 2))
 
 
 def d_components(k, p: ModelParams):
-    """Return (dx, dy, dz) arrays for k of shape (..., 2)."""
-    k = np.asarray(k, dtype=float)
-    nn = k @ NN_VECTORS.T       # (..., 3) phases k.delta_m
-    nnn = k @ NNN_VECTORS.T     # (..., 3) phases k.b_j
-    return _coupled(np.exp(1j * nn).sum(axis=-1), np.sin(nnn).sum(axis=-1), p)
-
-
-def _mesh_d_components(nx: int, ny: int, p: ModelParams):
-    """(dx, dy, dz) at mesh_kpoints(nx, ny) from ex[j, m] = exp(i (m/nx) g1.delta_j) and ey."""
-    ex = np.exp(1j * np.outer(NN_VECTORS @ RECIPROCAL[0], np.arange(nx) / nx))
-    ey = np.exp(1j * np.outer(NN_VECTORS @ RECIPROCAL[1], np.arange(ny) / ny))
-    wx, wy = ex[_NNN_P] * np.conj(ex[_NNN_Q]), ey[_NNN_P] * np.conj(ey[_NNN_Q])
-    # einsum, not matmul: BLAS calls contend across the sweep_mass worker threads.
-    return _coupled(np.einsum("jm,jn->mn", ex, ey), np.einsum("jm,jn->mn", wx, wy).imag, p)
+    """Return (dx, dy, dz) arrays for k of shape (..., 2) or a ``_MeshGrid``."""
+    if isinstance(k, _MeshGrid):  # tables ex[j, m] = exp(i (m/nx) g1.delta_j) and ey
+        ex, ey = (np.exp(1j * np.outer(NN_VECTORS @ g, np.arange(n) / n)) for g, n in zip(RECIPROCAL, k))
+        wx, wy = ex[_NNN_P] * np.conj(ex[_NNN_Q]), ey[_NNN_P] * np.conj(ey[_NNN_Q])
+        # einsum, not matmul: BLAS calls contend across the sweep_mass worker threads.
+        nn_sum, nnn_sin_sum = np.einsum("jm,jn->mn", ex, ey), np.einsum("jm,jn->mn", wx, wy).imag
+    else:
+        k = np.asarray(k, dtype=float)
+        nn_sum = np.exp(1j * (k @ NN_VECTORS.T)).sum(axis=-1)   # phases k.delta_m
+        nnn_sin_sum = np.sin(k @ NNN_VECTORS.T).sum(axis=-1)    # phases k.b_j
+    f = p.t1 * nn_sum
+    dz = p.M - 2.0 * p.t2 * math.sin(p.phi) * nnn_sin_sum
+    return f.real, f.imag, dz
 
 
 def d_component_gradients(k, p: ModelParams):
@@ -244,5 +240,5 @@ def min_gap_on_mesh(p: ModelParams, mesh) -> float:
     gapless parameter sets where a state mesh cannot be built.
     """
     nx, ny = (mesh.nx, mesh.ny) if hasattr(mesh, "nx") else mesh
-    dx, dy, dz = _mesh_d_components(int(nx), int(ny), p)
+    dx, dy, dz = d_components(_MeshGrid((int(nx), int(ny))), p)
     return float(2.0 * np.sqrt(dx * dx + dy * dy + dz * dz).min())

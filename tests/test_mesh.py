@@ -37,21 +37,12 @@ def test_build_mesh_layout(p_half):
 
 
 def test_build_mesh_refuses_gapless():
-    # On the wall the zone corner is gapless, and 3 | 24 puts it on the mesh.
+    # On the wall the zone corner K = (2/3) g1 + (1/3) g2 is gapless, and
+    # 3 | nx, 3 | ny put it on the mesh at (m, n) = (2 nx/3, ny/3).
     p = ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, SQRT3)
-    with pytest.raises(GaplessMesh):
-        build_mesh(p, 24, 24)
-
-
-@pytest.mark.parametrize("nx, ny", [(24, 24), (18, 27)])
-def test_wall_mesh_is_gapless_at_the_zone_corner(nx, ny):
-    # K = (2/3) g1 + (1/3) g2 lies on every mesh with 3 | nx and 3 | ny, and
-    # the table-built d-field must vanish there to rounding.
-    p = ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, SQRT3)
-    m, n = 2 * nx // 3, ny // 3
-    with pytest.raises(GaplessMesh, match=rf"\(m, n\) = \({m}, {n}\)"):
-        build_mesh(p, nx, ny)
-    assert min_gap_on_mesh(p, (nx, ny)) <= 1e-14
+    for nx, ny in [(24, 24), (18, 27)]:
+        with pytest.raises(GaplessMesh, match=rf"\(m, n\) = \({2 * nx // 3}, {ny // 3}\)"):
+            build_mesh(p, nx, ny)
 
 
 def test_min_norm_matches_min_gap(p_half, mesh48_half):

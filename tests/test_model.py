@@ -22,7 +22,7 @@ from stratachern.model import (
     NNN_VECTORS,
     _NNN_P,
     _NNN_Q,
-    _mesh_d_components,
+    _MeshGrid,
     bloch_vector_fields,
     d_component_gradients,
     d_components,
@@ -103,7 +103,7 @@ def test_d_vector_hopping_free():
 ])
 @pytest.mark.parametrize("size", [(4, 4), (17, 33), (48, 48), (129, 131)])
 def test_mesh_d_field_matches_pointwise(p, size):
-    table = np.stack(_mesh_d_components(*size, p))
+    table = np.stack(d_components(_MeshGrid(size), p))
     pointwise = np.stack(d_components(mesh_kpoints(*size), p))
     assert table.shape == (3,) + size
     assert np.abs(table - pointwise).max() <= 4e-15
@@ -273,9 +273,10 @@ def test_analytic_chern_on_wall_raises():
 # --- min_gap_on_mesh ---------------------------------------------------------
 
 def test_min_gap_vanishes_on_wall():
-    # 3 | 24, so the zone corner where the gap closes lies on the mesh.
+    # 3 | nx and 3 | ny, so the zone corner where the gap closes lies on the mesh.
     p = ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, SQRT3)
-    assert min_gap_on_mesh(p, (24, 24)) <= 1e-12
+    for size in [(24, 24), (18, 27)]:
+        assert min_gap_on_mesh(p, size) <= 1e-12
 
 
 def test_min_gap_massive_lower_bound():
