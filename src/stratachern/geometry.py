@@ -10,19 +10,20 @@ pair of reciprocal coordinates has the closed forms
 with n the unit Bloch vector; the curvature sign is fixed so the Riemann sum
 of F_xy over the torus reproduces the lattice (link-variable) Chern number.
 The witness-filtered tensor inserts the compressed single-excitation sign
-operator S' = -(cos(theta) sx + sin(theta) sy) between projected state
-derivatives,
+operator S' = s.sigma, s = -(cos(theta), sin(theta), 0), between projected
+state derivatives,
 
-    QS_ab = <da(u)| Pperp S' Pperp |db(u)>,   Pperp = 1 - |u><u|,
+    QS_ab = <da(u)| Pperp S' Pperp |db(u)>,   Pperp = 1 - |u><u|.
 
-and is computed both this way and via the pointwise proportionality
-QS = eta * Q with eta = 2 Re(exp(i*theta) vA conj(vB)); the two paths agree to
-rounding and the deviation is reported.  The insertion form needs no 2 x 2
-matrices: it projects w_a = Pperp da(u) = da(u) - u <u|da(u)> from the valence
-section u = (vA, vB) and its exact derivatives (``model.valence_amplitudes``),
-then applies S' elementwise,
+It depends only on the valence projector P = (1 - n.sigma)/2, and the trace
+identity QS_ab = tr(S' db(P) P da(P)) gives it from n and its gradients with
+no spinor and no gauge choice,
 
-    QS_ab = -(conj(wA_a) exp(-i theta) wB_b + conj(wB_a) exp(i theta) wA_b).
+    QS_ab = (1/4) [ (n.s) da(n).db(n) + i s.(db(n) x da(n)) ].
+
+Since dx(n) x dy(n) is parallel to n, this equals eta * Q with
+eta = n.s = 2 Re(exp(i*theta) vA conj(vB)).  Both sides are evaluated and
+their deviation is reported: it tests that parallelism pointwise.
 
 The quantum Fisher information along a direction is FQ = 4 g_dd, its
 filtered version FQS = 4 Re(QS_dd) = eta * FQ, and the whole family obeys the
@@ -43,7 +44,6 @@ from .model import (
     ModelParams,
     bloch_vector_fields,
     mesh_kpoints,
-    valence_amplitudes,
 )
 from .multiorbital import _require_unit, coherence_matrix, sector_response_multi, witness_block
 from .witness import TWO_PI, _finite_thetas, sector_responses
@@ -105,28 +105,23 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
     g01 = 0.25 * np.einsum("pc,pc->p", dx, dy)
     g = np.stack([0.25 * np.einsum("pc,pc->p", dx, dx), g01, g01,
                   0.25 * np.einsum("pc,pc->p", dy, dy)], axis=-1).reshape(npts, 2, 2)
-    fxy = -0.5 * np.einsum("pc,pc->p", n, np.cross(dx, dy))
+    cross = np.cross(dx, dy)  # parallel to n
+    fxy = -0.5 * np.einsum("pc,pc->p", n, cross)
 
-    th = np.broadcast_to(th, (npts,)).copy()
-    phase = np.exp(1j * th)
-    eta = 2.0 * np.real(phase * coherence)
+    sx, sy = -np.cos(th), -np.sin(th)  # S' = s.sigma with s = (sx, sy, 0)
+    eta = sx * n[:, 0] + sy * n[:, 1]  # n.s = 2 Re(exp(i theta) coherence)
     conc = np.sqrt(np.clip(1.0 - nz * nz, 0.0, None))
 
-    vA, vB, dvA, dvB = valence_amplitudes(n, dn)  # dvA, dvB: (P, 2) over directions
-    ov = np.conj(vA)[:, None] * dvA + np.conj(vB)[:, None] * dvB  # <u|da u>
-    wA = dvA - vA[:, None] * ov  # w = Pperp du
-    wB = dvB - vB[:, None] * ov
-    del vA, vB, dvA, dvB, ov, dn, dx, dy  # large batches: free them before the (P, 2, 2) products
-    pB = np.conj(phase)[:, None] * wB  # exp(-i theta) wB; conj(pB) = exp(i theta) conj(wB)
-    qs = -np.conj(wA)[:, :, None] * pB[:, None, :]
-    qs -= np.conj(pB)[:, :, None] * wA[:, None, :]
+    # QS = eta g + (i/4) s.(dx n x dy n) [[0, -1], [1, 0]]; Re QS = eta g exactly,
+    # so QS differs from eta Q only in Im QS_xy = -Im QS_yx, where it tests cross || n.
+    im_yx = 0.25 * (sx * cross[:, 0] + sy * cross[:, 1])
+    qs = eta[:, None, None] * g + np.multiply.outer(1j * im_yx, ((0.0, -1.0), (1.0, 0.0)))
+    dual = np.abs(qs[:, 0, 1].imag - 0.5 * eta * fxy)
 
-    q_closed = (g[:, 0, 0], g01 + 0.5j * fxy, g01 - 0.5j * fxy, g[:, 1, 1])  # Q = g + (i/2) F
-    dual = np.maximum.reduce([np.abs(q - eta * c) for q, c in zip(qs.reshape(npts, 4).T, q_closed)])
-
+    th = np.broadcast_to(th, (npts,)).copy()
     dirs = np.broadcast_to(dirs, (npts, 2)).copy()
     fq = 4.0 * np.einsum("pa,pab,pb->p", dirs, g, dirs)
-    fqs = 4.0 * np.einsum("pa,pab,pb->p", dirs, qs.real, dirs)
+    fqs = eta * fq  # 4 Re(QS_dd)
 
     return GeometrySamples(
         k=k, nz=nz, coherence=coherence, dcoherence=dcoherence, g=g, Fxy=fxy,
@@ -368,14 +363,9 @@ def multiorbital_bounds(
     block = witness_block(xv, yv, theta)
     y_norm = float(np.linalg.norm(block, 2))
 
-    va = mesh.vA.reshape(-1)[flat]
-    vb = mesh.vB.reshape(-1)[flat]
-    a_amp = va[:, None] * xv          # (S, m)
-    b_amp = vb[:, None] * yv          # (S, n)
-    expectation = -2.0 * np.real(
-        np.einsum("si,ij,sj->s", np.conj(a_amp), block, b_amp)
-    )
-    ab = np.abs(va) * np.abs(vb)
+    coh = mesh.coherence.reshape(-1)[flat]  # vA conj(vB), so a^dag Y b = conj(coh) x^dag Y y
+    expectation = -2.0 * np.real(np.conj(coh) * complex(np.conj(xv) @ block @ yv))
+    ab = np.abs(coh)                        # ||a|| ||b|| = |vA| |vB|
 
     g_dd = np.einsum("pa,pab,pb->p", dirs, arr.g, dirs)
     checks = {

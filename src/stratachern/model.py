@@ -13,6 +13,9 @@ of every computed quantity and is not evaluated.  Lattice geometry is fixed: the
 NN distance is 1 and the oriented NNN difference vectors satisfy b1 + b2 + b3 = 0.
 On the mesh k = (m/nx) g1 + (n/ny) g2 each exp(i k.delta) is a product of 1-D
 tables in m and n: two rank-3 matrix products, no per-point transcendental.
+At arbitrary k, d and its gradients come from one table e_j = exp(i k.delta_j)
+per point, with exp(i k.b_j) = e_p conj(e_q): three complex exponentials, no
+sine or cosine.
 """
 from __future__ import annotations
 
@@ -87,35 +90,42 @@ class _MeshGrid(tuple):
     shape = property(lambda self: (*self, 2))
 
 
-def d_components(k, p: ModelParams):
-    """Return (dx, dy, dz) arrays for k of shape (..., 2) or a ``_MeshGrid``."""
+def _phase_tables(k):
+    """NN phases e_j = exp(i k.delta_j) and NNN phases exp(i k.b_j) = e_p conj(e_q), each (..., 3)."""
+    e = np.exp(1j * (np.asarray(k, dtype=float) @ NN_VECTORS.T))
+    return e, e[..., _NNN_P] * np.conj(e[..., _NNN_Q])
+
+
+def d_components(k, p: ModelParams, _tables=None):
+    """Return (dx, dy, dz) arrays for k of shape (..., 2) or a ``_MeshGrid``.
+
+    ``_tables`` is the caller's ``_phase_tables(k)``, if it already holds them.
+    """
     if isinstance(k, _MeshGrid):  # tables ex[j, m] = exp(i (m/nx) g1.delta_j) and ey
         ex, ey = (np.exp(1j * np.outer(NN_VECTORS @ g, np.arange(n) / n)) for g, n in zip(RECIPROCAL, k))
         wx, wy = ex[_NNN_P] * np.conj(ex[_NNN_Q]), ey[_NNN_P] * np.conj(ey[_NNN_Q])
         # einsum, not matmul: BLAS calls contend across the sweep_mass worker threads.
         nn_sum, nnn_sin_sum = np.einsum("jm,jn->mn", ex, ey), np.einsum("jm,jn->mn", wx, wy).imag
     else:
-        k = np.asarray(k, dtype=float)
-        nn_sum = np.exp(1j * (k @ NN_VECTORS.T)).sum(axis=-1)   # phases k.delta_m
-        nnn_sin_sum = np.sin(k @ NNN_VECTORS.T).sum(axis=-1)    # phases k.b_j
+        e, w = _phase_tables(k) if _tables is None else _tables
+        nn_sum, nnn_sin_sum = e.sum(axis=-1), w.imag.sum(axis=-1)
     f = p.t1 * nn_sum
     dz = p.M - 2.0 * p.t2 * math.sin(p.phi) * nnn_sin_sum
     return f.real, f.imag, dz
 
 
-def d_component_gradients(k, p: ModelParams):
+def d_component_gradients(k, p: ModelParams, _tables=None):
     """Exact term-by-term k-gradients of the d-vector components.
 
     Returns (ddx, ddy, ddz), each of shape (..., 2) with the last axis
-    indexing the kx / ky derivative.
+    indexing the kx / ky derivative: d(dx + i dy) = i t1 sum_j e_j delta_j and
+    d(dz) = -2 t2 sin(phi) sum_j Re(exp(i k.b_j)) b_j.  ``_tables`` is as in
+    ``d_components``.
     """
-    k = np.asarray(k, dtype=float)
-    nn = k @ NN_VECTORS.T
-    nnn = k @ NNN_VECTORS.T
-    ddx = -p.t1 * (np.sin(nn) @ NN_VECTORS)
-    ddy = p.t1 * (np.cos(nn) @ NN_VECTORS)
-    ddz = -2.0 * p.t2 * math.sin(p.phi) * (np.cos(nnn) @ NNN_VECTORS)
-    return ddx, ddy, ddz
+    e, w = _phase_tables(k) if _tables is None else _tables
+    df = 1j * p.t1 * (e @ NN_VECTORS)
+    ddz = -2.0 * p.t2 * math.sin(p.phi) * (w.real @ NNN_VECTORS)
+    return df.real, df.imag, ddz
 
 
 def bloch_vector_fields(k, p: ModelParams, gap_floor: float = GAP_FLOOR):
@@ -124,10 +134,13 @@ def bloch_vector_fields(k, p: ModelParams, gap_floor: float = GAP_FLOOR):
     Returns (n, dn, norm) with shapes (..., 3), (..., 2, 3), (...,).
     dn[..., a, c] = d n_c / d k_a, computed from
     dn = dd/|d| - n (d . dd)/|d|^2, which keeps n exactly unit to first order.
+    d and dd both come from one phase table exp(i k.delta_j) per k-point, so
+    no sine or cosine is evaluated per point.
     Raises GaplessPoint if |d| < gap_floor anywhere.
     """
     k = np.asarray(k, dtype=float)
-    d = np.stack(d_components(k, p), axis=-1)
+    tables = _phase_tables(k)
+    d = np.stack(d_components(k, p, tables), axis=-1)
     nrm = np.linalg.norm(d, axis=-1)
     if np.any(nrm < gap_floor):
         idx = np.unravel_index(int(np.argmin(nrm)), nrm.shape)
@@ -135,7 +148,8 @@ def bloch_vector_fields(k, p: ModelParams, gap_floor: float = GAP_FLOOR):
             f"|d| = {nrm[idx]:.3e} < {gap_floor:g} at k = {k[idx]}"
         )
     n = d / nrm[..., None]
-    dd = np.stack(d_component_gradients(k, p), axis=-1)    # (..., 2, 3)
+    dd = np.stack(d_component_gradients(k, p, tables), axis=-1)    # (..., 2, 3)
+    del tables  # large batches: free the phase tables before the dn temporaries
     ddot = np.einsum("...c,...ac->...a", d, dd)      # d . (da d)
     dn = dd / nrm[..., None, None] - n[..., None, :] * (
         ddot / nrm[..., None] ** 2
@@ -147,7 +161,7 @@ def bloch_vector_fields(k, p: ModelParams, gap_floor: float = GAP_FLOOR):
 # Valence eigenstates.
 # ---------------------------------------------------------------------------
 
-def valence_amplitudes(n, dn=None):
+def valence_amplitudes(n):
     """Valence spinor (vA, vB) for unit Bloch vectors n of shape (..., 3).
 
     This is the package's one valence gauge: a smooth local section on each
@@ -160,10 +174,8 @@ def valence_amplitudes(n, dn=None):
     by a small number on its own hemisphere, and the poles need no special
     case: the south pole gives (1, 0) and the north pole (0, -1).  The two
     charts differ by the phase conj(w)/|w| on the equator; that mismatch is
-    what the Chern number counts.
-
-    Given the gradients dn of shape (..., 2, 3), dn[..., a, c] = d n_c / d k_a,
-    also returns the exact derivatives (dvA, dvB) of shape (..., 2).
+    what the Chern number counts.  Only the mesh link variables need a section;
+    the quantum geometry is computed from n and its gradients alone.
     """
     n = np.asarray(n, dtype=float)
     nz = n[..., 2]
@@ -179,24 +191,7 @@ def valence_amplitudes(n, dn=None):
     b = np.sqrt(0.5 * (1.0 + nz[m]))
     vA[m] = np.conj(w[m]) / (2.0 * b)
     vB[m] = -b
-    if dn is None:
-        return vA, vB
-
-    dn = np.asarray(dn, dtype=float)
-    dw = dn[..., 0] + 1j * dn[..., 1]         # (..., 2)
-    dnz = dn[..., 2]
-    dvA = np.empty(dw.shape, dtype=complex)
-    dvB = np.empty(dw.shape, dtype=complex)
-
-    da = -dnz[s] / (4.0 * a[:, None])
-    dvA[s] = da
-    dvB[s] = -dw[s] / (2.0 * a[:, None]) + w[s, None] * da / (2.0 * (a**2)[:, None])
-    db = dnz[m] / (4.0 * b[:, None])
-    dvA[m] = np.conj(dw[m]) / (2.0 * b[:, None]) - np.conj(w[m])[:, None] * db / (
-        2.0 * (b**2)[:, None]
-    )
-    dvB[m] = -db
-    return vA, vB, dvA, dvB
+    return vA, vB
 
 
 # ---------------------------------------------------------------------------

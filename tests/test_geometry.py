@@ -43,6 +43,35 @@ FD_SPOTS = [
 P_FLAT = ModelParams(t1=0.0, t2=1.0 / 3.0, phi=math.pi / 2.0, M=4.0)
 
 
+def valence_section_derivatives(n, dn):
+    """Exact k-derivatives (dvA, dvB), each (..., 2), of the valence section
+    ``valence_amplitudes(n)`` given dn[..., a, c] = d n_c / d k_a.
+
+    This spinor route is the matrix-form reference for the projector-form QS:
+    it differentiates each hemisphere chart of the gauge-fixed section.
+    """
+    n = np.asarray(n, dtype=float)
+    dn = np.asarray(dn, dtype=float)
+    nz = n[..., 2]
+    w = n[..., 0] + 1j * n[..., 1]
+    dw = dn[..., 0] + 1j * dn[..., 1]         # (..., 2)
+    dnz = dn[..., 2]
+    dvA = np.empty(dw.shape, dtype=complex)
+    dvB = np.empty(dw.shape, dtype=complex)
+
+    s = nz <= 0.0                             # south chart (a, -w/2a)
+    m = ~s                                    # north chart (conj(w)/2b, -b)
+    a = np.sqrt(0.5 * (1.0 - nz[s]))[..., None]
+    b = np.sqrt(0.5 * (1.0 + nz[m]))[..., None]
+    da = -dnz[s] / (4.0 * a)
+    dvA[s] = da
+    dvB[s] = -dw[s] / (2.0 * a) + w[s, None] * da / (2.0 * a**2)
+    db = dnz[m] / (4.0 * b)
+    dvA[m] = np.conj(dw[m]) / (2.0 * b) - np.conj(w[m])[:, None] * db / (2.0 * b**2)
+    dvB[m] = -db
+    return dvA, dvB
+
+
 def sign_operator_matrix(theta) -> np.ndarray:
     """Compressed witness on the two-level Bloch space:
     S' = -(cos(theta) sx + sin(theta) sy) = [[0, -e^{-i t}], [-e^{i t}, 0]].
@@ -179,7 +208,8 @@ def test_insertion_form_matches_matrix_form(p):
     arr = qgt_sample_arrays(k, p, theta)
 
     n, dn, _ = bloch_vector_fields(k, p)
-    vA, vB, dvA, dvB = valence_amplitudes(n, dn)
+    vA, vB = valence_amplitudes(n)
+    dvA, dvB = valence_section_derivatives(n, dn)
     u = np.stack([vA, vB], axis=-1)                  # (P, 2)
     du = np.stack([dvA, dvB], axis=-1)               # (P, 2, 2) [point, direction, component]
     perp = np.eye(2)[None] - u[:, :, None] * np.conj(u[:, None, :])

@@ -30,6 +30,8 @@ from stratachern.model import (
     valence_amplitudes,
 )
 
+from test_geometry import valence_section_derivatives
+
 SQRT3 = math.sqrt(3.0)
 
 _spec = importlib.util.spec_from_file_location(
@@ -206,11 +208,14 @@ DU_POINTS = [
 ]
 
 
+# valence_section_derivatives is the spinor-route reference that
+# test_geometry.py checks the projector-form QS against.
 @pytest.mark.parametrize("k", DU_POINTS)
 def test_valence_amplitudes_derivative_matches_finite_differences(p_half, k):
     k = np.asarray(k, dtype=float)
     n, dn, _ = bloch_vector_fields(k, p_half)
-    vA, vB, dvA, dvB = valence_amplitudes(n, dn)
+    vA, vB = valence_amplitudes(n)
+    dvA, dvB = valence_section_derivatives(n, dn)
     u = np.array([vA, vB])
     h = 1e-6
     for a in range(2):
