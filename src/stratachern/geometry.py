@@ -8,7 +8,7 @@ pair of reciprocal coordinates has the closed forms
     Q_ab  = g_ab + (i/2) F_ab
 
 with n the unit Bloch vector; the curvature sign is fixed so the Riemann sum
-of F_xy over the torus reproduces the lattice (link-variable) Chern number.
+of F_xy over the torus reproduces the lattice (plaquette) Chern number.
 The witness-filtered tensor inserts the compressed single-excitation sign
 operator S' = s.sigma, s = -(cos(theta), sin(theta), 0), between projected
 state derivatives,
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, ViolationFound
-from .mesh import CurvatureField, TorusMesh, build_mesh, chern_number, plaquette_curvature
+from .mesh import CurvatureField, TorusMesh, _mesh_size, build_mesh, chern_number, plaquette_curvature
 from .model import (
     CELL_AREA,
     RECIPROCAL,
@@ -74,11 +74,6 @@ class GeometrySamples:
     @property
     def im_qs_xy(self) -> np.ndarray:
         return self.QS[:, 0, 1].imag
-
-
-def _mesh_dims(N) -> tuple[int, int]:
-    """(nx, ny) from a mesh size given as an int or an (nx, ny) pair."""
-    return (int(N[0]), int(N[1])) if isinstance(N, (tuple, list)) else (int(N), int(N))
 
 
 def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySamples:
@@ -132,7 +127,7 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
 
 def _mesh_samples(p: ModelParams, theta: float, N):
     """Geometry fields at the N x N plaquette base corners, and the cell area."""
-    nx, ny = _mesh_dims(N)
+    nx, ny = _mesh_size(N)
     arr = qgt_sample_arrays(mesh_kpoints(nx, ny).reshape(-1, 2), p, theta)
     return arr, CELL_AREA / (nx * ny)
 
@@ -150,7 +145,7 @@ def filtered_chern_from_qgt(p: ModelParams, theta: float, N) -> float:
 def curvature_riemann_total(p: ModelParams, N) -> float:
     """Riemann sum (1/2pi) * sum F_xy * dA of the closed-form curvature.
 
-    Unlike the link-variable lattice total (exactly integer by construction),
+    Unlike the plaquette lattice total (exactly integer by construction),
     this converges to the Chern number only in the N -> infinity limit; the
     integrand is smooth and periodic, so convergence is spectral.
     """
@@ -260,7 +255,7 @@ def inequality_suite(
     (carrying the report) if any bound fails by more than ``slack`` --- that
     signals an implementation bug, never an expected outcome.
     """
-    nx, ny = _mesh_dims(N)
+    nx, ny = _mesh_size(N)
     count = _sample_count(samples)
     rng = np.random.Generator(np.random.Philox(seed))
     uv = rng.random((count, 2))

@@ -1,26 +1,20 @@
-"""Torus mesh of valence states and the lattice Berry curvature.
+"""Torus mesh of valence projectors and the lattice Berry curvature.
 
-The curvature follows the Fukui-Hatsugai-Suzuki construction: normalized
-overlap "link variables" between neighbouring valence states, and per
-plaquette the principal-branch argument of the oriented link product.  The
-total flux is then 2*pi times an exact integer whenever every plaquette stays
-in the admissible branch, no matter how coarse the mesh.
+The curvature is the Fukui-Hatsugai-Suzuki plaquette phase, taken from the
+corner Bloch vectors with no spinor gauge: minus half the solid angle they
+span (the Berg-Luscher lattice charge).  The total flux is then 2*pi times an
+exact integer whenever every plaquette stays in the admissible branch, no
+matter how coarse the mesh.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateOverlap, GaplessMesh, GaplessPoint, NonIntegerTotal, ValidationError
-from .model import (
-    GAP_FLOOR,
-    ModelParams,
-    _MeshGrid,
-    d_components,
-    mesh_kpoints,
-    valence_amplitudes,
-)
+from .model import GAP_FLOOR, ModelParams, _MeshGrid, d_components, mesh_kpoints
 
 #: Link overlaps with modulus at or below this are treated as degenerate.
 OVERLAP_FLOOR = 1e-10
@@ -30,27 +24,20 @@ INTEGER_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TorusMesh:
-    """Valence states on an nx-by-ny discretized Brillouin torus.
+    """Valence projectors P = (1 - n.sigma)/2 on an nx-by-ny discretized Brillouin torus.
 
-    Per-point data is stored as (nx, ny) arrays.  Indexing is periodic: the
-    +x neighbour of (nx-1, n) is (0, n), and likewise in y.  Construction
-    guarantees every point passed the gap check.
+    Per-point data is stored as (nx, ny) arrays: n_z and P_AB = (-n_x + i n_y)/2.
+    Indexing is periodic: the +x neighbour of (nx-1, n) is (0, n), and
+    likewise in y.  Construction guarantees every point passed the gap check.
     """
 
     nx: int
     ny: int
     kpoints: np.ndarray            # (nx, ny, 2)
-    vA: np.ndarray                 # (nx, ny) complex
-    vB: np.ndarray                 # (nx, ny) complex
     nz: np.ndarray                 # (nx, ny) real
-    coherence: np.ndarray          # (nx, ny) complex = vA * conj(vB)
+    coherence: np.ndarray          # (nx, ny) complex = P_AB = (-n_x + i n_y)/2
     params: ModelParams | None = None
     min_norm: float = 0.0          # min |d(k)| encountered during the build
-
-    def rephased(self, chi: np.ndarray) -> "TorusMesh":
-        """Copy with each state multiplied by exp(i*chi[m, n]) (pure gauge)."""
-        phase = np.exp(1j * np.asarray(chi, dtype=float))
-        return replace(self, vA=self.vA * phase, vB=self.vB * phase)
 
 
 @dataclass(frozen=True)
@@ -65,14 +52,22 @@ class CurvatureField:
         return float(self.F.sum())
 
 
+def _mesh_size(size) -> tuple[int, int]:
+    """(nx, ny) as ints from N (an N x N mesh) or an (nx, ny) pair; ValidationError
+    unless each is an integer (numpy integers too, bool not) of at least 4."""
+    dims = tuple(size) if isinstance(size, (tuple, list)) else (size, size)
+    if len(dims) != 2 or any(isinstance(v, bool) or not hasattr(type(v), "__index__") or v < 4 for v in dims):
+        raise ValidationError(f"mesh size must be an integer of at least 4 or a pair of them, got {size!r}")
+    return operator.index(dims[0]), operator.index(dims[1])
+
+
 def build_mesh(p: ModelParams, nx: int, ny: int, gap_floor: float = GAP_FLOOR) -> TorusMesh:
-    """Valence states at every mesh point k = (m/nx) g1 + (n/ny) g2.
+    """Valence projectors at every mesh point k = (m/nx) g1 + (n/ny) g2.
 
     Raises GaplessMesh if any point fails the gap_floor check; the caller must
     perturb the parameters or refuse to proceed.
     """
-    if nx < 4 or ny < 4:
-        raise ValidationError(f"mesh size must be at least 4x4, got {nx}x{ny}")
+    nx, ny = _mesh_size((nx, ny))
     kpts = mesh_kpoints(nx, ny)
     dx, dy, dz = d_components(_MeshGrid((nx, ny)), p)
     nrm = np.sqrt(dx * dx + dy * dy + dz * dz)
@@ -82,56 +77,74 @@ def build_mesh(p: ModelParams, nx: int, ny: int, gap_floor: float = GAP_FLOOR) -
             f"gapless mesh point at (m, n) = ({m}, {n}), k = {kpts[m, n]}, "
             f"|d| = {nrm[m, n]:.3e}"
         ) from GaplessPoint(f"|d| < {gap_floor:g}")
-    nx_hat, ny_hat, nz = dx / nrm, dy / nrm, dz / nrm
-    vA, vB = valence_amplitudes(np.stack([nx_hat, ny_hat, nz], axis=-1))
-    coherence = 0.5 * (-nx_hat + 1j * ny_hat)
     return TorusMesh(
         nx=nx,
         ny=ny,
         kpoints=kpts,
-        vA=vA,
-        vB=vB,
-        nz=nz,
-        coherence=coherence,
+        nz=dz / nrm,
+        coherence=0.5 * (-(dx / nrm) + 1j * (dy / nrm)),
         params=p,
         min_norm=float(nrm.min()),
     )
 
 
-def _normalized_links(mesh: TorusMesh, overlap_floor: float):
-    """Unit links U_x[m, n] -> (m+1, n) and U_y[m, n] -> (m, n+1)."""
-    vA, vB = mesh.vA, mesh.vB
-    cA, cB = np.conj(vA), np.conj(vB)
-    links = []
-    for name, axis in (("x", 0), ("y", 1)):
-        # np.multiply keeps conj first; `*` may swap operands and change FMA rounding.
-        o = np.multiply(cA, np.roll(vA, -1, axis=axis)) + np.multiply(cB, np.roll(vB, -1, axis=axis))
-        mag = np.abs(o)
-        if np.any(mag <= overlap_floor):
-            m, n = np.unravel_index(int(np.argmin(mag)), mag.shape)
-            raise DegenerateOverlap(
-                f"{name}-link overlap {mag[m, n]:.3e} <= {overlap_floor:g} "
-                f"at (m, n) = ({m}, {n}); mesh too coarse for this gap"
-            )
-        links.append(np.divide(o, mag, out=o))
-    return tuple(links)
+def min_gap_on_mesh(p: ModelParams, mesh) -> float:
+    """Minimum of the spectral gap 2|d(k)| over the mesh points.
+
+    ``mesh`` is a ``TorusMesh`` or an (nx, ny) pair, so the scan also works for
+    gapless parameter sets where a state mesh cannot be built.
+    """
+    nx, ny = (mesh.nx, mesh.ny) if isinstance(mesh, TorusMesh) else _mesh_size(mesh)
+    dx, dy, dz = d_components(_MeshGrid((nx, ny)), p)
+    return float(2.0 * np.sqrt(dx * dx + dy * dy + dz * dz).min())
+
+
+def _dot(a, b=None):
+    """a.b, or a.a without b, over the leading (component) axis."""
+    return np.einsum("c...,c...->...", a, a if b is None else b)
 
 
 def plaquette_curvature(mesh: TorusMesh, overlap_floor: float = OVERLAP_FLOOR) -> CurvatureField:
-    """Principal-branch plaquette field strength of the link variables.
+    """Principal-branch plaquette phase of the corner Bloch vectors.
 
-    F[m, n] = arg( U_x(k) U_y(k+x) conj(U_x(k+y)) conj(U_y(k)) ) with the
-    plaquette based at k[m, n].  Gauge-invariant: per-site rephasing of the
-    states cancels around every plaquette.
+    F[m, n] = arg[Z(n1, n2, n3) Z(n1, n3, n4)] for the corners n1..n4 at (m, n),
+    (m+1, n), (m+1, n+1), (m, n+1), taken periodically, with
+    Z(a, b, c) = 1 + a.b + b.c + c.a - i a.(b x c) = 4 <a|b><b|c><c|a>.  The
+    product is 16 |<n1|n3>|^2 times the FHS link product
+    <n1|n2><n2|n3><n3|n4><n4|n1>.  Each x-, y- and diagonal (n1, n3) link needs
+    |<u_i|u_j>| = |n_i + n_j|/2 > overlap_floor, or DegenerateOverlap.
     """
-    ux, uy = _normalized_links(mesh, overlap_floor)
-    prod = (
-        ux
-        * np.roll(uy, -1, axis=0)
-        * np.conj(np.roll(ux, -1, axis=1))
-        * np.conj(uy)
-    )
-    return CurvatureField(F=np.angle(prod))
+    nx, ny = mesh.nx, mesh.ny
+    # n on the torus padded with its wrapped row and column; the corners are views
+    n = np.empty((3, nx + 1, ny + 1))
+    n[0, :nx, :ny] = -2.0 * mesh.coherence.real
+    n[1, :nx, :ny] = 2.0 * mesh.coherence.imag
+    n[2, :nx, :ny] = mesh.nz
+    n[:, nx, :ny] = n[:, 0, :ny]
+    n[:, :, ny] = n[:, :, 0]
+    n1, n2, n3, n4 = n[:, :-1, :-1], n[:, 1:, :-1], n[:, 1:, 1:], n[:, :-1, 1:]
+    # |n_i + n_j|^2 = 2 + 2 n_i.n_j on every x, y and diagonal edge, without
+    # 1 + n_i.n_j's cancellation; a zero diagonal overlap would zero Z and lose F
+    ex, ey, ed = _dot(n[:, :-1] + n[:, 1:]), _dot(n[:, :, :-1] + n[:, :, 1:]), _dot(n1 + n3)
+    for name, e2 in (("x", ex[:, :-1]), ("y", ey[:-1]), ("diagonal", ed)):
+        if np.any(e2 <= 4.0 * overlap_floor * overlap_floor):
+            i, j = np.unravel_index(int(np.argmin(e2)), e2.shape)
+            raise DegenerateOverlap(
+                f"{name}-link overlap {0.5 * np.sqrt(e2[i, j]):.3e} <= {overlap_floor:g} "
+                f"at (m, n) = ({i}, {j}); mesh too coarse for this gap"
+            )
+    z1, z2 = np.empty((2, nx, ny), dtype=complex)
+    z1.real = 0.5 * (ex[:, :-1] + ey[1:] + ed) - 2.0  # 1 + n1.n2 + n2.n3 + n3.n1
+    z2.real = 0.5 * (ex[:, 1:] + ey[:-1] + ed) - 2.0  # 1 + n1.n3 + n3.n4 + n4.n1
+    del ex, ey, ed                                    # lowers the peak under the cross product
+    c = np.empty((3, nx, ny))                         # n1 x n3
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(n1[j], n3[k], out=c[i])
+        c[i] -= n1[k] * n3[j]
+    z1.imag = _dot(n2, c)                             # -n1.(n2 x n3) = n2.(n1 x n3)
+    z2.imag = -_dot(n4, c)                            # -n1.(n3 x n4) = -n4.(n1 x n3)
+    z1 *= z2
+    return CurvatureField(F=np.angle(z1))
 
 
 def chern_number(F: CurvatureField, integer_tol: float = INTEGER_TOL) -> int:

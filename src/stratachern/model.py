@@ -7,9 +7,10 @@ The Hamiltonian at crystal momentum k is h(k) = d0(k)*I + d(k).sigma with
     dz        = M - 2 t2 sin(phi) * sum_j sin(k.b_j)  (NNN, odd part + stagger)
 
 Everything downstream (curvature, witness weights, quantum geometry) is a
-function of the unit vector n = d/|d| and its exact k-derivatives, which this
-module provides in closed form as (dx, dy, dz) and (ddx, ddy, ddz); d0 drops out
-of every computed quantity and is not evaluated.  Lattice geometry is fixed: the
+function of the valence projector P = (1 - n.sigma)/2, so of the unit vector
+n = d/|d| and its exact k-derivatives, which this module provides in closed
+form as (dx, dy, dz) and (ddx, ddy, ddz); no spinor gauge is chosen.  d0 drops
+out of every computed quantity and is not evaluated.  Lattice geometry is fixed: the
 NN distance is 1 and the oriented NNN difference vectors satisfy b1 + b2 + b3 = 0.
 On the mesh k = (m/nx) g1 + (n/ny) g2 each exp(i k.delta) is a product of 1-D
 tables in m and n: two rank-3 matrix products, no per-point transcendental.
@@ -158,44 +159,7 @@ def bloch_vector_fields(k, p: ModelParams, gap_floor: float = GAP_FLOOR):
 
 
 # ---------------------------------------------------------------------------
-# Valence eigenstates.
-# ---------------------------------------------------------------------------
-
-def valence_amplitudes(n):
-    """Valence spinor (vA, vB) for unit Bloch vectors n of shape (..., 3).
-
-    This is the package's one valence gauge: a smooth local section on each
-    hemisphere, with a = sqrt((1 - nz)/2), b = sqrt((1 + nz)/2), w = nx + i*ny,
-
-        south (nz <= 0):  (vA, vB) = (a, -w/(2a))
-        north (nz > 0):   (vA, vB) = (conj(w)/(2b), -b)
-
-    Both are exact eigenvectors of n.sigma with eigenvalue -1, neither divides
-    by a small number on its own hemisphere, and the poles need no special
-    case: the south pole gives (1, 0) and the north pole (0, -1).  The two
-    charts differ by the phase conj(w)/|w| on the equator; that mismatch is
-    what the Chern number counts.  Only the mesh link variables need a section;
-    the quantum geometry is computed from n and its gradients alone.
-    """
-    n = np.asarray(n, dtype=float)
-    nz = n[..., 2]
-    w = n[..., 0] + 1j * n[..., 1]
-    vA = np.empty(nz.shape, dtype=complex)
-    vB = np.empty(nz.shape, dtype=complex)
-
-    s = nz <= 0.0
-    m = ~s
-    a = np.sqrt(0.5 * (1.0 - nz[s]))
-    vA[s] = a
-    vB[s] = -w[s] / (2.0 * a)
-    b = np.sqrt(0.5 * (1.0 + nz[m]))
-    vA[m] = np.conj(w[m]) / (2.0 * b)
-    vB[m] = -b
-    return vA, vB
-
-
-# ---------------------------------------------------------------------------
-# Dirac masses, analytic invariant, gap scan.
+# Dirac masses, analytic invariant, mesh k-points.
 # ---------------------------------------------------------------------------
 
 def dirac_masses(p: ModelParams) -> tuple[float, float]:
@@ -226,14 +190,3 @@ def mesh_kpoints(nx: int, ny: int) -> np.ndarray:
         axis=-1,
     )
     return frac @ RECIPROCAL
-
-
-def min_gap_on_mesh(p: ModelParams, mesh) -> float:
-    """Minimum of the spectral gap 2|d(k)| over the mesh points.
-
-    ``mesh`` is a ``TorusMesh`` or an (nx, ny) pair, so the scan also works for
-    gapless parameter sets where a state mesh cannot be built.
-    """
-    nx, ny = (mesh.nx, mesh.ny) if hasattr(mesh, "nx") else mesh
-    dx, dy, dz = d_components(_MeshGrid((int(nx), int(ny))), p)
-    return float(2.0 * np.sqrt(dx * dx + dy * dy + dz * dz).min())

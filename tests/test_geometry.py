@@ -20,7 +20,7 @@ from stratachern import (
     saturation_case,
     sector_responses,
 )
-from stratachern.model import K_PLUS, bloch_vector_fields, valence_amplitudes
+from stratachern.model import K_PLUS, bloch_vector_fields
 
 SQRT3 = math.sqrt(3.0)
 
@@ -41,6 +41,40 @@ FD_SPOTS = [
 ]
 
 P_FLAT = ModelParams(t1=0.0, t2=1.0 / 3.0, phi=math.pi / 2.0, M=4.0)
+
+
+def valence_amplitudes(n):
+    """Valence spinor (vA, vB) for unit Bloch vectors n of shape (..., 3).
+
+    A smooth local section of the valence line on each hemisphere, with
+    a = sqrt((1 - nz)/2), b = sqrt((1 + nz)/2), w = nx + i*ny,
+
+        south (nz <= 0):  (vA, vB) = (a, -w/(2a))
+        north (nz > 0):   (vA, vB) = (conj(w)/(2b), -b)
+
+    Both are exact eigenvectors of n.sigma with eigenvalue -1, neither divides
+    by a small number on its own hemisphere, and the poles need no special
+    case: the south pole gives (1, 0) and the north pole (0, -1).  The two
+    charts differ by the phase conj(w)/|w| on the equator; that mismatch is
+    what the Chern number counts.  The package itself needs no section (it
+    works with the projector); this two-chart gauge is the spinor route of the
+    matrix-form QS reference below.
+    """
+    n = np.asarray(n, dtype=float)
+    nz = n[..., 2]
+    w = n[..., 0] + 1j * n[..., 1]
+    vA = np.empty(nz.shape, dtype=complex)
+    vB = np.empty(nz.shape, dtype=complex)
+
+    s = nz <= 0.0
+    m = ~s
+    a = np.sqrt(0.5 * (1.0 - nz[s]))
+    vA[s] = a
+    vB[s] = -w[s] / (2.0 * a)
+    b = np.sqrt(0.5 * (1.0 + nz[m]))
+    vA[m] = np.conj(w[m]) / (2.0 * b)
+    vB[m] = -b
+    return vA, vB
 
 
 def valence_section_derivatives(n, dn):

@@ -1,4 +1,5 @@
-"""Torus mesh construction, link variables, plaquette field, lattice invariant."""
+"""Torus mesh construction, link overlaps, plaquette field, lattice invariant."""
+import dataclasses
 import math
 
 import numpy as np
@@ -11,16 +12,20 @@ from stratachern import (
     ModelParams,
     NonIntegerTotal,
     TorusMesh,
+    ValidationError,
     analytic_chern,
     build_mesh,
     chern_number,
     coherence_matrix,
+    curvature_riemann_total,
     min_gap_on_mesh,
     multiorbital_bounds,
     plaquette_curvature,
 )
-from stratachern.mesh import _normalized_links
+from stratachern.mesh import OVERLAP_FLOOR
 from stratachern.model import RECIPROCAL
+
+from test_model import oracle
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
@@ -63,58 +68,110 @@ def test_build_gap_is_the_scanned_gap_exactly(p, size):
     assert min_gap_on_mesh(p, size) == 2.0 * mesh.min_norm
 
 
-# --- link variables -------------------------------------------------------------
+@pytest.mark.parametrize("size", [(24.5, 24), (8.0, 8), (True, 8), (0, 0), (3, 8), (8, 8, 8)])
+def test_mesh_size_must_be_integers_at_least_4(p_half, size):
+    if len(size) == 2:
+        with pytest.raises(ValidationError, match="mesh size") as info:
+            build_mesh(p_half, *size)
+        assert info.value.exit_code == 2
+    with pytest.raises(ValidationError, match="mesh size"):
+        min_gap_on_mesh(p_half, size)
+    with pytest.raises(ValidationError, match="mesh size"):
+        curvature_riemann_total(p_half, size)
 
-def _constant_mesh(vA, vB):
-    """A 4x4 mesh holding the same state (vA, vB) at every point."""
-    shape = (4, 4)
-    return TorusMesh(
-        nx=4, ny=4, kpoints=np.zeros(shape + (2,)),
-        vA=np.full(shape, vA, dtype=complex), vB=np.full(shape, vB, dtype=complex),
-        nz=np.full(shape, abs(vB) ** 2 - abs(vA) ** 2),
-        coherence=np.full(shape, vA * np.conj(vB), dtype=complex),
-    )
+
+def test_mesh_size_accepts_numpy_integers(p_half):
+    mesh = build_mesh(p_half, np.int64(24), np.int32(24))
+    assert (type(mesh.nx), type(mesh.ny)) == (int, int)
+    assert min_gap_on_mesh(p_half, (np.int64(24), np.int64(24))) == 2.0 * mesh.min_norm
+
+
+# --- link overlaps ----------------------------------------------------------------
+
+def _projector_mesh(n):
+    """A mesh holding the valence projector of the unit Bloch vectors n, shape (nx, ny, 3)."""
+    n = np.asarray(n, dtype=float)
+    nx, ny = n.shape[:2]
+    return TorusMesh(nx=nx, ny=ny, kpoints=np.zeros((nx, ny, 2)), nz=n[..., 2],
+                     coherence=0.5 * (-n[..., 0] + 1j * n[..., 1]))
+
+
+def _oracle_mesh(p, nx, ny):
+    """Mesh and curvature built from the oracle's eigh states (arbitrary gauge)."""
+    args = dataclasses.astuple(p)
+    u = oracle.valence(oracle.mesh_k(nx, ny), *args)
+    vA, vB = u[..., 0], u[..., 1]
+    mesh = TorusMesh(nx=nx, ny=ny, kpoints=oracle.mesh_k(nx, ny), params=p,
+                     nz=abs(vB) ** 2 - abs(vA) ** 2, coherence=vA * np.conj(vB))
+    return mesh, CurvatureField(F=oracle.fhs_curvature(*args, nx, ny))
 
 
 def test_link_variable_identity(mesh24):
+    # a constant projector: every plaquette is degenerate and its phase exactly 0
     for m, n in ((0, 0), (5, 17), (23, 1)):
-        ux, uy = _normalized_links(_constant_mesh(mesh24.vA[m, n], mesh24.vB[m, n]), 1e-10)
-        np.testing.assert_allclose(ux, 1.0 + 0.0j, atol=1e-14)
-        np.testing.assert_allclose(uy, 1.0 + 0.0j, atol=1e-14)
+        n_const = (-2.0 * mesh24.coherence[m, n].real, 2.0 * mesh24.coherence[m, n].imag, mesh24.nz[m, n])
+        F = plaquette_curvature(_projector_mesh(np.broadcast_to(n_const, (4, 4, 3))))
+        assert np.all(F.F == 0.0)
 
 
-def test_rephasing_leaves_outputs_unchanged(mesh48_half, curv48_half):
-    # links pick up exp(i(chi' - chi)), which cancels around every plaquette
-    # and in every product vA conj(vB)
-    rng = np.random.default_rng(22)
-    rephased = mesh48_half.rephased(rng.uniform(0.0, 2.0 * math.pi, size=(48, 48)))
-    F2 = plaquette_curvature(rephased)
-    np.testing.assert_allclose(F2.F, curv48_half.F, atol=1e-13)
+def test_rephasing_leaves_outputs_unchanged(p_half, mesh48_half, curv48_half):
+    # the oracle's eigh states carry an arbitrary phase per point; every output
+    # depends on the projector only, so it must agree to rounding
+    mesh_o, F_o = _oracle_mesh(p_half, 48, 48)
+    np.testing.assert_allclose(curv48_half.F, F_o.F, atol=1e-13)
     x = np.array([0.6, 0.8j])
     y = np.array([0.8, -0.6])
     np.testing.assert_allclose(
-        coherence_matrix(rephased, F2, x, y).JF,
-        coherence_matrix(mesh48_half, curv48_half, x, y).JF, atol=1e-13)
-    before = multiorbital_bounds(mesh48_half, curv48_half, x, y, 0.4, samples=500, seed=3)
-    after = multiorbital_bounds(rephased, F2, x, y, 0.4, samples=500, seed=3)
-    np.testing.assert_allclose(after.nu, before.nu, atol=1e-13)
-    np.testing.assert_allclose(after.nu_bound, before.nu_bound, atol=1e-13)
-    for name, slack in before.max_slack.items():
-        np.testing.assert_allclose(after.max_slack[name], slack, atol=1e-13, err_msg=name)
+        coherence_matrix(mesh48_half, curv48_half, x, y).JF,
+        coherence_matrix(mesh_o, F_o, x, y).JF, atol=1e-13)
+    ours = multiorbital_bounds(mesh48_half, curv48_half, x, y, 0.4, samples=500, seed=3)
+    theirs = multiorbital_bounds(mesh_o, F_o, x, y, 0.4, samples=500, seed=3)
+    np.testing.assert_allclose(ours.nu, theirs.nu, atol=1e-13)
+    np.testing.assert_allclose(ours.nu_bound, theirs.nu_bound, atol=1e-13)
+    for name, slack in theirs.max_slack.items():
+        np.testing.assert_allclose(ours.max_slack[name], slack, atol=1e-13, err_msg=name)
 
 
 def test_link_variable_orthogonal_states():
     # the m = 0 row holds the north pole and every other row the south pole,
     # so the +x link from (0, n) to (1, n) joins two orthogonal states
-    vA = np.ones((4, 4), dtype=complex)
-    vB = np.zeros((4, 4), dtype=complex)
-    vA[0], vB[0] = 0.0, -1.0
-    mesh = TorusMesh(
-        nx=4, ny=4, kpoints=np.zeros((4, 4, 2)), vA=vA, vB=vB,
-        nz=abs(vB) ** 2 - abs(vA) ** 2, coherence=vA * np.conj(vB),
-    )
+    n = np.zeros((4, 4, 3))
+    n[..., 2] = -1.0
+    n[0, :, 2] = 1.0
     with pytest.raises(DegenerateOverlap, match=r"x-link overlap 0\.000e\+00 .* at \(m, n\) = \(0, 0\)"):
-        plaquette_curvature(mesh)
+        plaquette_curvature(_projector_mesh(n))
+
+
+def test_diagonal_orthogonal_states_are_refused():
+    # n1 = north and n3 = south across plaquette (0, 0), n2 and n4 on the
+    # equator: every x- and y-link overlap is 1/sqrt(2), but Z(n1, n2, n3) = 0
+    # would lose the plaquette phase (-pi/2 by the link product) and give F = 0
+    n = np.zeros((4, 4, 3))
+    n[..., 0] = 1.0
+    n[0, 0], n[1, 1], n[0, 1] = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 1.0, 0.0)
+    with pytest.raises(DegenerateOverlap, match=r"diagonal-link overlap 0\.000e\+00 .* at \(m, n\) = \(0, 0\)"):
+        plaquette_curvature(_projector_mesh(n))
+
+
+def _antipodal_rows(overlap):
+    """Row m = 0 holds n1 and every other row n2, with |<u1|u2>| = |n1 + n2|/2 = overlap exactly."""
+    n = np.empty((4, 4, 3))
+    n[...] = (overlap, 0.0, -math.sqrt(1.0 - overlap * overlap))
+    n[0, :, 2] *= -1.0
+    return _projector_mesh(n)
+
+
+def test_degenerate_overlap_near_the_floor():
+    # at overlap 1e-9, 1 + n1.n2 has cancelled to 0 in floating point, so only
+    # the |n1 + n2|/2 form resolves it: no refusal, and the magnitude to 1e-6
+    mesh = _antipodal_rows(1e-9)
+    plaquette_curvature(mesh)
+    plaquette_curvature(mesh, overlap_floor=1e-9 * (1.0 - 1e-6))
+    with pytest.raises(DegenerateOverlap):
+        plaquette_curvature(mesh, overlap_floor=1e-9 * (1.0 + 1e-6))
+    with pytest.raises(DegenerateOverlap,
+                       match=rf"x-link overlap 1\.000e-11 <= {OVERLAP_FLOOR:g} at \(m, n\) = \(0, 0\)"):
+        plaquette_curvature(_antipodal_rows(1e-11))
 
 
 # --- plaquette_curvature / chern_number ----------------------------------------
@@ -131,11 +188,10 @@ def test_plaquette_field_topological_phase(mesh24, curv24):
     np.testing.assert_allclose(curv24.total, -TWO_PI, atol=1e-12)
 
 
-def test_plaquette_field_gauge_invariance(mesh24, curv24):
-    rng = np.random.default_rng(21)
-    chi = rng.uniform(0.0, TWO_PI, size=(24, 24))
-    F2 = plaquette_curvature(mesh24.rephased(chi))
-    np.testing.assert_allclose(F2.F, curv24.F, atol=1e-13)
+def test_plaquette_field_gauge_invariance(p_default, curv24):
+    # against the link product of the oracle's arbitrarily phased eigh states
+    F_o = oracle.fhs_curvature(*dataclasses.astuple(p_default), 24, 24)
+    np.testing.assert_allclose(curv24.F, F_o, atol=1e-13)
 
 
 def test_chern_number_rejects_non_integer_total():

@@ -27,10 +27,9 @@ from stratachern.model import (
     d_component_gradients,
     d_components,
     mesh_kpoints,
-    valence_amplitudes,
 )
 
-from test_geometry import valence_section_derivatives
+from test_geometry import valence_amplitudes, valence_section_derivatives
 
 SQRT3 = math.sqrt(3.0)
 

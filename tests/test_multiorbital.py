@@ -1,4 +1,5 @@
 """Probe embedding, coherence matrix, reconstruction, invariance, Levi typing."""
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,8 @@ from stratachern import (
 )
 from stratachern.multiorbital import THETA_IMAG, THETA_REAL
 
+from test_model import oracle
+
 
 def _unit(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -42,14 +45,22 @@ def jf_matrix(mesh48_half, curv48_half):
 
 # --- product embedding a = vA x, b = vB y -----------------------------------------
 
+def _spinors(mesh):
+    """Valence spinor (vA, vB) at every mesh point, from the oracle's eigh (arbitrary gauge)."""
+    u = oracle.valence(mesh.kpoints, *dataclasses.astuple(mesh.params))
+    return u[..., 0], u[..., 1]
+
+
 def _embed(mesh, x, y):
-    return mesh.vA[..., None] * np.asarray(x), mesh.vB[..., None] * np.asarray(y)
+    vA, vB = _spinors(mesh)
+    return vA[..., None] * np.asarray(x), vB[..., None] * np.asarray(y)
 
 
 def test_embed_state_scalar_reduction(mesh48_half, curv48_half):
     # with one-orbital probes the embedded amplitudes are (vA, vB) themselves
     jf = coherence_matrix(mesh48_half, curv48_half, [1.0], [1.0])
-    want = (curv48_half.F * mesh48_half.vA * np.conj(mesh48_half.vB)).sum() / (2.0 * math.pi)
+    vA, vB = _spinors(mesh48_half)
+    want = (curv48_half.F * vA * np.conj(vB)).sum() / (2.0 * math.pi)
     np.testing.assert_allclose(jf.JF[0, 0], want, atol=1e-15)
 
 
@@ -248,9 +259,10 @@ def test_expectation_scalar_reduction_is_sign_average(p_half, mesh48_half):
     # -2 Re(a^dagger Y b) with one-orbital probes is minus the geometry eta
     rng = np.random.default_rng(23)
     kpts = mesh48_half.kpoints.reshape(-1, 2)
+    vA, vB = _spinors(mesh48_half)
     for theta in rng.uniform(-math.pi, math.pi, size=20):
         block = witness_block([1.0], [1.0], theta)[0, 0]
-        val = -2.0 * np.real(np.conj(mesh48_half.vA) * block * mesh48_half.vB)
+        val = -2.0 * np.real(np.conj(vA) * block * vB)
         eta = qgt_sample_arrays(kpts, p_half, theta).eta
         np.testing.assert_allclose(val.ravel(), -eta, atol=1e-14)
 

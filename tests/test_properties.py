@@ -1,9 +1,12 @@
-"""Property checks of the geometry engine against the independent oracle.
+"""Property checks of the geometry and mesh engines against the independent oracle.
 
 Hypothesis draws model couplings away from the phase walls, then a k-point and
 a witness phase, and compares ``qgt_sample_arrays`` with the oracle's central
 differences of the band projector (``tests/oracles/oracle_reference.py``),
-which uses eigh states and the trace identities, not the closed forms.
+which uses eigh states and the trace identities, not the closed forms.  On
+drawn meshes it compares the Bloch-vector plaquette field and the sector
+responses with the oracle's link products of eigh states, and checks two
+symmetries that need no oracle.
 """
 import importlib.util
 import math
@@ -13,7 +16,16 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stratachern import ModelParams, dirac_masses, qgt_sample_arrays
+from stratachern import (
+    ModelParams,
+    build_mesh,
+    chern_number,
+    dirac_masses,
+    plaquette_curvature,
+    qgt_sample_arrays,
+    sector_responses,
+)
+from stratachern.mesh import OVERLAP_FLOOR
 
 _spec = importlib.util.spec_from_file_location(
     "oracle_reference", Path(__file__).parent / "oracles" / "oracle_reference.py")
@@ -27,7 +39,25 @@ MIN_MASS = 0.2
 #: worst of the draws below is about 1.5e-10.
 FD_TOL = 1e-8
 
+#: The mesh checks compare sums of at most 40 x 40 plaquettes.
+MESH_TOL = 1e-12
+
 _angle = st.floats(-math.pi, math.pi)
+_couplings = dict(t1=st.floats(0.5, 1.5), t2=st.floats(0.0, 0.5), phi=_angle, M=st.floats(-3.0, 3.0))
+_mesh_side = st.integers(4, 40)
+
+
+def _off_walls(t1, t2, phi, M):
+    p = ModelParams(t1, t2, phi, M)
+    assume(min(abs(m) for m in dirac_masses(p)) >= MIN_MASS)
+    return p
+
+
+def _oracle_min_overlap(p, nx, ny):
+    """Smallest x- or y-link overlap modulus of the oracle's eigh states."""
+    u = oracle.valence(oracle.mesh_k(nx, ny), p.t1, p.t2, p.phi, p.M)
+    return min(np.abs(np.einsum("ijc,ijc->ij", np.conj(u), np.roll(u, -1, axis=axis))).min()
+               for axis in (0, 1))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -51,3 +81,49 @@ def test_qgt_sample_arrays_matches_projector_differences(t1, t2, phi, M, k, thet
     np.testing.assert_allclose(arr.eta[0], eta, rtol=0.0, atol=FD_TOL)
     np.testing.assert_allclose(arr.coherence[0], coherence, rtol=0.0, atol=FD_TOL)
     assert arr.dual_dev[0] <= 1e-10
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(**_couplings, nx=_mesh_side, ny=_mesh_side)
+def test_plaquette_curvature_matches_oracle_links(t1, t2, phi, M, nx, ny):
+    p = _off_walls(t1, t2, phi, M)
+    assume(_oracle_min_overlap(p, nx, ny) > OVERLAP_FLOOR)
+    F = plaquette_curvature(build_mesh(p, nx, ny)).F
+    np.testing.assert_allclose(F, oracle.fhs_curvature(t1, t2, phi, M, nx, ny), rtol=0.0, atol=MESH_TOL)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(**_couplings, nx=_mesh_side, ny=_mesh_side, theta=_angle)
+def test_sector_report_matches_oracle(t1, t2, phi, M, nx, ny, theta):
+    p = _off_walls(t1, t2, phi, M)
+    assume(_oracle_min_overlap(p, nx, ny) > OVERLAP_FLOOR)
+    mesh = build_mesh(p, nx, ny)
+    rep = sector_responses(mesh, plaquette_curvature(mesh), theta)
+    mu, nu_minus, nu_plus, nu_s, jf = oracle.sector(t1, t2, phi, M, nx, ny, theta)
+    assert rep.mu == mu
+    for got, want in ((rep.nu_minus, nu_minus), (rep.nu_plus, nu_plus), (rep.nu_S, nu_s), (rep.JF, jf)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=MESH_TOL)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(**_couplings, nx=_mesh_side, ny=_mesh_side)
+def test_curvature_unchanged_under_t1_sign(t1, t2, phi, M, nx, ny):
+    # t1 -> -t1 negates nx and ny exactly, a rotation by pi about z that
+    # leaves every dot and triple product of the corner vectors bit for bit
+    p = _off_walls(t1, t2, phi, M)
+    F = plaquette_curvature(build_mesh(p, nx, ny)).F
+    F_neg = plaquette_curvature(build_mesh(ModelParams(-t1, t2, phi, M), nx, ny)).F
+    assert np.array_equal(F, F_neg)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(**_couplings, nx=st.integers(5, 40), ny=st.integers(5, 40))
+def test_chern_number_flips_under_phi_sign(t1, t2, phi, M, nx, ny):
+    # phi -> -phi is time reversal.  Meshes 4 points wide are left out: there
+    # the lattice C can be wrong on one side (for example 0 instead of -1 at
+    # (1.0144, 0.3729, 1.5786, -0.9736) on 40 x 4), a coarse-mesh defect that
+    # the oracle's link product shares.
+    p = _off_walls(t1, t2, phi, M)
+    c = chern_number(plaquette_curvature(build_mesh(p, nx, ny)))
+    c_flip = chern_number(plaquette_curvature(build_mesh(ModelParams(t1, t2, -phi, M), nx, ny)))
+    assert c_flip == -c

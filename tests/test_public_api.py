@@ -1,14 +1,16 @@
 """Public API hygiene: every exported name resolves once, and the scalar
 per-point API stays deleted in favour of the batched functions."""
+import dataclasses
 import importlib
 import pkgutil
 
 import stratachern
 
-#: Removed with the scalar path, by the module that defined each of them.
+#: Removed with the scalar path and the spinor gauge, by the module that defined each of them.
 REMOVED = {
-    "model": ("DVector", "BlochState", "d_vector", "d_derivatives", "valence_state"),
-    "mesh": ("link_variable",),
+    "model": ("DVector", "BlochState", "d_vector", "d_derivatives", "valence_state",
+              "valence_amplitudes"),
+    "mesh": ("link_variable", "_normalized_links"),
     "geometry": ("qgt", "qfi", "eta_value", "concurrence", "coherence_gradient",
                  "filtered_qgt", "QgtSample", "sign_operator_matrix"),
     "witness": ("weight_alpha",),
@@ -33,3 +35,6 @@ def test_removed_names_are_not_importable():
     found = [(m.__name__, name) for m in modules for name in removed if hasattr(m, name)]
     assert found == []
     assert not hasattr(stratachern.TorusMesh, "state")
+    # the mesh holds the projector, not a spinor gauge
+    assert not hasattr(stratachern.TorusMesh, "rephased")
+    assert {"vA", "vB"}.isdisjoint(f.name for f in dataclasses.fields(stratachern.TorusMesh))

@@ -22,7 +22,6 @@ from stratachern import (
     theta_scan,
     tomography_reconstruct,
 )
-from stratachern.model import valence_amplitudes
 
 SQRT3 = math.sqrt(3.0)
 
@@ -43,8 +42,8 @@ SECTOR_M05 = dict(
 
 def _mesh_of_state(mesh, n):
     """``mesh`` with the valence state of the unit Bloch vector n at every point."""
-    vA, vB = valence_amplitudes(np.asarray(n, dtype=float))
-    return dataclasses.replace(mesh, coherence=np.full(mesh.coherence.shape, vA * np.conj(vB)))
+    coherence = (-n[0] + 1j * n[1]) / 2.0  # P_AB of P = (1 - n.sigma)/2
+    return dataclasses.replace(mesh, coherence=np.full(mesh.coherence.shape, coherence))
 
 
 def _equator(angle):
