@@ -83,28 +83,45 @@ def _write_csv(path: Path, header, columns) -> tuple[int, str]:
     The encoding is set per column by its dtype: integers as ``str(v)``,
     floats as ``"%.17g" % v`` (the digits of ``format(v, ".17g")``, so every
     float64 reads back exactly).  Any other dtype (bool, complex, object)
-    has no encoding here and raises ValidationError.  Rows are formatted,
-    written and hashed in blocks of _BLOCK_ROWS, so memory stays flat in the
-    panel length.
+    has no encoding here and raises ValidationError, as do no columns or a
+    header of another length.  A column with at most one distinct value per
+    four rows (by one ``np.unique``) formats each distinct value once and
+    gathers the strings by index; any other is formatted row by row.  Both
+    give the same bytes.  Float keys are float64 bit patterns: float equality
+    would merge ``-0.0`` into ``0.0``.  Rows are written and hashed in blocks
+    of _BLOCK_ROWS, so the text in memory stays flat in the panel length.
     """
     cols = [np.asarray(c) for c in columns]
+    if not cols or len(header) != len(cols):
+        raise ValidationError(f"CSV needs one header name per column and at least one column, "
+                              f"got {len(header)} names for {len(cols)} columns")
+    if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):
+        raise ValidationError(f"CSV columns must be 1-D and of one length, got shapes {[c.shape for c in cols]}")
     count = len(cols[0])
-    encoders = []
+    encoders, sources = [], []
     for c in cols:
-        if c.ndim != 1 or len(c) != count:
-            raise ValidationError(f"CSV columns must be 1-D of length {count}, got shape {c.shape}")
         if c.dtype.kind in "iu":
-            encoders.append(str)
+            fmt, keys = str, c
         elif c.dtype.kind == "f":
-            encoders.append("%.17g".__mod__)
+            c = np.ascontiguousarray(c, dtype=np.float64)
+            fmt, keys = "%.17g".__mod__, c.view(np.int64)
         else:
             raise ValidationError(f"{c.dtype} columns have no CSV encoding here")
+        distinct, index = np.unique(keys, return_inverse=True)
+        if 4 * len(distinct) <= count:
+            # few distinct cells: format each once, gather the strings by index
+            table = np.array(list(map(fmt, distinct.view(c.dtype).tolist())), dtype=object)
+            encoders.append(lambda block, table=table: table[block].tolist())
+            sources.append(index)
+        else:
+            encoders.append(lambda block, fmt=fmt: map(fmt, block.tolist()))
+            sources.append(c)
     head = (",".join(header) + "\n").encode("utf-8")
     digest = hashlib.sha256(head)
     with open(path, "wb") as fh:
         fh.write(head)
         for start in range(0, count, _BLOCK_ROWS):
-            cells = [map(enc, c[start:start + _BLOCK_ROWS].tolist()) for enc, c in zip(encoders, cols)]
+            cells = [enc(s[start:start + _BLOCK_ROWS]) for enc, s in zip(encoders, sources)]
             data = ("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8")
             fh.write(data)
             digest.update(data)

@@ -210,6 +210,57 @@ def test_write_csv_refuses_unencodable_columns(tmp_path, bad):
     assert not path.exists()
 
 
+# A column with at most one distinct value per four rows is formatted once per
+# value and gathered by index.  Its float keys are bit patterns, so 0.0 and -0.0
+# (equal as floats) must still come out as different cells.
+DICT_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308, 0.1]
+DICT_INTS = [2**62, -(2**62), 0, -7]
+
+
+def _drawn_column(pool, distinct, count, rng):
+    """`count` cells with exactly min(distinct, count) distinct values: the
+    pool's first, then the integers from len(pool) on."""
+    pool = np.asarray(pool)
+    values = np.concatenate([pool, len(pool) + np.arange(distinct, dtype=pool.dtype)])[:distinct]
+    if count <= distinct:
+        return values[:count]
+    return rng.permutation(np.concatenate([values, rng.choice(values, count - distinct)]))
+
+
+@pytest.mark.parametrize("count", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   2 * _BLOCK_ROWS + 3])
+def test_write_csv_dictionary_columns_match_per_cell_reference(tmp_path, count):
+    rng = np.random.default_rng(count)
+    inside = max(count // 4, 1)  # 4 * distinct <= rows, as far as the length allows
+    columns = [
+        _drawn_column(DICT_INTS, len(DICT_INTS), count, rng),
+        _drawn_column(DICT_FLOATS, len(DICT_FLOATS), count, rng),
+        _drawn_column(DICT_FLOATS, inside, count, rng),
+        _drawn_column(DICT_FLOATS, inside + 1, count, rng),
+        _drawn_column(DICT_INTS, inside + 1, count, rng),
+    ]
+    header = ["i", "x", "inside", "outside", "j"]
+    path = tmp_path / "dict.csv"
+    rows, checksum = _write_csv(path, header, columns)
+    blob = path.read_bytes()
+    assert blob == _reference_csv(header, zip(*columns))
+    assert rows == count
+    assert checksum == hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["x"], [np.arange(2), np.arange(2.0)]),
+    (["x", "y"], [np.arange(2)]),
+    ([], []),
+])
+def test_write_csv_refuses_header_column_mismatch(tmp_path, header, columns):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValidationError) as excinfo:
+        _write_csv(path, header, columns)
+    assert excinfo.value.exit_code == 2
+    assert not path.exists()
+
+
 # --- run_all --------------------------------------------------------------------
 
 def test_run_all_summary(tmp_path):

@@ -6,7 +6,9 @@ differences of the band projector (``tests/oracles/oracle_reference.py``),
 which uses eigh states and the trace identities, not the closed forms.  On
 drawn meshes it compares the Bloch-vector plaquette field and the sector
 responses with the oracle's link products of eigh states, and checks two
-symmetries that need no oracle.
+symmetries, the sector identities and the theta scan, which need no oracle.
+The CSV writer is checked against its per-cell rule on columns drawn from
+small value pools, so that both of its encodings are reached.
 """
 import importlib.util
 import math
@@ -24,8 +26,11 @@ from stratachern import (
     plaquette_curvature,
     qgt_sample_arrays,
     sector_responses,
+    theta_scan,
 )
+from stratachern.harness import _BLOCK_ROWS, _write_csv
 from stratachern.mesh import OVERLAP_FLOOR
+from test_harness import DICT_FLOATS, DICT_INTS, _reference_csv
 
 _spec = importlib.util.spec_from_file_location(
     "oracle_reference", Path(__file__).parent / "oracles" / "oracle_reference.py")
@@ -127,3 +132,39 @@ def test_chern_number_flips_under_phi_sign(t1, t2, phi, M, nx, ny):
     c = chern_number(plaquette_curvature(build_mesh(p, nx, ny)))
     c_flip = chern_number(plaquette_curvature(build_mesh(ModelParams(t1, t2, -phi, M), nx, ny)))
     assert c_flip == -c
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(**_couplings, nx=_mesh_side, ny=_mesh_side, theta=_angle)
+def test_sector_identities_hold_at_drawn_theta(t1, t2, phi, M, nx, ny, theta):
+    p = _off_walls(t1, t2, phi, M)
+    mesh = build_mesh(p, nx, ny)
+    rep = sector_responses(mesh, plaquette_curvature(mesh), theta)
+    np.testing.assert_allclose(rep.nu_plus + rep.nu_minus, rep.mu, rtol=0.0, atol=MESH_TOL)
+    np.testing.assert_allclose(rep.nu_S, -2.0 * (np.exp(1j * theta) * rep.JF).real, rtol=0.0, atol=MESH_TOL)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(**_couplings, nx=_mesh_side, ny=_mesh_side, thetas=st.lists(_angle, min_size=1, max_size=4))
+def test_theta_scan_equals_sector_path_on_drawn_meshes(t1, t2, phi, M, nx, ny, thetas):
+    p = _off_walls(t1, t2, phi, M)
+    mesh = build_mesh(p, nx, ny)
+    F = plaquette_curvature(mesh)
+    sector = [sector_responses(mesh, F, theta).nu_S for theta in thetas]
+    assert np.array_equal(theta_scan(mesh, F, thetas), sector)
+
+
+_csv_column = st.tuples(st.sampled_from([DICT_INTS, DICT_FLOATS]), st.integers(1, len(DICT_FLOATS)))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(count=st.integers(0, 2 * _BLOCK_ROWS + 3), specs=st.lists(_csv_column, min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_write_csv_matches_per_cell_reference_on_pooled_columns(tmp_path_factory, count, specs, seed):
+    # each column draws `count` cells from the first `distinct` values of a pool
+    rng = np.random.default_rng(seed)
+    columns = [rng.choice(np.array(pool)[:distinct], count) for pool, distinct in specs]
+    header = [f"c{i}" for i in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "pooled.csv"
+    _write_csv(path, header, columns)
+    assert path.read_bytes() == _reference_csv(header, zip(*columns))
