@@ -59,7 +59,7 @@ y /= np.linalg.norm(y)
 
 jf = coherence_matrix(mesh, F, x, y)
 print("\nweighted-coherence matrix for a random unit probe pair:")
-print(np.array2string(jf.JF, precision=6, suppress_small=True))
+print(np.array2string(jf, precision=6, suppress_small=True))
 
 responses = {}
 for i in range(2):
@@ -70,7 +70,7 @@ for i in range(2):
             responses[(i, j, theta)] = sector_response_multi(jf, r0.mu, ei, fj, theta)[0]
 rebuilt = reconstruct_JF(responses, 2, 2, r0.mu)
 print(f"basis-probe reconstruction error (entrywise max): "
-      f"{np.max(np.abs(rebuilt.JF - jf.JF)):.2e}")
+      f"{np.max(np.abs(rebuilt - jf)):.2e}")
 
 # --- frame independence and Levi typing ----------------------------------------------
 

@@ -107,7 +107,7 @@ def _cmd_multiorbital(cfg: RunConfig) -> dict:
     ws = Workspace(cfg)
     out_g = _run_panel(ws, "g")
     rec = reconstruct_JF(ws.probe_responses, cfg.multi.m, cfg.multi.n, ws.sector.mu)
-    rec_err = float(np.abs(rec.JF - ws.multi_jf.JF).max())
+    rec_err = float(np.abs(rec - ws.multi_jf).max())
     x, y = ws.probe_pair
     kind = levi_type(np.outer(x, np.conj(y)))
     return {

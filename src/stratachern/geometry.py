@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, ViolationFound
-from .mesh import CurvatureField, TorusMesh, _mesh_size, build_mesh, chern_number, plaquette_curvature
+from .mesh import CurvatureField, TorusMesh, _mesh_size, build_mesh, plaquette_curvature
 from .model import (
     CELL_AREA,
     RECIPROCAL,
@@ -46,10 +46,12 @@ from .model import (
     mesh_kpoints,
 )
 from .multiorbital import _require_unit, coherence_matrix, sector_response_multi, witness_block
-from .witness import TWO_PI, _finite_thetas, sector_responses
+from .witness import TWO_PI, _checked_chern, _finite_thetas, sector_responses
 
 #: Additive slack allowed when checking the analytic inequalities.
 BOUND_SLACK = 1e-12
+#: An equator point (nz = 0) of the default model, where ``saturation_case`` samples.
+_EQUATOR_K = (0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -153,22 +155,22 @@ def curvature_riemann_total(p: ModelParams, N) -> float:
     return float((arr.Fxy * cell).sum() / TWO_PI)
 
 
-def saturation_case(p: ModelParams | None = None, k=(0.0, 1.0)) -> GeometrySamples:
+def saturation_case(p: ModelParams | None = None) -> GeometrySamples:
     """The one-point sample at a (k, theta) pair that saturates |FQS| = FQ.
 
     At an equator point (nz = 0, concurrence 1) the phase theta aligned with
     -arg(vA vB*) gives eta = 1, so the filtered Fisher information equals the
-    unfiltered one.  The default k sits on the equator for the default model
-    (t1 = 1, t2 = 1/3, phi = pi/2, M = 0).
+    unfiltered one.  k = _EQUATOR_K sits on the equator for the default model
+    (t1 = 1, t2 = 1/3, phi = pi/2, M = 0); elsewhere it raises ValidationError.
     """
     if p is None:
         p = ModelParams(t1=1.0, t2=1.0 / 3.0, phi=math.pi / 2.0, M=0.0)
-    probe = qgt_sample_arrays(k, p, 0.0)
+    probe = qgt_sample_arrays(_EQUATOR_K, p, 0.0)
     if abs(probe.nz[0]) > 1e-9:
         raise ValidationError(
-            f"saturation point must sit on the equator; nz = {float(probe.nz[0])!r} at k = {k}"
+            f"saturation point must sit on the equator; nz = {float(probe.nz[0])!r} at k = {_EQUATOR_K}"
         )
-    return qgt_sample_arrays(k, p, -np.angle(probe.coherence[0]))
+    return qgt_sample_arrays(_EQUATOR_K, p, -np.angle(probe.coherence[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +209,11 @@ def _sample_count(samples) -> int:
     return int(samples)
 
 
-def _bound_report(cls, checks, slack: float, where=None, **fields):
+def _bound_report(cls, checks, where=None, **fields):
     """Report of type ``cls`` from bound checks, or ViolationFound carrying it.
 
     ``checks`` maps a bound name to (lhs array, rhs array); the report gets
-    the max slack (lhs - rhs) per bound and the violation count, plus
+    the max slack (lhs - rhs) per bound and the count beyond BOUND_SLACK, plus
     ``fields``.  ``where(i)`` optionally describes sample i in the message.
     """
     max_slack = {}
@@ -219,7 +221,7 @@ def _bound_report(cls, checks, slack: float, where=None, **fields):
     for name, (lhs, rhs) in checks.items():
         gap = lhs - rhs
         max_slack[name] = float(gap.max())
-        for i in np.nonzero(gap > slack)[0][:3]:
+        for i in np.nonzero(gap > BOUND_SLACK)[0][:3]:
             offenders.append((name, int(i), float(lhs[i]), float(rhs[i])))
     report = cls(max_slack=max_slack, violations=len(offenders), **fields)
     if offenders:
@@ -240,7 +242,6 @@ def inequality_suite(
     N,
     samples: int,
     seed: int,
-    slack: float = BOUND_SLACK,
 ) -> InequalityReport:
     """Sampled verification of the filtered-geometry bound family.
 
@@ -252,7 +253,7 @@ def inequality_suite(
 
     pointwise and the global  |nu_S| <= (1/2pi) sqrt(sum|F|) sqrt(sum C^2 |F|)
     on an N x N mesh.  Returns the per-bound max slack; raises ViolationFound
-    (carrying the report) if any bound fails by more than ``slack`` --- that
+    (carrying the report) if any bound fails by more than BOUND_SLACK --- that
     signals an implementation bug, never an expected outcome.
     """
     nx, ny = _mesh_size(N)
@@ -285,7 +286,7 @@ def inequality_suite(
     )
 
     return _bound_report(
-        InequalityReport, checks, slack,
+        InequalityReport, checks,
         where=lambda i: f"k = {arr.k[i % len(arr.k)]}, theta = {arr.theta[i % len(arr.theta)]}",
         samples=count,
         seed=int(seed),
@@ -330,7 +331,6 @@ def multiorbital_bounds(
     theta: float,
     samples: int,
     seed: int,
-    slack: float = BOUND_SLACK,
 ) -> MultiOrbitalBoundsReport:
     """Operator-norm bounds for the rank-one witness on a product embedding.
 
@@ -341,7 +341,8 @@ def multiorbital_bounds(
         |FQS|       <= 4 g_dd            (||Pperp S' Pperp|| <= 1)
 
     with a = vA x, b = vB y, Y = exp(-i*theta) x y^dagger, plus the lattice
-    bound |nu| <= ||Y|| (1/2pi) sum C |F|.  Raises ViolationFound on failure.
+    bound |nu| <= ||Y|| (1/2pi) sum C |F|.  Raises ViolationFound on failure;
+    refuses F as ``sector_responses`` does (shape, then integer total).
     """
     if mesh.params is None:
         raise ValidationError("mesh.params required (mesh not built from ModelParams)")
@@ -353,7 +354,7 @@ def multiorbital_bounds(
     flat = rng.integers(0, mesh.nx * mesh.ny, size=count)
     psi = rng.random(count) * TWO_PI
     dirs = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
-    kpts = mesh.kpoints.reshape(-1, 2)[flat]
+    kpts = mesh_kpoints(mesh.nx, mesh.ny).reshape(-1, 2)[flat]
     arr = qgt_sample_arrays(kpts, mesh.params, theta, dirs)  # first, to refuse a non-finite theta
     block = witness_block(xv, yv, theta)
     y_norm = float(np.linalg.norm(block, 2))
@@ -369,7 +370,7 @@ def multiorbital_bounds(
         "fqs_le_4g": (np.abs(arr.FQS), 4.0 * g_dd),
     }
 
-    mu = chern_number(F)
+    mu = _checked_chern(mesh, F)
     jf = coherence_matrix(mesh, F, xv, yv)
     _, nu = sector_response_multi(jf, mu, xv, yv, theta)
     c_mesh = np.sqrt(np.clip(1.0 - mesh.nz * mesh.nz, 0.0, None))
@@ -377,7 +378,7 @@ def multiorbital_bounds(
     checks["global_nu"] = (np.array([abs(nu)]), np.array([nu_bound]))
 
     return _bound_report(
-        MultiOrbitalBoundsReport, checks, slack,
+        MultiOrbitalBoundsReport, checks,
         samples=count,
         seed=int(seed),
         theta=float(theta),

@@ -32,7 +32,7 @@ from .config import RunConfig
 from .errors import StrataChernError, ValidationError
 from .geometry import inequality_suite, multiorbital_bounds, qgt_sample_arrays
 from .mesh import build_mesh, plaquette_curvature
-from .model import RECIPROCAL, analytic_chern
+from .model import RECIPROCAL, analytic_chern, mesh_kpoints
 from .multiorbital import coherence_matrix, sector_response_multi, THETA_IMAG, THETA_REAL
 from .witness import (
     TWO_PI,
@@ -267,7 +267,7 @@ class Workspace:
 
 def _field_panel(ws: Workspace, name: str, values: np.ndarray):
     m, n = np.indices(values.shape).reshape(2, -1)
-    k = ws.mesh.kpoints.reshape(-1, 2)
+    k = mesh_kpoints(ws.mesh.nx, ws.mesh.ny).reshape(-1, 2)
     return ["m", "n", "k_x", "k_y", name], [m, n, k[:, 0], k[:, 1], values.ravel()]
 
 

@@ -26,14 +26,14 @@ INTEGER_TOL = 1e-10
 class TorusMesh:
     """Valence projectors P = (1 - n.sigma)/2 on an nx-by-ny discretized Brillouin torus.
 
-    Per-point data is stored as (nx, ny) arrays: n_z and P_AB = (-n_x + i n_y)/2.
+    Per-point data is stored as (nx, ny) arrays: n_z and P_AB = (-n_x + i n_y)/2
+    at k = mesh_kpoints(nx, ny), which (nx, ny) fixes, so the mesh does not hold it.
     Indexing is periodic: the +x neighbour of (nx-1, n) is (0, n), and
     likewise in y.  Construction guarantees every point passed the gap check.
     """
 
     nx: int
     ny: int
-    kpoints: np.ndarray            # (nx, ny, 2)
     nz: np.ndarray                 # (nx, ny) real
     coherence: np.ndarray          # (nx, ny) complex = P_AB = (-n_x + i n_y)/2
     params: ModelParams | None = None
@@ -61,26 +61,24 @@ def _mesh_size(size) -> tuple[int, int]:
     return operator.index(dims[0]), operator.index(dims[1])
 
 
-def build_mesh(p: ModelParams, nx: int, ny: int, gap_floor: float = GAP_FLOOR) -> TorusMesh:
+def build_mesh(p: ModelParams, nx: int, ny: int) -> TorusMesh:
     """Valence projectors at every mesh point k = (m/nx) g1 + (n/ny) g2.
 
-    Raises GaplessMesh if any point fails the gap_floor check; the caller must
+    Raises GaplessMesh if any point fails the GAP_FLOOR check; the caller must
     perturb the parameters or refuse to proceed.
     """
     nx, ny = _mesh_size((nx, ny))
-    kpts = mesh_kpoints(nx, ny)
     dx, dy, dz = d_components(_MeshGrid((nx, ny)), p)
     nrm = np.sqrt(dx * dx + dy * dy + dz * dz)
-    if np.any(nrm < gap_floor):
+    if np.any(nrm < GAP_FLOOR):
         m, n = np.unravel_index(int(np.argmin(nrm)), nrm.shape)
         raise GaplessMesh(
-            f"gapless mesh point at (m, n) = ({m}, {n}), k = {kpts[m, n]}, "
+            f"gapless mesh point at (m, n) = ({m}, {n}), k = {mesh_kpoints(nx, ny)[m, n]}, "
             f"|d| = {nrm[m, n]:.3e}"
-        ) from GaplessPoint(f"|d| < {gap_floor:g}")
+        ) from GaplessPoint(f"|d| < {GAP_FLOOR:g}")
     return TorusMesh(
         nx=nx,
         ny=ny,
-        kpoints=kpts,
         nz=dz / nrm,
         coherence=0.5 * (-(dx / nrm) + 1j * (dy / nrm)),
         params=p,
@@ -88,14 +86,13 @@ def build_mesh(p: ModelParams, nx: int, ny: int, gap_floor: float = GAP_FLOOR) -
     )
 
 
-def min_gap_on_mesh(p: ModelParams, mesh) -> float:
-    """Minimum of the spectral gap 2|d(k)| over the mesh points.
+def min_gap_on_mesh(p: ModelParams, size) -> float:
+    """Minimum of the spectral gap 2|d(k)| over the points of an (nx, ny) mesh.
 
-    ``mesh`` is a ``TorusMesh`` or an (nx, ny) pair, so the scan also works for
-    gapless parameter sets where a state mesh cannot be built.
+    It takes a size, not a mesh, so the scan also works for gapless parameter
+    sets where a mesh cannot be built; a built mesh holds its gap as 2 * min_norm.
     """
-    nx, ny = (mesh.nx, mesh.ny) if isinstance(mesh, TorusMesh) else _mesh_size(mesh)
-    dx, dy, dz = d_components(_MeshGrid((nx, ny)), p)
+    dx, dy, dz = d_components(_MeshGrid(_mesh_size(size)), p)
     return float(2.0 * np.sqrt(dx * dx + dy * dy + dz * dz).min())
 
 
@@ -104,7 +101,7 @@ def _dot(a, b=None):
     return np.einsum("c...,c...->...", a, a if b is None else b)
 
 
-def plaquette_curvature(mesh: TorusMesh, overlap_floor: float = OVERLAP_FLOOR) -> CurvatureField:
+def plaquette_curvature(mesh: TorusMesh) -> CurvatureField:
     """Principal-branch plaquette phase of the corner Bloch vectors.
 
     F[m, n] = arg[Z(n1, n2, n3) Z(n1, n3, n4)] for the corners n1..n4 at (m, n),
@@ -112,7 +109,7 @@ def plaquette_curvature(mesh: TorusMesh, overlap_floor: float = OVERLAP_FLOOR) -
     Z(a, b, c) = 1 + a.b + b.c + c.a - i a.(b x c) = 4 <a|b><b|c><c|a>.  The
     product is 16 |<n1|n3>|^2 times the FHS link product
     <n1|n2><n2|n3><n3|n4><n4|n1>.  Each x-, y- and diagonal (n1, n3) link needs
-    |<u_i|u_j>| = |n_i + n_j|/2 > overlap_floor, or DegenerateOverlap.
+    |<u_i|u_j>| = |n_i + n_j|/2 > OVERLAP_FLOOR, or DegenerateOverlap.
     """
     nx, ny = mesh.nx, mesh.ny
     # n on the torus padded with its wrapped row and column; the corners are views
@@ -127,10 +124,10 @@ def plaquette_curvature(mesh: TorusMesh, overlap_floor: float = OVERLAP_FLOOR) -
     # 1 + n_i.n_j's cancellation; a zero diagonal overlap would zero Z and lose F
     ex, ey, ed = _dot(n[:, :-1] + n[:, 1:]), _dot(n[:, :, :-1] + n[:, :, 1:]), _dot(n1 + n3)
     for name, e2 in (("x", ex[:, :-1]), ("y", ey[:-1]), ("diagonal", ed)):
-        if np.any(e2 <= 4.0 * overlap_floor * overlap_floor):
+        if np.any(e2 <= 4.0 * OVERLAP_FLOOR * OVERLAP_FLOOR):
             i, j = np.unravel_index(int(np.argmin(e2)), e2.shape)
             raise DegenerateOverlap(
-                f"{name}-link overlap {0.5 * np.sqrt(e2[i, j]):.3e} <= {overlap_floor:g} "
+                f"{name}-link overlap {0.5 * np.sqrt(e2[i, j]):.3e} <= {OVERLAP_FLOOR:g} "
                 f"at (m, n) = ({i}, {j}); mesh too coarse for this gap"
             )
     z1, z2 = np.empty((2, nx, ny), dtype=complex)
@@ -147,14 +144,14 @@ def plaquette_curvature(mesh: TorusMesh, overlap_floor: float = OVERLAP_FLOOR) -
     return CurvatureField(F=np.angle(z1))
 
 
-def chern_number(F: CurvatureField, integer_tol: float = INTEGER_TOL) -> int:
+def chern_number(F: CurvatureField) -> int:
     """Nearest integer to total flux / 2pi; NonIntegerTotal beyond tolerance."""
     s = F.total / (2.0 * np.pi)
     mu = round(s)
     dev = abs(s - mu)
-    if dev > integer_tol:
+    if dev > INTEGER_TOL:
         raise NonIntegerTotal(
             f"sum(F)/2pi = {s!r} deviates from {mu} by {dev:.3e} "
-            f"(tol {integer_tol:g}); a plaquette likely left the principal branch"
+            f"(tol {INTEGER_TOL:g}); a plaquette likely left the principal branch"
         )
     return int(mu)

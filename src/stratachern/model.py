@@ -129,7 +129,7 @@ def d_component_gradients(k, p: ModelParams, _tables=None):
     return df.real, df.imag, ddz
 
 
-def bloch_vector_fields(k, p: ModelParams, gap_floor: float = GAP_FLOOR):
+def bloch_vector_fields(k, p: ModelParams):
     """Unit Bloch vector and its exact gradients over a k-array.
 
     Returns (n, dn, norm) with shapes (..., 3), (..., 2, 3), (...,).
@@ -137,16 +137,16 @@ def bloch_vector_fields(k, p: ModelParams, gap_floor: float = GAP_FLOOR):
     dn = dd/|d| - n (d . dd)/|d|^2, which keeps n exactly unit to first order.
     d and dd both come from one phase table exp(i k.delta_j) per k-point, so
     no sine or cosine is evaluated per point.
-    Raises GaplessPoint if |d| < gap_floor anywhere.
+    Raises GaplessPoint if |d| < GAP_FLOOR anywhere.
     """
     k = np.asarray(k, dtype=float)
     tables = _phase_tables(k)
     d = np.stack(d_components(k, p, tables), axis=-1)
     nrm = np.linalg.norm(d, axis=-1)
-    if np.any(nrm < gap_floor):
+    if np.any(nrm < GAP_FLOOR):
         idx = np.unravel_index(int(np.argmin(nrm)), nrm.shape)
         raise GaplessPoint(
-            f"|d| = {nrm[idx]:.3e} < {gap_floor:g} at k = {k[idx]}"
+            f"|d| = {nrm[idx]:.3e} < {GAP_FLOOR:g} at k = {k[idx]}"
         )
     n = d / nrm[..., None]
     dd = np.stack(d_component_gradients(k, p, tables), axis=-1)    # (..., 2, 3)
@@ -168,17 +168,17 @@ def dirac_masses(p: ModelParams) -> tuple[float, float]:
     return p.M - shift, p.M + shift
 
 
-def analytic_chern(p: ModelParams, wall_tol: float = WALL_TOL) -> int:
+def analytic_chern(p: ModelParams) -> int:
     """Valence Chern number from the Dirac-mass signs: (sgn(mK) - sgn(mK'))/2.
 
-    Raises OnWall when either mass vanishes within wall_tol; the invariant is
+    Raises OnWall when either mass vanishes within WALL_TOL; the invariant is
     genuinely undefined there, so sgn(0) is an error rather than a value.
     """
     m_k, m_kp = dirac_masses(p)
-    if abs(m_k) <= wall_tol or abs(m_kp) <= wall_tol:
+    if abs(m_k) <= WALL_TOL or abs(m_kp) <= WALL_TOL:
         raise OnWall(
             f"Dirac mass on a wall: mK = {m_k:.3e}, mK' = {m_kp:.3e} "
-            f"(tol {wall_tol:g})"
+            f"(tol {WALL_TOL:g})"
         )
     return int(round(0.5 * (math.copysign(1.0, m_k) - math.copysign(1.0, m_kp))))
 

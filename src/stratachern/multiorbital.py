@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import MissingProbe, NonUnitary, NonUnitProbe, NotPartialIsometry
 from .mesh import CurvatureField, TorusMesh
-from .witness import TWO_PI, _finite_thetas
+from .witness import TWO_PI, _checked_chern, _finite_thetas
 
 #: Norm tolerance for unit probes and unitarity checks.
 UNIT_TOL = 1e-12
@@ -31,13 +31,6 @@ ISOMETRY_TOL = 1e-10
 #: Witness phases used by basis-probe tomography.
 THETA_REAL = 0.0
 THETA_IMAG = math.pi / 2.0
-
-
-@dataclass(frozen=True)
-class CoherenceMatrix:
-    """Matrix curvature-weighted coherence JF (m x n, complex)."""
-
-    JF: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -57,19 +50,22 @@ def _require_unit(vec, name: str) -> np.ndarray:
     return v
 
 
-def coherence_matrix(mesh: TorusMesh, F: CurvatureField, x, y) -> CoherenceMatrix:
-    """Lattice sum of F(k) * a(k) b(k)^dagger over plaquette base corners.
+def coherence_matrix(mesh: TorusMesh, F: CurvatureField, x, y) -> np.ndarray:
+    """Lattice sum of F(k) * a(k) b(k)^dagger over plaquette base corners, m x n complex.
 
     For the product embedding a = vA x, b = vB y this is the scalar sum
     (1/2pi) sum F * vA conj(vB) of ``SectorReport.JF`` times the dyad x y^dagger.
+    F must have the mesh's shape (ValidationError) and an integer total
+    (NonIntegerTotal), as in ``sector_responses``.
     """
     x = _require_unit(x, "x")
     y = _require_unit(y, "y")
+    _checked_chern(mesh, F)
     jf = complex((F.F * mesh.coherence).sum() / TWO_PI)
-    return CoherenceMatrix(JF=jf * np.outer(x, np.conj(y)))
+    return jf * np.outer(x, np.conj(y))
 
 
-def sector_response_multi(JF: CoherenceMatrix, mu: int, x, y, theta: float) -> tuple[float, float]:
+def sector_response_multi(JF: np.ndarray, mu: int, x, y, theta: float) -> tuple[float, float]:
     """(nu_minus, nu) for probe pair (x, y) at witness phase theta.
 
     nu_minus = mu/2 + Re(exp(i*theta) x^dagger JF y), nu = -2 Re(...).
@@ -78,13 +74,13 @@ def sector_response_multi(JF: CoherenceMatrix, mu: int, x, y, theta: float) -> t
     _finite_thetas(theta)
     x = _require_unit(x, "x")
     y = _require_unit(y, "y")
-    core = complex(np.conj(x) @ JF.JF @ y)
+    core = complex(np.conj(x) @ JF @ y)
     re = (np.exp(1j * theta) * core).real
     return float(mu / 2.0 + re), float(-2.0 * re)
 
 
-def reconstruct_JF(probe_responses, m: int, n: int, mu: int) -> CoherenceMatrix:
-    """Matrix coherence from basis-probe responses at theta in {0, pi/2}.
+def reconstruct_JF(probe_responses, m: int, n: int, mu: int) -> np.ndarray:
+    """Matrix coherence (m x n complex) from basis-probe responses at theta in {0, pi/2}.
 
     ``probe_responses`` maps (i, j, theta) -> nu_minus for the basis pair
     (e_i, f_j), with theta exactly THETA_REAL or THETA_IMAG.  Entry (i, j) is
@@ -101,10 +97,10 @@ def reconstruct_JF(probe_responses, m: int, n: int, mu: int) -> CoherenceMatrix:
                 probe_responses[(i, j, THETA_REAL)] - half,
                 -(probe_responses[(i, j, THETA_IMAG)] - half),
             )
-    return CoherenceMatrix(JF=jf)
+    return jf
 
 
-def unitary_invariance_check(JF: CoherenceMatrix, x, y, U_A, U_B) -> float:
+def unitary_invariance_check(JF: np.ndarray, x, y, U_A, U_B) -> float:
     """|(U_A x)^dag (U_A JF U_B^dag) (U_B y) - x^dag JF y| for unitary U_A, U_B."""
     x = _require_unit(x, "x")
     y = _require_unit(y, "y")
@@ -117,15 +113,15 @@ def unitary_invariance_check(JF: CoherenceMatrix, x, y, U_A, U_B) -> float:
             raise NonUnitary(f"{name} deviates from unitarity by {dev:.3e}")
     ua = np.asarray(U_A, dtype=complex)
     ub = np.asarray(U_B, dtype=complex)
-    before = complex(np.conj(x) @ JF.JF @ y)
-    after = complex(np.conj(ua @ x) @ (ua @ JF.JF @ ub.conj().T) @ (ub @ y))
+    before = complex(np.conj(x) @ JF @ y)
+    after = complex(np.conj(ua @ x) @ (ua @ JF @ ub.conj().T) @ (ub @ y))
     return abs(after - before)
 
 
-def levi_type(Y, tol: float = ISOMETRY_TOL) -> LeviType:
+def levi_type(Y) -> LeviType:
     """Eigenvalue multiplicities of the sign operator with off-diagonal block Y.
 
-    Y must be a partial isometry: every singular value within tol of 0 or 1.
+    Y must be a partial isometry: every singular value within ISOMETRY_TOL of 0 or 1.
     The +1 and -1 multiplicities both equal rank(Y); the kernel block
     contributes m + n - 2 rank(Y) zero modes.
     """
@@ -134,12 +130,12 @@ def levi_type(Y, tol: float = ISOMETRY_TOL) -> LeviType:
         raise NotPartialIsometry(f"expected a 2d block, got shape {Y.shape}")
     m, n = Y.shape
     sv = np.linalg.svd(Y, compute_uv=False)
-    unit = np.abs(sv - 1.0) <= tol
-    zero = sv <= tol
+    unit = np.abs(sv - 1.0) <= ISOMETRY_TOL
+    zero = sv <= ISOMETRY_TOL
     bad = ~(unit | zero)
     if np.any(bad):
         raise NotPartialIsometry(
-            f"singular value {sv[bad][0]!r} outside {{0, 1}} (tol {tol:g}); "
+            f"singular value {sv[bad][0]!r} outside {{0, 1}} (tol {ISOMETRY_TOL:g}); "
             "not a sign-operator block"
         )
     r = int(unit.sum())

@@ -1,5 +1,4 @@
 """End-to-end CLI contract: subcommands, exit codes, stderr format, determinism."""
-import functools
 import json
 import math
 import shutil
@@ -25,7 +24,7 @@ from stratachern import (
     load_config,
     min_gap_on_mesh,
 )
-from stratachern import cli, harness
+from stratachern import cli, geometry
 
 SQRT3 = math.sqrt(3.0)
 
@@ -173,8 +172,7 @@ def test_multiorbital_subcommand(tmp_path):
 
 def test_multiorbital_bound_violation_exit_code(tmp_path, monkeypatch, capsys):
     # an impossible slack makes every bound fail
-    monkeypatch.setattr(harness, "multiorbital_bounds",
-                        functools.partial(harness.multiorbital_bounds, slack=-1.0))
+    monkeypatch.setattr(geometry, "BOUND_SLACK", -1.0)
     code = cli.main(["multiorbital", "--config", _write_cfg(tmp_path),
                      "--out", str(tmp_path / "multi")])
     assert code == 3

@@ -20,7 +20,8 @@ from stratachern import (
     saturation_case,
     sector_responses,
 )
-from stratachern.model import K_PLUS, bloch_vector_fields
+from stratachern import geometry
+from stratachern.model import K_PLUS, bloch_vector_fields, mesh_kpoints
 
 SQRT3 = math.sqrt(3.0)
 
@@ -187,7 +188,7 @@ def test_eta_matches_weight(p_half, mesh48_half):
     rng = np.random.default_rng(37)
     m, n = rng.integers(0, 48, size=(2, 1000))
     theta = rng.uniform(-math.pi, math.pi, size=1000)
-    eta = qgt_sample_arrays(mesh48_half.kpoints[m, n], p_half, theta).eta
+    eta = qgt_sample_arrays(mesh_kpoints(48, 48)[m, n], p_half, theta).eta
     alpha = np.array([alpha_field(mesh48_half, t)[i, j] for i, j, t in zip(m, n, theta)])
     np.testing.assert_allclose(eta, 2.0 * alpha - 1.0, atol=1e-14)
 
@@ -375,10 +376,11 @@ def test_inequality_suite_separable_limit():
     np.testing.assert_allclose(report.nu_S, 0.0, atol=1e-15)
 
 
-def test_inequality_suite_negative_margin_flags(p_half):
+def test_inequality_suite_negative_margin_flags(p_half, monkeypatch):
     # an impossible margin must trip the failure path, proving it is exercised
+    monkeypatch.setattr(geometry, "BOUND_SLACK", -1.0)
     with pytest.raises(ViolationFound) as excinfo:
-        inequality_suite(p_half, 0.4, (12, 12), samples=50, seed=1, slack=-1.0)
+        inequality_suite(p_half, 0.4, (12, 12), samples=50, seed=1)
     assert excinfo.value.report.violations > 0
 
 

@@ -18,6 +18,7 @@ from stratachern import (
     thread_cap,
 )
 from stratachern.harness import _BLOCK_ROWS, PANEL_IDS, _run_panel, _write_csv, default_probe_pair
+from stratachern.model import mesh_kpoints
 
 SQRT3 = math.sqrt(3.0)
 
@@ -145,7 +146,8 @@ def _reference_rows(ws, panel):
             "b": alpha,
             "c": (1.0 - 2.0 * alpha) * ws.curvature.F / (2.0 * math.pi),
         }[panel]
-        return [(i, j, *ws.mesh.kpoints[i, j], values[i, j])
+        k = mesh_kpoints(ws.mesh.nx, ws.mesh.ny)
+        return [(i, j, *k[i, j], values[i, j])
                 for i in range(ws.mesh.nx) for j in range(ws.mesh.ny)]
     if panel in "de":
         reports, _ = ws.sweep

@@ -23,7 +23,7 @@ from stratachern import (
     plaquette_curvature,
 )
 from stratachern.mesh import OVERLAP_FLOOR
-from stratachern.model import RECIPROCAL
+from stratachern.model import RECIPROCAL, mesh_kpoints
 
 from test_model import oracle
 
@@ -35,10 +35,12 @@ TWO_PI = 2.0 * math.pi
 
 def test_build_mesh_layout(p_half):
     mesh = build_mesh(p_half, 4, 4)
-    assert mesh.kpoints.shape == (4, 4, 2)
+    assert (mesh.nx, mesh.ny) == (4, 4) and mesh.nz.shape == mesh.coherence.shape == (4, 4)
+    kpts = mesh_kpoints(mesh.nx, mesh.ny)
+    assert kpts.shape == (4, 4, 2)
     # fractional coordinates m/nx, n/ny in the reciprocal basis
     want = (2.0 / 4.0) * RECIPROCAL[0] + (3.0 / 4.0) * RECIPROCAL[1]
-    np.testing.assert_allclose(mesh.kpoints[2, 3], want, atol=1e-15)
+    np.testing.assert_allclose(kpts[2, 3], want, atol=1e-15)
 
 
 def test_build_mesh_refuses_gapless():
@@ -52,7 +54,10 @@ def test_build_mesh_refuses_gapless():
 
 def test_min_norm_matches_min_gap(p_half, mesh48_half):
     np.testing.assert_allclose(
-        2.0 * mesh48_half.min_norm, min_gap_on_mesh(p_half, mesh48_half), atol=1e-15)
+        2.0 * mesh48_half.min_norm, min_gap_on_mesh(p_half, (48, 48)), atol=1e-15)
+    # one input form: a built mesh already holds its gap, so it is not a size
+    with pytest.raises(ValidationError, match="mesh size"):
+        min_gap_on_mesh(p_half, mesh48_half)
 
 
 @pytest.mark.parametrize("p, size", [
@@ -64,7 +69,6 @@ def test_build_gap_is_the_scanned_gap_exactly(p, size):
     # `stratachern chern` reports 2 * min_norm from the build as its gap, so
     # the build and the scan must use one |d| formula, bit for bit.
     mesh = build_mesh(p, *size)
-    assert min_gap_on_mesh(p, mesh) == 2.0 * mesh.min_norm
     assert min_gap_on_mesh(p, size) == 2.0 * mesh.min_norm
 
 
@@ -92,7 +96,7 @@ def _projector_mesh(n):
     """A mesh holding the valence projector of the unit Bloch vectors n, shape (nx, ny, 3)."""
     n = np.asarray(n, dtype=float)
     nx, ny = n.shape[:2]
-    return TorusMesh(nx=nx, ny=ny, kpoints=np.zeros((nx, ny, 2)), nz=n[..., 2],
+    return TorusMesh(nx=nx, ny=ny, nz=n[..., 2],
                      coherence=0.5 * (-n[..., 0] + 1j * n[..., 1]))
 
 
@@ -101,7 +105,7 @@ def _oracle_mesh(p, nx, ny):
     args = dataclasses.astuple(p)
     u = oracle.valence(oracle.mesh_k(nx, ny), *args)
     vA, vB = u[..., 0], u[..., 1]
-    mesh = TorusMesh(nx=nx, ny=ny, kpoints=oracle.mesh_k(nx, ny), params=p,
+    mesh = TorusMesh(nx=nx, ny=ny, params=p,
                      nz=abs(vB) ** 2 - abs(vA) ** 2, coherence=vA * np.conj(vB))
     return mesh, CurvatureField(F=oracle.fhs_curvature(*args, nx, ny))
 
@@ -122,8 +126,8 @@ def test_rephasing_leaves_outputs_unchanged(p_half, mesh48_half, curv48_half):
     x = np.array([0.6, 0.8j])
     y = np.array([0.8, -0.6])
     np.testing.assert_allclose(
-        coherence_matrix(mesh48_half, curv48_half, x, y).JF,
-        coherence_matrix(mesh_o, F_o, x, y).JF, atol=1e-13)
+        coherence_matrix(mesh48_half, curv48_half, x, y),
+        coherence_matrix(mesh_o, F_o, x, y), atol=1e-13)
     ours = multiorbital_bounds(mesh48_half, curv48_half, x, y, 0.4, samples=500, seed=3)
     theirs = multiorbital_bounds(mesh_o, F_o, x, y, 0.4, samples=500, seed=3)
     np.testing.assert_allclose(ours.nu, theirs.nu, atol=1e-13)
@@ -162,13 +166,12 @@ def _antipodal_rows(overlap):
 
 
 def test_degenerate_overlap_near_the_floor():
-    # at overlap 1e-9, 1 + n1.n2 has cancelled to 0 in floating point, so only
-    # the |n1 + n2|/2 form resolves it: no refusal, and the magnitude to 1e-6
-    mesh = _antipodal_rows(1e-9)
-    plaquette_curvature(mesh)
-    plaquette_curvature(mesh, overlap_floor=1e-9 * (1.0 - 1e-6))
+    # near OVERLAP_FLOOR, 1 + n1.n2 has cancelled to 0 in floating point, so only
+    # the |n1 + n2|/2 form resolves the floor: to 1e-6 on either side of it
+    plaquette_curvature(_antipodal_rows(1e-9))
+    plaquette_curvature(_antipodal_rows(OVERLAP_FLOOR * (1.0 + 1e-6)))
     with pytest.raises(DegenerateOverlap):
-        plaquette_curvature(mesh, overlap_floor=1e-9 * (1.0 + 1e-6))
+        plaquette_curvature(_antipodal_rows(OVERLAP_FLOOR * (1.0 - 1e-6)))
     with pytest.raises(DegenerateOverlap,
                        match=rf"x-link overlap 1\.000e-11 <= {OVERLAP_FLOOR:g} at \(m, n\) = \(0, 0\)"):
         plaquette_curvature(_antipodal_rows(1e-11))

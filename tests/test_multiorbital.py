@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from stratachern import (
+    CurvatureField,
     MissingProbe,
     ModelParams,
+    NonIntegerTotal,
     NonUnitary,
     NonUnitProbe,
     NotPartialIsometry,
@@ -25,6 +27,7 @@ from stratachern import (
     unitary_invariance_check,
     witness_block,
 )
+from stratachern.model import mesh_kpoints
 from stratachern.multiorbital import THETA_IMAG, THETA_REAL
 
 from test_model import oracle
@@ -47,7 +50,7 @@ def jf_matrix(mesh48_half, curv48_half):
 
 def _spinors(mesh):
     """Valence spinor (vA, vB) at every mesh point, from the oracle's eigh (arbitrary gauge)."""
-    u = oracle.valence(mesh.kpoints, *dataclasses.astuple(mesh.params))
+    u = oracle.valence(mesh_kpoints(mesh.nx, mesh.ny), *dataclasses.astuple(mesh.params))
     return u[..., 0], u[..., 1]
 
 
@@ -61,13 +64,13 @@ def test_embed_state_scalar_reduction(mesh48_half, curv48_half):
     jf = coherence_matrix(mesh48_half, curv48_half, [1.0], [1.0])
     vA, vB = _spinors(mesh48_half)
     want = (curv48_half.F * vA * np.conj(vB)).sum() / (2.0 * math.pi)
-    np.testing.assert_allclose(jf.JF[0, 0], want, atol=1e-15)
+    np.testing.assert_allclose(jf[0, 0], want, atol=1e-15)
 
 
 def test_embed_state_norm_product_is_half_concurrence(p_half, mesh48_half):
     rng = np.random.default_rng(6)
     a, b = _embed(mesh48_half, _unit(rng, 3), _unit(rng, 2))
-    c = qgt_sample_arrays(mesh48_half.kpoints.reshape(-1, 2), p_half, 0.0).C
+    c = qgt_sample_arrays(mesh_kpoints(48, 48).reshape(-1, 2), p_half, 0.0).C
     np.testing.assert_allclose(
         (np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)).ravel(), c / 2.0, atol=1e-14)
 
@@ -79,7 +82,7 @@ def test_embed_state_pole():
     assert np.all(np.linalg.norm(a, axis=-1) == 0.0)
     np.testing.assert_allclose(np.linalg.norm(b, axis=-1), 1.0, atol=1e-15)
     jf = coherence_matrix(mesh, plaquette_curvature(mesh), [1.0, 0.0], [0.0, 1.0])
-    assert np.all(jf.JF == 0.0)
+    assert np.all(jf == 0.0)
 
 
 def test_embed_state_rejects_non_unit_probe(mesh48_half, curv48_half):
@@ -93,21 +96,54 @@ def test_embed_state_rejects_non_unit_probe(mesh48_half, curv48_half):
 
 def test_coherence_matrix_scalar_reduction(mesh48_half, curv48_half):
     jf = coherence_matrix(mesh48_half, curv48_half, [1.0], [1.0])
-    assert jf.JF.shape == (1, 1)
+    assert jf.shape == (1, 1)
     rep = sector_responses(mesh48_half, curv48_half, 0.0)
-    np.testing.assert_allclose(jf.JF[0, 0], rep.JF, atol=1e-13)
+    np.testing.assert_allclose(jf[0, 0], rep.JF, atol=1e-13)
 
 
 def test_coherence_matrix_zero_component_zeroes_row(mesh48_half, curv48_half):
     rng = np.random.default_rng(7)
     jf = coherence_matrix(mesh48_half, curv48_half, [0.0, 1.0], _unit(rng, 2))
-    np.testing.assert_allclose(jf.JF[0], 0.0, atol=1e-15)
+    np.testing.assert_allclose(jf[0], 0.0, atol=1e-15)
 
 
 def test_coherence_matrix_is_scalar_times_dyad(jf_matrix, mesh48_half, curv48_half):
     x, y, jf = jf_matrix
     scalar = sector_responses(mesh48_half, curv48_half, 0.0).JF
-    np.testing.assert_allclose(jf.JF, scalar * np.outer(x, np.conj(y)), atol=1e-13)
+    np.testing.assert_allclose(jf, scalar * np.outer(x, np.conj(y)), atol=1e-13)
+
+
+def _mesh8_probes():
+    """8x8 mesh at (1, 1/3, pi/2, 0.5), its curvature, and the probes x = e1, y = e2."""
+    mesh = build_mesh(ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, 0.5), 8, 8)
+    return mesh, plaquette_curvature(mesh), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+
+
+def test_coherence_matrix_refuses_a_field_of_another_shape():
+    # the (1, 8) first row of F used to broadcast over the mesh and give
+    # JF[0, 1] = 0.0887-0.0377i, where the whole field gives 0.0919-0.0532i
+    mesh, F, x, y = _mesh8_probes()
+    np.testing.assert_allclose(coherence_matrix(mesh, F, x, y)[0, 1],
+                               0.09192377985106608 - 0.05321061951352951j, atol=1e-15)
+    with pytest.raises(ValidationError, match=r"shape \(1, 8\) does not match mesh \(8, 8\)") as info:
+        coherence_matrix(mesh, CurvatureField(F=F.F[:1]), x, y)
+    assert info.value.exit_code == 2
+
+
+def test_coherence_matrix_refuses_a_non_integer_total():
+    mesh, _, x, y = _mesh8_probes()
+    with pytest.raises(NonIntegerTotal):
+        coherence_matrix(mesh, CurvatureField(F=np.full((8, 8), 0.01)), x, y)
+
+
+def test_multiorbital_bounds_refuses_a_field_of_another_shape():
+    # an all-zero (1, 8) field used to pass with nu = nu_bound = 0
+    mesh, _, x, y = _mesh8_probes()
+    with pytest.raises(ValidationError, match=r"shape \(1, 8\) does not match mesh \(8, 8\)") as info:
+        multiorbital_bounds(mesh, CurvatureField(F=np.zeros((1, 8))), x, y, 0.3, 20, 1)
+    assert info.value.exit_code == 2
+    with pytest.raises(NonIntegerTotal):
+        multiorbital_bounds(mesh, CurvatureField(F=np.full((8, 8), 0.01)), x, y, 0.3, 20, 1)
 
 
 # --- sector_response_multi ----------------------------------------------------------
@@ -139,7 +175,7 @@ def test_sector_response_multi_rejects_non_finite_theta(jf_matrix, theta):
 
 def test_sector_response_multi_sinusoid(jf_matrix):
     x, y, jf = jf_matrix
-    pairing = complex(np.conj(x) @ jf.JF @ y)
+    pairing = complex(np.conj(x) @ jf @ y)
     for theta in np.linspace(-3.0, 3.0, 7):
         _, nu = sector_response_multi(jf, -1, x, y, theta)
         want = -2.0 * abs(pairing) * math.cos(theta + np.angle(pairing))
@@ -166,7 +202,7 @@ def test_reconstruct_jf_zero_responses():
                  for i in range(2) for j in range(2)
                  for th in (THETA_REAL, THETA_IMAG)}
     rec = reconstruct_JF(responses, 2, 2, -1)
-    np.testing.assert_allclose(rec.JF, 0.0, atol=1e-15)
+    np.testing.assert_allclose(rec, 0.0, atol=1e-15)
 
 
 def test_reconstruct_jf_scalar_reduction(mesh48_half, curv48_half):
@@ -175,13 +211,13 @@ def test_reconstruct_jf_scalar_reduction(mesh48_half, curv48_half):
     rec = reconstruct_JF(responses, 1, 1, -1)
     want = tomography_reconstruct(
         responses[(0, 0, THETA_REAL)], responses[(0, 0, THETA_IMAG)], -1)
-    np.testing.assert_allclose(rec.JF[0, 0], want, atol=1e-15)
+    np.testing.assert_allclose(rec[0, 0], want, atol=1e-15)
 
 
 def test_reconstruct_jf_roundtrip(jf_matrix):
     _, _, jf = jf_matrix
     rec = reconstruct_JF(_basis_responses(jf, -1, 2, 2), 2, 2, -1)
-    np.testing.assert_allclose(rec.JF, jf.JF, atol=1e-12)
+    np.testing.assert_allclose(rec, jf, atol=1e-12)
 
 
 def test_reconstruct_jf_missing_probe(jf_matrix):
@@ -258,7 +294,7 @@ def test_witness_block_form():
 def test_expectation_scalar_reduction_is_sign_average(p_half, mesh48_half):
     # -2 Re(a^dagger Y b) with one-orbital probes is minus the geometry eta
     rng = np.random.default_rng(23)
-    kpts = mesh48_half.kpoints.reshape(-1, 2)
+    kpts = mesh_kpoints(48, 48).reshape(-1, 2)
     vA, vB = _spinors(mesh48_half)
     for theta in rng.uniform(-math.pi, math.pi, size=20):
         block = witness_block([1.0], [1.0], theta)[0, 0]

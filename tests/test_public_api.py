@@ -1,7 +1,9 @@
-"""Public API hygiene: every exported name resolves once, and the scalar
-per-point API stays deleted in favour of the batched functions."""
+"""Public API hygiene: every exported name resolves once, the scalar
+per-point API stays deleted in favour of the batched functions, and no
+public callable takes a guard tolerance."""
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import stratachern
@@ -14,7 +16,8 @@ REMOVED = {
     "geometry": ("qgt", "qfi", "eta_value", "concurrence", "coherence_gradient",
                  "filtered_qgt", "QgtSample", "sign_operator_matrix"),
     "witness": ("weight_alpha",),
-    "multiorbital": ("embed_state", "MultiState", "multi_witness_expectation", "hecke_pairing"),
+    "multiorbital": ("embed_state", "MultiState", "multi_witness_expectation", "hecke_pairing",
+                     "CoherenceMatrix"),
     "harness": ("run_panel",),
 }
 
@@ -38,3 +41,22 @@ def test_removed_names_are_not_importable():
     # the mesh holds the projector, not a spinor gauge
     assert not hasattr(stratachern.TorusMesh, "rephased")
     assert {"vA", "vB"}.isdisjoint(f.name for f in dataclasses.fields(stratachern.TorusMesh))
+    # (nx, ny) fixes the k-grid: mesh_kpoints builds it, the mesh does not hold it
+    assert "kpoints" not in {f.name for f in dataclasses.fields(stratachern.TorusMesh)}
+
+
+#: Guard tolerances are module constants, read at call time; no caller may pass one.
+GUARD_KEYWORDS = {"gap_floor", "overlap_floor", "integer_tol", "wall_tol", "slack", "tol"}
+
+
+def test_no_callable_takes_a_guard_tolerance():
+    callables = [getattr(stratachern, name) for name in stratachern.__all__]
+    callables.append(importlib.import_module("stratachern.model").bloch_vector_fields)
+    found = []
+    for fn in filter(callable, callables):
+        try:
+            params = inspect.signature(fn).parameters
+        except (TypeError, ValueError):  # builtin exception constructors have no signature
+            continue
+        found += [(fn.__name__, name) for name in params if name in GUARD_KEYWORDS]
+    assert found == []

@@ -22,6 +22,7 @@ from stratachern import (
     theta_scan,
     tomography_reconstruct,
 )
+from stratachern.model import mesh_kpoints
 
 SQRT3 = math.sqrt(3.0)
 
@@ -77,7 +78,7 @@ def test_weight_alpha_antialigned_phase(mesh24):
 def test_weight_alpha_range_and_identity(mesh24):
     # the witness expectation <S> = 1 - 2 alpha is minus the geometry eta
     rng = np.random.default_rng(3)
-    kpts = mesh24.kpoints.reshape(-1, 2)
+    kpts = mesh_kpoints(24, 24).reshape(-1, 2)
     for theta in rng.uniform(-math.pi, math.pi, size=50):
         alpha = alpha_field(mesh24, theta)
         assert np.all((-1e-15 <= alpha) & (alpha <= 1.0 + 1e-15))
