@@ -50,6 +50,8 @@ from .witness import TWO_PI, _checked_chern, _finite_thetas, sector_responses
 
 #: Additive slack allowed when checking the analytic inequalities.
 BOUND_SLACK = 1e-12
+#: |nz| above this at _EQUATOR_K puts the saturation point off the equator.
+EQUATOR_TOL = 1e-9
 #: An equator point (nz = 0) of the default model, where ``saturation_case`` samples.
 _EQUATOR_K = (0.0, 1.0)
 
@@ -166,7 +168,7 @@ def saturation_case(p: ModelParams | None = None) -> GeometrySamples:
     if p is None:
         p = ModelParams(t1=1.0, t2=1.0 / 3.0, phi=math.pi / 2.0, M=0.0)
     probe = qgt_sample_arrays(_EQUATOR_K, p, 0.0)
-    if abs(probe.nz[0]) > 1e-9:
+    if abs(probe.nz[0]) > EQUATOR_TOL:
         raise ValidationError(
             f"saturation point must sit on the equator; nz = {float(probe.nz[0])!r} at k = {_EQUATOR_K}"
         )

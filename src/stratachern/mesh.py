@@ -8,6 +8,7 @@ matter how coarse the mesh.
 """
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -20,6 +21,8 @@ from .model import GAP_FLOOR, ModelParams, _MeshGrid, d_components, mesh_kpoints
 OVERLAP_FLOOR = 1e-10
 #: Max tolerated deviation of the total flux / 2pi from the nearest integer.
 INTEGER_TOL = 1e-10
+#: Mesh points per row block of the whole-mesh passes; a block's temporaries stay in cache.
+_BLOCK_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -56,34 +59,53 @@ def _mesh_size(size) -> tuple[int, int]:
     """(nx, ny) as ints from N (an N x N mesh) or an (nx, ny) pair; ValidationError
     unless each is an integer (numpy integers too, bool not) of at least 4."""
     dims = tuple(size) if isinstance(size, (tuple, list)) else (size, size)
-    if len(dims) != 2 or any(isinstance(v, bool) or not hasattr(type(v), "__index__") or v < 4 for v in dims):
-        raise ValidationError(f"mesh size must be an integer of at least 4 or a pair of them, got {size!r}")
-    return operator.index(dims[0]), operator.index(dims[1])
+    try:
+        nx, ny = map(operator.index, dims)  # a bool indexes as 0 or 1, so it is refused below
+    except (TypeError, ValueError):         # not integers, or not two of them
+        nx = ny = 0
+    if min(nx, ny) < 4:
+        # a number or a pair of them is shown as given; anything else (a mesh, an array) by its type
+        numeric = len(dims) == 2 and all(isinstance(v, numbers.Number) for v in dims)
+        shown = repr(size) if numeric else type(size).__name__
+        raise ValidationError(f"mesh size must be an integer of at least 4 or a pair of them, got {shown}")
+    return nx, ny
+
+
+def _row_blocks(nx: int, ny: int) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) that split nx evenly into ceil(nx * ny / _BLOCK_POINTS) blocks (at most nx)."""
+    count = min(nx, -(-nx * ny // _BLOCK_POINTS))
+    return [(b * nx // count, (b + 1) * nx // count) for b in range(count)]
+
+
+def _norm(dx, dy, dz):
+    """|d|, by the one formula that the build and the gap scan share bit for bit."""
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def build_mesh(p: ModelParams, nx: int, ny: int) -> TorusMesh:
     """Valence projectors at every mesh point k = (m/nx) g1 + (n/ny) g2.
 
     Raises GaplessMesh if any point fails the GAP_FLOOR check; the caller must
-    perturb the parameters or refuse to proceed.
+    perturb the parameters or refuse to proceed.  d is evaluated once over the
+    whole mesh and normalized one row block at a time.
     """
     nx, ny = _mesh_size((nx, ny))
     dx, dy, dz = d_components(_MeshGrid((nx, ny)), p)
-    nrm = np.sqrt(dx * dx + dy * dy + dz * dz)
-    if np.any(nrm < GAP_FLOOR):
-        m, n = np.unravel_index(int(np.argmin(nrm)), nrm.shape)
-        raise GaplessMesh(
-            f"gapless mesh point at (m, n) = ({m}, {n}), k = {mesh_kpoints(nx, ny)[m, n]}, "
-            f"|d| = {nrm[m, n]:.3e}"
-        ) from GaplessPoint(f"|d| < {GAP_FLOOR:g}")
-    return TorusMesh(
-        nx=nx,
-        ny=ny,
-        nz=dz / nrm,
-        coherence=0.5 * (-(dx / nrm) + 1j * (dy / nrm)),
-        params=p,
-        min_norm=float(nrm.min()),
-    )
+    nz, coherence, min_norm = np.empty((nx, ny)), np.empty((nx, ny), dtype=complex), np.inf
+    for lo, hi in _row_blocks(nx, ny):
+        bx, by, bz = dx[lo:hi], dy[lo:hi], dz[lo:hi]
+        nrm = _norm(bx, by, bz)
+        if np.any(nrm < GAP_FLOOR):
+            nrm = _norm(dx, dy, dz)  # the refusal names the first argmin over the whole mesh
+            m, n = np.unravel_index(int(np.argmin(nrm)), nrm.shape)
+            raise GaplessMesh(
+                f"gapless mesh point at (m, n) = ({m}, {n}), k = {mesh_kpoints(nx, ny)[m, n]}, "
+                f"|d| = {nrm[m, n]:.3e}"
+            ) from GaplessPoint(f"|d| < {GAP_FLOOR:g}")
+        np.divide(bz, nrm, out=nz[lo:hi])
+        np.multiply(0.5, -(bx / nrm) + 1j * (by / nrm), out=coherence[lo:hi])
+        min_norm = np.minimum(min_norm, nrm.min())  # NaN-propagating, as nrm.min() over the mesh
+    return TorusMesh(nx=nx, ny=ny, nz=nz, coherence=coherence, params=p, min_norm=float(min_norm))
 
 
 def min_gap_on_mesh(p: ModelParams, size) -> float:
@@ -92,8 +114,7 @@ def min_gap_on_mesh(p: ModelParams, size) -> float:
     It takes a size, not a mesh, so the scan also works for gapless parameter
     sets where a mesh cannot be built; a built mesh holds its gap as 2 * min_norm.
     """
-    dx, dy, dz = d_components(_MeshGrid(_mesh_size(size)), p)
-    return float(2.0 * np.sqrt(dx * dx + dy * dy + dz * dz).min())
+    return float(2.0 * _norm(*d_components(_MeshGrid(_mesh_size(size)), p)).min())
 
 
 def _dot(a, b=None):
@@ -109,39 +130,54 @@ def plaquette_curvature(mesh: TorusMesh) -> CurvatureField:
     Z(a, b, c) = 1 + a.b + b.c + c.a - i a.(b x c) = 4 <a|b><b|c><c|a>.  The
     product is 16 |<n1|n3>|^2 times the FHS link product
     <n1|n2><n2|n3><n3|n4><n4|n1>.  Each x-, y- and diagonal (n1, n3) link needs
-    |<u_i|u_j>| = |n_i + n_j|/2 > OVERLAP_FLOOR, or DegenerateOverlap.
+    |<u_i|u_j>| = |n_i + n_j|/2 > OVERLAP_FLOOR, or DegenerateOverlap, which
+    names the first failing kind at its first row-major minimum over the mesh.
+    F is written one row block at a time.
     """
     nx, ny = mesh.nx, mesh.ny
-    # n on the torus padded with its wrapped row and column; the corners are views
-    n = np.empty((3, nx + 1, ny + 1))
-    n[0, :nx, :ny] = -2.0 * mesh.coherence.real
-    n[1, :nx, :ny] = 2.0 * mesh.coherence.imag
-    n[2, :nx, :ny] = mesh.nz
-    n[:, nx, :ny] = n[:, 0, :ny]
-    n[:, :, ny] = n[:, :, 0]
-    n1, n2, n3, n4 = n[:, :-1, :-1], n[:, 1:, :-1], n[:, 1:, 1:], n[:, :-1, 1:]
-    # |n_i + n_j|^2 = 2 + 2 n_i.n_j on every x, y and diagonal edge, without
-    # 1 + n_i.n_j's cancellation; a zero diagonal overlap would zero Z and lose F
-    ex, ey, ed = _dot(n[:, :-1] + n[:, 1:]), _dot(n[:, :, :-1] + n[:, :, 1:]), _dot(n1 + n3)
-    for name, e2 in (("x", ex[:, :-1]), ("y", ey[:-1]), ("diagonal", ed)):
-        if np.any(e2 <= 4.0 * OVERLAP_FLOOR * OVERLAP_FLOOR):
-            i, j = np.unravel_index(int(np.argmin(e2)), e2.shape)
+    floor2 = 4.0 * OVERLAP_FLOOR * OVERLAP_FLOOR
+    F = np.empty((nx, ny))
+    # per link kind, the blocks whose minimum is at or below the floor (or NaN):
+    # (any link at or below it, the block's first minimum, its flat mesh index)
+    low = {"x": [], "y": [], "diagonal": []}
+    for lo, hi in _row_blocks(nx, ny):
+        # n on rows lo..hi (row hi wrapped) padded with the wrapped column; the corners are views
+        h = hi - lo
+        n = np.empty((3, h + 1, ny + 1))
+        for dst, src in ((slice(0, h), slice(lo, hi)), (h, hi % nx)):
+            n[0, dst, :ny] = -2.0 * mesh.coherence.real[src]
+            n[1, dst, :ny] = 2.0 * mesh.coherence.imag[src]
+            n[2, dst, :ny] = mesh.nz[src]
+        n[:, :, ny] = n[:, :, 0]
+        n1, n2, n3, n4 = n[:, :-1, :-1], n[:, 1:, :-1], n[:, 1:, 1:], n[:, :-1, 1:]
+        # |n_i + n_j|^2 = 2 + 2 n_i.n_j on every x, y and diagonal edge, without
+        # 1 + n_i.n_j's cancellation; a zero diagonal overlap would zero Z and lose F
+        ex, ey, ed = _dot(n[:, :-1] + n[:, 1:]), _dot(n[:, :, :-1] + n[:, :, 1:]), _dot(n1 + n3)
+        for name, e2 in (("x", ex[:, :-1]), ("y", ey[:-1]), ("diagonal", ed)):
+            if not e2.min() > floor2:
+                i = int(np.argmin(e2))
+                low[name].append((bool(np.any(e2 <= floor2)), e2.flat[i], lo * ny + i))
+        z1, z2 = np.empty((2, h, ny), dtype=complex)
+        z1.real = 0.5 * (ex[:, :-1] + ey[1:] + ed) - 2.0  # 1 + n1.n2 + n2.n3 + n3.n1
+        z2.real = 0.5 * (ex[:, 1:] + ey[:-1] + ed) - 2.0  # 1 + n1.n3 + n3.n4 + n4.n1
+        c = np.empty((3, h, ny))                          # n1 x n3
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            np.multiply(n1[j], n3[k], out=c[i])
+            c[i] -= n1[k] * n3[j]
+        z1.imag = _dot(n2, c)                             # -n1.(n2 x n3) = n2.(n1 x n3)
+        z2.imag = -_dot(n4, c)                            # -n1.(n3 x n4) = -n4.(n1 x n3)
+        z1 *= z2
+        F[lo:hi] = np.angle(z1)
+    for name, blocks in low.items():
+        if any(bad for bad, _, _ in blocks):
+            # np.argmin's first minimum (NaN first) over the block minima is the mesh's own
+            _, e2, at = blocks[int(np.argmin([v for _, v, _ in blocks]))]
+            i, j = divmod(at, ny)
             raise DegenerateOverlap(
-                f"{name}-link overlap {0.5 * np.sqrt(e2[i, j]):.3e} <= {OVERLAP_FLOOR:g} "
+                f"{name}-link overlap {0.5 * np.sqrt(e2):.3e} <= {OVERLAP_FLOOR:g} "
                 f"at (m, n) = ({i}, {j}); mesh too coarse for this gap"
             )
-    z1, z2 = np.empty((2, nx, ny), dtype=complex)
-    z1.real = 0.5 * (ex[:, :-1] + ey[1:] + ed) - 2.0  # 1 + n1.n2 + n2.n3 + n3.n1
-    z2.real = 0.5 * (ex[:, 1:] + ey[:-1] + ed) - 2.0  # 1 + n1.n3 + n3.n4 + n4.n1
-    del ex, ey, ed                                    # lowers the peak under the cross product
-    c = np.empty((3, nx, ny))                         # n1 x n3
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(n1[j], n3[k], out=c[i])
-        c[i] -= n1[k] * n3[j]
-    z1.imag = _dot(n2, c)                             # -n1.(n2 x n3) = n2.(n1 x n3)
-    z2.imag = -_dot(n4, c)                            # -n1.(n3 x n4) = -n4.(n1 x n3)
-    z1 *= z2
-    return CurvatureField(F=np.angle(z1))
+    return CurvatureField(F=F)
 
 
 def chern_number(F: CurvatureField) -> int:

@@ -25,14 +25,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegeneratePhase, ValidationError
-from .mesh import CurvatureField, TorusMesh, build_mesh, chern_number, plaquette_curvature
+from .mesh import _BLOCK_POINTS, CurvatureField, TorusMesh, build_mesh, chern_number, plaquette_curvature
 from .model import ModelParams, analytic_chern
 
 #: |mesh-averaged coherence| below this cannot define a reference phase.
 PHASE_FLOOR = 1e-12
 
 TWO_PI = 2.0 * math.pi
-_SCAN_BLOCK = 16384  # k-points per theta_scan block; its temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -179,14 +178,14 @@ def theta_scan(mesh: TorusMesh, F: CurvatureField, thetas) -> np.ndarray:
     thetas = _finite_thetas(thetas).reshape(-1)
     _checked_chern(mesh, F)
     coh, f = mesh.coherence.reshape(-1), F.F.reshape(-1)
-    terms, z, out = np.empty(f.size), np.empty(_SCAN_BLOCK, dtype=complex), np.empty(thetas.size)
+    terms, z, out = np.empty(f.size), np.empty(_BLOCK_POINTS, dtype=complex), np.empty(thetas.size)
     for i, phase in enumerate(np.exp(1j * thetas)):
-        for lo in range(0, f.size, _SCAN_BLOCK):
-            t = terms[lo:lo + _SCAN_BLOCK]
-            zb = np.multiply(phase, coh[lo:lo + _SCAN_BLOCK], out=z[:t.size])
+        for lo in range(0, f.size, _BLOCK_POINTS):
+            t = terms[lo:lo + _BLOCK_POINTS]
+            zb = np.multiply(phase, coh[lo:lo + _BLOCK_POINTS], out=z[:t.size])
             np.add(0.5, zb.real, out=t)                          # alpha
             np.subtract(1.0, np.multiply(2.0, t, out=t), out=t)  # 1 - 2*alpha
-            np.multiply(t, f[lo:lo + _SCAN_BLOCK], out=t)
+            np.multiply(t, f[lo:lo + _BLOCK_POINTS], out=t)
         out[i] = terms.sum() / TWO_PI
     return out
 

@@ -1,6 +1,7 @@
 """Torus mesh construction, link overlaps, plaquette field, lattice invariant."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from stratachern import (
     multiorbital_bounds,
     plaquette_curvature,
 )
-from stratachern.mesh import OVERLAP_FLOOR
+from stratachern import mesh as mesh_module
+from stratachern.mesh import _BLOCK_POINTS, OVERLAP_FLOOR
 from stratachern.model import RECIPROCAL, mesh_kpoints
 
 from test_model import oracle
@@ -82,6 +84,15 @@ def test_mesh_size_must_be_integers_at_least_4(p_half, size):
         min_gap_on_mesh(p_half, size)
     with pytest.raises(ValidationError, match="mesh size"):
         curvature_riemann_total(p_half, size)
+
+
+def test_rejected_size_message_is_one_short_line(p_half, mesh48_half):
+    # a non-size argument is named by its type: the repr of a 48^2 mesh is 32 lines
+    for size, shown in ((mesh48_half, "TorusMesh"), (np.zeros(10_000), "ndarray"), ([4] * 10_000, "list")):
+        with pytest.raises(ValidationError, match=f"mesh size .*, got {shown}$") as info:
+            min_gap_on_mesh(p_half, size)
+        assert info.value.exit_code == 2
+        assert "\n" not in str(info.value) and len(str(info.value)) < 200
 
 
 def test_mesh_size_accepts_numpy_integers(p_half):
@@ -217,3 +228,107 @@ def test_lattice_matches_sign_formula_on_grid():
             p = ModelParams(1.0, 1.0 / 3.0, phi, m_stag)
             mu = chern_number(plaquette_curvature(build_mesh(p, 12, 12)))
             assert mu == analytic_chern(p), (m_stag, phi)
+
+
+# --- row blocks -----------------------------------------------------------------
+
+def _blocked(monkeypatch, points, fn, *args):
+    """fn(*args) with the whole-mesh passes cut into blocks of about `points` mesh points."""
+    with monkeypatch.context() as patch:
+        patch.setattr(mesh_module, "_BLOCK_POINTS", points)
+        return fn(*args)
+
+
+def _error_text(fn, *args):
+    try:
+        fn(*args)
+    except (DegenerateOverlap, GaplessMesh) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    raise AssertionError("no refusal")
+
+
+@pytest.mark.parametrize("nx, ny, points", [
+    (12, 12, 200),   # below one block
+    (12, 12, 144),   # exactly one block
+    (12, 12, 143),   # just above: two blocks of six rows
+    (12, 12, 20),    # eight uneven blocks of one or two rows
+    (17, 33, 50),    # rectangular: twelve uneven blocks
+    (9, 40, 7),      # a block below one row: one block per row
+])
+def test_row_blocks_are_bit_identical_to_one_block(monkeypatch, p_half, nx, ny, points):
+    whole = _blocked(monkeypatch, nx * ny, build_mesh, p_half, nx, ny)
+    mesh = _blocked(monkeypatch, points, build_mesh, p_half, nx, ny)
+    assert np.array_equal(mesh.nz, whole.nz) and np.array_equal(mesh.coherence, whole.coherence)
+    assert mesh.min_norm == whole.min_norm
+    F_whole = _blocked(monkeypatch, nx * ny, plaquette_curvature, whole)
+    assert np.array_equal(_blocked(monkeypatch, points, plaquette_curvature, mesh).F, F_whole.F)
+
+
+def _row_angles(theta):
+    """A 4-column mesh whose row m holds n = (sin theta[m], 0, cos theta[m]) at every point."""
+    theta = np.asarray(theta, dtype=float)
+    n = np.zeros((theta.size, 4, 3))
+    n[..., 0], n[..., 2] = np.sin(theta)[:, None], np.cos(theta)[:, None]
+    return _projector_mesh(n)
+
+
+def _checkerboard_flip(nx, ny, rows, cols):
+    """n = s (1, 0, 0) with s = -1 on `rows` and on `cols` (+1 where they cross)."""
+    s = np.ones((nx, ny))
+    s[list(rows)] *= -1.0
+    s[:, list(cols)] *= -1.0
+    n = np.zeros((nx, ny, 3))
+    n[..., 0] = s
+    return _projector_mesh(n)
+
+
+def test_overlap_refusal_in_a_later_block_is_the_whole_mesh_one(monkeypatch):
+    # x-links at rows 1 (overlap 5e-11) and 5 (1e-11) fail; with two-row blocks the
+    # smaller one, which the refusal names, lies in the third block
+    da, db = 2.0 * math.asin(5e-11), 2.0 * math.asin(1e-11)
+    a = math.pi - da
+    mesh = _row_angles([0.0, 0.0, a, a, a, a, a - math.pi + db, a - math.pi + db])
+    whole = _blocked(monkeypatch, 32, _error_text, plaquette_curvature, mesh)
+    assert whole.startswith("DegenerateOverlap: x-link overlap 1.000e-11") and "(m, n) = (5, 0)" in whole
+    for points in (8, 12, 4, 1):
+        assert _blocked(monkeypatch, points, _error_text, plaquette_curvature, mesh) == whole
+
+
+def test_overlap_refusal_names_x_before_an_earlier_y_block(monkeypatch):
+    # column 2 is flipped, so y-links fail in every row from the first block on;
+    # row 6 is flipped, so x-links fail only at rows 5 and 6, in later blocks
+    mesh = _checkerboard_flip(8, 6, rows=[6], cols=[2])
+    whole = _blocked(monkeypatch, 48, _error_text, plaquette_curvature, mesh)
+    assert whole.startswith("DegenerateOverlap: x-link overlap 0.000e+00") and "(m, n) = (5, 0)" in whole
+    for points in (12, 18, 6, 1):
+        assert _blocked(monkeypatch, points, _error_text, plaquette_curvature, mesh) == whole
+    # with no flipped row the y-link is the first failing kind
+    mesh = _checkerboard_flip(8, 6, rows=[], cols=[2])
+    whole = _blocked(monkeypatch, 48, _error_text, plaquette_curvature, mesh)
+    assert whole.startswith("DegenerateOverlap: y-link") and "(m, n) = (0, 1)" in whole
+    assert _blocked(monkeypatch, 12, _error_text, plaquette_curvature, mesh) == whole
+
+
+@pytest.mark.parametrize("p", [
+    ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, SQRT3),  # one gapless point, K at (16, 8)
+    ModelParams(1.0, 1.0 / 3.0, 0.0, 0.0),              # two, at K (16, 8) and K' (8, 16)
+])
+def test_gapless_refusal_is_the_whole_mesh_one(monkeypatch, p):
+    whole = _blocked(monkeypatch, 24 * 24, _error_text, build_mesh, p, 24, 24)
+    assert whole.startswith("GaplessMesh: gapless mesh point at (m, n) = (")
+    for points in (4 * 24, 100, 24, 5):
+        assert _blocked(monkeypatch, points, _error_text, build_mesh, p, 24, 24) == whole
+
+
+def test_curvature_peak_memory_is_its_output_plus_one_block(p_half):
+    # F plus block-sized temporaries (about 2.4 MiB at 16384-point blocks); one
+    # whole-mesh pass holds about 12 mesh-sized arrays at once (24 MiB at 512^2)
+    mesh = build_mesh(p_half, 512, 512)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        F = plaquette_curvature(mesh)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < F.F.nbytes + 32 * 8 * _BLOCK_POINTS

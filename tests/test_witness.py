@@ -22,6 +22,7 @@ from stratachern import (
     theta_scan,
     tomography_reconstruct,
 )
+from stratachern.mesh import _BLOCK_POINTS
 from stratachern.model import mesh_kpoints
 
 SQRT3 = math.sqrt(3.0)
@@ -198,9 +199,10 @@ def test_theta_scan_equals_sector_path_bit_for_bit(mesh48_half, curv48_half):
     assert np.array_equal(scan, direct)
 
 
-@pytest.mark.parametrize("nx, ny", [(17, 33), (129, 131)])
+@pytest.mark.parametrize("nx, ny", [(17, 33), (129, _BLOCK_POINTS // 128 + 3)])
 def test_theta_scan_equals_sector_path_on_rectangular_meshes(nx, ny):
-    # 17 x 33 fits in one short block; 129 x 131 spans two, the second ragged
+    # 17 x 33 fits in one short block; the second mesh (129 x 131 at 16384-point
+    # blocks) spans two, the second ragged
     mesh = build_mesh(ModelParams(0.8, 0.2, -2.0, 0.1), nx, ny)
     F = plaquette_curvature(mesh)
     scan = theta_scan(mesh, F, SCAN_THETAS)
