@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOverlap, GaplessMesh, GaplessPoint, NonIntegerTotal, ValidationError
-from .model import GAP_FLOOR, ModelParams, _MeshGrid, d_components, mesh_kpoints
+from .model import GAP_FLOOR, ModelParams, _MeshGrid, _mesh_tables, d_components, mesh_kpoints
 
 #: Link overlaps with modulus at or below this are treated as degenerate.
 OVERLAP_FLOOR = 1e-10
@@ -86,17 +86,17 @@ def build_mesh(p: ModelParams, nx: int, ny: int) -> TorusMesh:
     """Valence projectors at every mesh point k = (m/nx) g1 + (n/ny) g2.
 
     Raises GaplessMesh if any point fails the GAP_FLOOR check; the caller must
-    perturb the parameters or refuse to proceed.  d is evaluated once over the
-    whole mesh and normalized one row block at a time.
+    perturb the parameters or refuse to proceed.  d is evaluated and normalized
+    one row block at a time, from phase tables built once for the whole mesh.
     """
     nx, ny = _mesh_size((nx, ny))
-    dx, dy, dz = d_components(_MeshGrid((nx, ny)), p)
+    ex, ey, wx, wy = _mesh_tables(_MeshGrid((nx, ny)))
     nz, coherence, min_norm = np.empty((nx, ny)), np.empty((nx, ny), dtype=complex), np.inf
     for lo, hi in _row_blocks(nx, ny):
-        bx, by, bz = dx[lo:hi], dy[lo:hi], dz[lo:hi]
+        bx, by, bz = d_components(_MeshGrid((hi - lo, ny)), p, (ex[:, lo:hi], ey, wx[:, lo:hi], wy))
         nrm = _norm(bx, by, bz)
         if np.any(nrm < GAP_FLOOR):
-            nrm = _norm(dx, dy, dz)  # the refusal names the first argmin over the whole mesh
+            nrm = _norm(*d_components(_MeshGrid((nx, ny)), p))  # the refusal names the whole-mesh argmin
             m, n = np.unravel_index(int(np.argmin(nrm)), nrm.shape)
             raise GaplessMesh(
                 f"gapless mesh point at (m, n) = ({m}, {n}), k = {mesh_kpoints(nx, ny)[m, n]}, "

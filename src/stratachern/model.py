@@ -97,14 +97,21 @@ def _phase_tables(k):
     return e, e[..., _NNN_P] * np.conj(e[..., _NNN_Q])
 
 
+def _mesh_tables(grid: _MeshGrid):
+    """1-D tables ex[j, m] = exp(i (m/nx) g1.delta_j), ey[j, n], and the NNN ones wx, wy."""
+    ex, ey = (np.exp(1j * np.outer(NN_VECTORS @ g, np.arange(n) / n)) for g, n in zip(RECIPROCAL, grid))
+    return ex, ey, ex[_NNN_P] * np.conj(ex[_NNN_Q]), ey[_NNN_P] * np.conj(ey[_NNN_Q])
+
+
 def d_components(k, p: ModelParams, _tables=None):
     """Return (dx, dy, dz) arrays for k of shape (..., 2) or a ``_MeshGrid``.
 
-    ``_tables`` is the caller's ``_phase_tables(k)``, if it already holds them.
+    ``_tables`` is the caller's ``_phase_tables(k)``, if it already holds them;
+    for a ``_MeshGrid``, its ``_mesh_tables``, whose x tables may be cut to the
+    columns of the mesh rows wanted (d is then those rows only).
     """
-    if isinstance(k, _MeshGrid):  # tables ex[j, m] = exp(i (m/nx) g1.delta_j) and ey
-        ex, ey = (np.exp(1j * np.outer(NN_VECTORS @ g, np.arange(n) / n)) for g, n in zip(RECIPROCAL, k))
-        wx, wy = ex[_NNN_P] * np.conj(ex[_NNN_Q]), ey[_NNN_P] * np.conj(ey[_NNN_Q])
+    if isinstance(k, _MeshGrid):
+        ex, ey, wx, wy = _mesh_tables(k) if _tables is None else _tables
         # einsum, not matmul: BLAS calls contend across the sweep_mass worker threads.
         nn_sum, nnn_sin_sum = np.einsum("jm,jn->mn", ex, ey), np.einsum("jm,jn->mn", wx, wy).imag
     else:

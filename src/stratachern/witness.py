@@ -32,6 +32,10 @@ from .model import ModelParams, analytic_chern
 PHASE_FLOOR = 1e-12
 
 TWO_PI = 2.0 * math.pi
+#: numpy's pairwise summation adds a part of at most this many doubles without splitting it.
+_PAIRWISE_LEAF = 128
+#: ``x.sum()`` of a 1-D array, without the method's Python wrapper.
+_sum = np.add.reduce
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,25 @@ def _checked_chern(mesh: TorusMesh, F: CurvatureField) -> int:
     return chern_number(F)
 
 
+def _pairwise_sum(leaf, n: int, width: int = 1, lo: int = 0):
+    """numpy's own pairwise sum over flat points lo..lo+n, bit for bit, from leaf sums.
+
+    ``np.add.reduce`` over n doubles splits them at n//2 - (n//2) % 8 until a
+    part holds at most _PAIRWISE_LEAF doubles (Higham, SIAM J. Sci. Comput. 14,
+    783 (1993)); ``width`` is 1 for float64 points and 2 for complex128 ones.
+    This walks the same tree, stops at parts of at most _BLOCK_POINTS points and
+    there returns ``leaf(lo, hi)``, the ``.sum()`` of points lo..hi (or a
+    sequence of such sums), so each total equals the whole-mesh ``.sum()``.  A
+    leaf's ``.sum()`` starts from +0.0 as the whole one does, so only a zero's
+    sign can differ within the tree, and the whole sum's own +0.0 start erases it.
+    """
+    doubles = n * width
+    if n <= _BLOCK_POINTS or doubles <= _PAIRWISE_LEAF:
+        return leaf(lo, lo + n)
+    half = (doubles // 2 - doubles // 2 % 8) // width
+    return np.add(_pairwise_sum(leaf, half, width, lo), _pairwise_sum(leaf, n - half, width, lo + half))
+
+
 def alpha_field(mesh: TorusMesh, theta: float) -> np.ndarray:
     """Negative-sector weight alpha(k) = 1/2 + Re(exp(i*theta) * vA * conj(vB))
     at every mesh point; the witness expectation there is <S> = 1 - 2*alpha.
@@ -140,15 +163,23 @@ def alpha_field(mesh: TorusMesh, theta: float) -> np.ndarray:
 def sector_responses(mesh: TorusMesh, F: CurvatureField, theta: float) -> SectorReport:
     """Curvature-weighted sector responses with base-corner weights.
 
-    Each response is an independent deterministic row-major lattice sum; the
-    residuals r_mu, r_nu report how well the exact identities survive rounding.
+    Each response is an independent deterministic lattice sum, bit-equal to
+    numpy's ``.sum()`` of its per-point terms over the whole mesh but taken in
+    one cache-resident pass (see ``_pairwise_sum``); the residuals r_mu, r_nu
+    report how well the exact identities survive rounding.
     """
     mu = _checked_chern(mesh, F)
-    alpha = alpha_field(mesh, theta)
-    nu_minus = float((alpha * F.F).sum() / TWO_PI)
-    nu_plus = float(((1.0 - alpha) * F.F).sum() / TWO_PI)
-    nu_s = float(((1.0 - 2.0 * alpha) * F.F).sum() / TWO_PI)
-    jf = complex((F.F * mesh.coherence).sum() / TWO_PI)
+    _finite_thetas(theta)
+    phase = np.exp(1j * theta)
+    coh, f = mesh.coherence.reshape(-1), F.F.reshape(-1)
+
+    def weighted(lo, hi):  # the nu_minus, nu_plus and nu_S sums over points lo..hi
+        alpha, fb = 0.5 + (phase * coh[lo:hi]).real, f[lo:hi]
+        return _sum(alpha * fb), _sum((1.0 - alpha) * fb), _sum((1.0 - 2.0 * alpha) * fb)
+
+    s_minus, s_plus, s_graded = _pairwise_sum(weighted, f.size)
+    nu_minus, nu_plus, nu_s = float(s_minus / TWO_PI), float(s_plus / TWO_PI), float(s_graded / TWO_PI)
+    jf = complex(_pairwise_sum(lambda lo, hi: _sum(f[lo:hi] * coh[lo:hi]), f.size, width=2) / TWO_PI)
     return SectorReport(
         mu=mu,
         nu_minus=nu_minus,
@@ -173,21 +204,29 @@ def tomography_reconstruct(nu0: float, nu90: float, mu: int) -> complex:
 
 
 def theta_scan(mesh: TorusMesh, F: CurvatureField, thetas) -> np.ndarray:
-    """Direct graded response nu_S(theta) for each theta, bit-equal to sector_responses' nu_S:
-    the same per-point terms, written in cache-sized blocks into one buffer summed once."""
+    """Direct graded response nu_S(theta) for each theta, bit-equal to sector_responses' nu_S.
+
+    Points are the outer loop and phases the inner one: each leaf of
+    ``_pairwise_sum`` reads its coherence and F once and sums the per-point
+    terms of every phase while they are in cache.
+    """
     thetas = _finite_thetas(thetas).reshape(-1)
     _checked_chern(mesh, F)
+    phases = np.exp(1j * thetas)
     coh, f = mesh.coherence.reshape(-1), F.F.reshape(-1)
-    terms, z, out = np.empty(f.size), np.empty(_BLOCK_POINTS, dtype=complex), np.empty(thetas.size)
-    for i, phase in enumerate(np.exp(1j * thetas)):
-        for lo in range(0, f.size, _BLOCK_POINTS):
-            t = terms[lo:lo + _BLOCK_POINTS]
-            zb = np.multiply(phase, coh[lo:lo + _BLOCK_POINTS], out=z[:t.size])
-            np.add(0.5, zb.real, out=t)                          # alpha
-            np.subtract(1.0, np.multiply(2.0, t, out=t), out=t)  # 1 - 2*alpha
-            np.multiply(t, f[lo:lo + _BLOCK_POINTS], out=t)
-        out[i] = terms.sum() / TWO_PI
-    return out
+    size = min(f.size, max(_BLOCK_POINTS, _PAIRWISE_LEAF))  # the longest leaf
+    z, terms = np.empty(size, dtype=complex), np.empty(size)
+
+    def leaf(lo, hi):  # every phase's sum over points lo..hi
+        cb, fb, zb, t = coh[lo:hi], f[lo:hi], z[:hi - lo], terms[:hi - lo]
+        sums = np.empty(phases.size)
+        for i, phase in enumerate(phases):
+            np.add(0.5, np.multiply(phase, cb, out=zb).real, out=t)  # alpha
+            np.subtract(1.0, np.multiply(2.0, t, out=t), out=t)      # 1 - 2*alpha
+            sums[i] = _sum(np.multiply(t, fb, out=t))
+        return sums
+
+    return _pairwise_sum(leaf, f.size) / TWO_PI
 
 
 def theta_grid(count: int = 64) -> np.ndarray:

@@ -332,3 +332,17 @@ def test_curvature_peak_memory_is_its_output_plus_one_block(p_half):
     finally:
         tracemalloc.stop()
     assert peak < F.F.nbytes + 32 * 8 * _BLOCK_POINTS
+
+
+def test_build_peak_memory_is_its_outputs_plus_a_few_blocks(p_half):
+    # nz and coherence (6 MiB at 512^2) plus block-sized d-field temporaries
+    # (about 1.6 MiB at 16384-point blocks); a whole-mesh d-field held about
+    # ten mesh-sized arrays at once (16 MiB over entry at 512^2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mesh = build_mesh(p_half, 512, 512)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < mesh.nz.nbytes + mesh.coherence.nbytes + 32 * 8 * _BLOCK_POINTS

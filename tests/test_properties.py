@@ -13,6 +13,7 @@ small value pools, so that both of its encodings are reached.
 import importlib.util
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from stratachern import (
     ModelParams,
+    alpha_field,
     build_mesh,
     chern_number,
     dirac_masses,
@@ -28,6 +30,7 @@ from stratachern import (
     sector_responses,
     theta_scan,
 )
+from stratachern import witness
 from stratachern.harness import _BLOCK_ROWS, _write_csv
 from stratachern.mesh import OVERLAP_FLOOR
 from test_harness import DICT_FLOATS, DICT_INTS, _reference_csv
@@ -151,7 +154,26 @@ def test_theta_scan_equals_sector_path_on_drawn_meshes(t1, t2, phi, M, nx, ny, t
     mesh = build_mesh(p, nx, ny)
     F = plaquette_curvature(mesh)
     sector = [sector_responses(mesh, F, theta).nu_S for theta in thetas]
-    assert np.array_equal(theta_scan(mesh, F, thetas), sector)
+    assert theta_scan(mesh, F, thetas).tobytes() == np.array(sector).tobytes()
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(**_couplings, nx=_mesh_side, ny=_mesh_side, theta=_angle, leaf=st.integers(1, 600))
+def test_witness_sums_are_whole_mesh_sums_at_any_leaf_size(t1, t2, phi, M, nx, ny, theta, leaf):
+    # bytes, not ==, so that -0.0 and 0.0 (which the CSV writer prints apart) differ
+    p = _off_walls(t1, t2, phi, M)
+    mesh = build_mesh(p, nx, ny)
+    F = plaquette_curvature(mesh)
+    alpha = alpha_field(mesh, theta)
+    sums = [(alpha * F.F).sum(), ((1.0 - alpha) * F.F).sum(), ((1.0 - 2.0 * alpha) * F.F).sum(),
+            (F.F * mesh.coherence).sum()]
+    want = [s / (2.0 * math.pi) for s in sums]  # each a numpy scalar over a float, as the library divides
+    with mock.patch.object(witness, "_BLOCK_POINTS", leaf):
+        rep = sector_responses(mesh, F, theta)
+        scan = theta_scan(mesh, F, [theta])
+    got = [rep.nu_minus, rep.nu_plus, rep.nu_S, rep.JF]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert scan.tobytes() == np.array([rep.nu_S]).tobytes()
 
 
 _csv_column = st.tuples(st.sampled_from([DICT_INTS, DICT_FLOATS]), st.integers(1, len(DICT_FLOATS)))

@@ -1,6 +1,7 @@
 """Witness weights, reference phase, sector responses, tomography, mass sweep."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from stratachern import (
     theta_scan,
     tomography_reconstruct,
 )
+from stratachern import witness
 from stratachern.mesh import _BLOCK_POINTS
 from stratachern.model import mesh_kpoints
 
 SQRT3 = math.sqrt(3.0)
+TWO_PI = 2.0 * math.pi
 
 # mesh-averaged conjugated coherence angle, 48x48 (frozen from the eigh-based
 # reference implementation; agreement there was 9e-16)
@@ -193,10 +196,15 @@ def test_two_phase_reconstruction_matches_direct_scan(mesh48_half, curv48_half):
 SCAN_THETAS = [-math.pi, math.pi, 3.0 * math.pi, 1e6, 0.0, *theta_grid(64)]
 
 
+def _bits(values):
+    """The float64 bytes of values; unlike ==, this tells -0.0 from 0.0, as the CSV writer does."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
 def test_theta_scan_equals_sector_path_bit_for_bit(mesh48_half, curv48_half):
     scan = theta_scan(mesh48_half, curv48_half, SCAN_THETAS)
     direct = [sector_responses(mesh48_half, curv48_half, t).nu_S for t in SCAN_THETAS]
-    assert np.array_equal(scan, direct)
+    assert scan.tobytes() == _bits(direct)
 
 
 @pytest.mark.parametrize("nx, ny", [(17, 33), (129, _BLOCK_POINTS // 128 + 3)])
@@ -206,7 +214,87 @@ def test_theta_scan_equals_sector_path_on_rectangular_meshes(nx, ny):
     mesh = build_mesh(ModelParams(0.8, 0.2, -2.0, 0.1), nx, ny)
     F = plaquette_curvature(mesh)
     scan = theta_scan(mesh, F, SCAN_THETAS)
-    assert np.array_equal(scan, [sector_responses(mesh, F, t).nu_S for t in SCAN_THETAS])
+    assert scan.tobytes() == _bits([sector_responses(mesh, F, t).nu_S for t in SCAN_THETAS])
+
+
+def _whole_mesh_sums(mesh, F, theta):
+    """nu_minus, nu_plus, nu_S and JF as whole-array numpy sums over the (nx, ny) mesh."""
+    alpha = alpha_field(mesh, theta)
+    return (
+        (alpha * F.F).sum() / TWO_PI,
+        ((1.0 - alpha) * F.F).sum() / TWO_PI,
+        ((1.0 - 2.0 * alpha) * F.F).sum() / TWO_PI,
+        (F.F * mesh.coherence).sum() / TWO_PI,
+    )
+
+
+def _report_sums(rep):
+    return rep.nu_minus, rep.nu_plus, rep.nu_S, rep.JF
+
+
+def _assert_whole_mesh_bits(mesh, F):
+    scan = theta_scan(mesh, F, SCAN_THETAS)
+    wanted = [_whole_mesh_sums(mesh, F, t) for t in SCAN_THETAS]
+    assert scan.tobytes() == _bits([w[2] for w in wanted])
+    for t, want in zip(SCAN_THETAS, wanted):
+        got = _report_sums(sector_responses(mesh, F, t))
+        assert np.asarray(got, dtype=complex).tobytes() == np.asarray(want, dtype=complex).tobytes()
+
+
+def test_sums_are_the_whole_mesh_sums_on_an_uneven_tree():
+    # 181 x 181 = 32761 points: numpy's pairwise tree splits them 16376 | 16385
+    # and the right half again, 8192 | 8193, so the float64 sums have three
+    # unequal leaves; the complex128 JF sum has its own split
+    mesh = build_mesh(ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, 0.5), 181, 181)
+    F = plaquette_curvature(mesh)
+    leaves = []
+    witness._pairwise_sum(lambda lo, hi: leaves.append((lo, hi)) or 0.0, mesh.nx * mesh.ny)
+    assert leaves == [(0, 16376), (16376, 24568), (24568, 32761)]
+    _assert_whole_mesh_bits(mesh, F)
+
+
+def test_deep_trees_keep_the_whole_mesh_sums(monkeypatch):
+    # 64-point leaves cut 17 x 33 = 561 points into eight float64 leaves three
+    # levels down, each one of numpy's own unsplit parts of at most 128 doubles
+    mesh = build_mesh(ModelParams(0.8, 0.2, -2.0, 0.1), 17, 33)
+    F = plaquette_curvature(mesh)
+    monkeypatch.setattr(witness, "_BLOCK_POINTS", 64)
+    leaves = []
+    witness._pairwise_sum(lambda lo, hi: leaves.append(hi - lo) or 0.0, mesh.nx * mesh.ny)
+    assert leaves == [64, 72, 72, 72, 64, 72, 72, 73]
+    _assert_whole_mesh_bits(mesh, F)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 16384, 16385, 32761, 65539])
+def test_pairwise_tree_is_numpys_own(dtype, n):
+    # values spread over 60 binary orders, so a different summation order
+    # would round differently; this fails by name if numpy's summation changes
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((2, n)) * np.exp2(rng.integers(-30, 30, (2, n)))
+    x = (x[0] + 1j * x[1]) if dtype is np.complex128 else x[0]
+    width = 2 if dtype is np.complex128 else 1
+    got = witness._pairwise_sum(lambda lo, hi: x[lo:hi].sum(), n, width)
+    assert np.asarray(got).tobytes() == np.add.reduce(x).tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda mesh, F: theta_scan(mesh, F, theta_grid(64)),
+    lambda mesh, F: sector_responses(mesh, F, 0.4),
+], ids=["theta_scan", "sector_responses"])
+def test_witness_sums_hold_no_mesh_sized_temporary(p_half, call):
+    # block-sized buffers only (about 0.4 MiB at 16384-point blocks); the
+    # whole-mesh passes held 2.3 (theta_scan) and 6.1 MiB at 512^2
+    mesh = build_mesh(p_half, 512, 512)
+    F = plaquette_curvature(mesh)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call(mesh, F)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * _BLOCK_POINTS < F.F.nbytes
 
 
 def test_theta_scan_empty_grid(mesh48_half, curv48_half):
