@@ -56,7 +56,7 @@ for mass in (1.0, 0.5, 0.1):
 
 # --- saturation of the filtered bound -----------------------------------------------
 
-sat = saturation_case()
+sat = saturation_case(ModelParams(t1=1.0, t2=1.0 / 3.0, phi=math.pi / 2.0, M=0.0))
 fq, fqs = sat.FQ[0], sat.FQS[0]
 print(f"\nequator point with aligned phase: F^QS = {fqs:.12f}, "
       f"F^Q = {fq:.12f}, gap = {abs(fqs - fq):.2e}")

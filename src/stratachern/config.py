@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _integer
 from .model import ModelParams
 
 
@@ -106,14 +106,6 @@ def _number(value, key: str, kind: str = "a number") -> float:
         raise ValidationError(f"{key} must be finite, got an integer too large for a float") from None
     if not math.isfinite(value):
         raise ValidationError(f"{key} must be finite")
-    return value
-
-
-def _integer(value, key: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{key} must be an integer")
-    if value < minimum:
-        raise ValidationError(f"{key} must be >= {minimum}, got {value}")
     return value
 
 

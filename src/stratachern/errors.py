@@ -5,6 +5,8 @@ contract: 2 = configuration/argument validation, 3 = a numerical contract
 was violated (non-integer flux total, degenerate overlap, failed bound, ...),
 4 = the spectrum is gapless or the parameters sit on a phase wall.
 """
+import numbers
+import operator
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -33,6 +35,21 @@ class ValidationError(StrataChernError):
     """
 
     exit_code = EXIT_VALIDATION
+
+
+def _integer(value, name: str, minimum: int) -> int:
+    """``value`` as an int; ValidationError naming ``name`` unless it is an integer
+    (numpy integers too, bool not) of at least ``minimum``."""
+    try:
+        number = operator.index(value) if not isinstance(value, bool) else None
+    except TypeError:
+        number = None
+    if number is None:
+        shown = repr(value) if isinstance(value, numbers.Number) else type(value).__name__
+        raise ValidationError(f"{name} must be an integer, got {shown}")
+    if number < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {number}")
+    return number
 
 
 class NonUnitProbe(StrataChernError):

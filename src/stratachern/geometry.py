@@ -36,12 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, ViolationFound
+from .errors import ValidationError, ViolationFound, _integer
 from .mesh import CurvatureField, TorusMesh, _mesh_size, build_mesh, plaquette_curvature
 from .model import (
     CELL_AREA,
     RECIPROCAL,
     ModelParams,
+    _dot3,
     bloch_vector_fields,
     mesh_kpoints,
 )
@@ -83,8 +84,9 @@ class GeometrySamples:
 def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySamples:
     """All geometry fields for a batch of k-points (the vector engine).
 
-    ``theta`` is a finite scalar or per-point array; ``direction`` is a per-point
-    (P, 2) array, a single 2-vector, or None for the x direction.
+    ``k`` is finite, of shape (P, 2) or (2,); ``theta`` is a finite scalar or per-point
+    array; ``direction`` is a finite per-point (P, 2) array, a single 2-vector, or None
+    for the x direction.  n and dn stay component triples, as ``bloch_vector_fields`` gives them.
     """
     th = _finite_thetas(theta)
     k = np.atleast_2d(np.asarray(k, dtype=float))
@@ -95,25 +97,26 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
     for name, arr, shape in (("theta", th, (npts,)), ("direction", dirs, (npts, 2))):
         if arr.ndim > len(shape) or any(a not in (1, b) for a, b in zip(arr.shape[::-1], shape[::-1])):
             raise ValidationError(f"{name} of shape {arr.shape} does not broadcast to {npts} k-points")
+    for name, arr in (("k", k), ("direction", dirs)):
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{name} must be finite, got {arr[~np.isfinite(arr)].flat[0]}")
     n, dn, _ = bloch_vector_fields(k, p)
 
-    nz = n[:, 2]
-    coherence = 0.5 * (-n[:, 0] + 1j * n[:, 1])
-    dcoherence = 0.5 * (-dn[:, :, 0] + 1j * dn[:, :, 1])
-    dx, dy = dn[:, 0], dn[:, 1]
-    g01 = 0.25 * np.einsum("pc,pc->p", dx, dy)
-    g = np.stack([0.25 * np.einsum("pc,pc->p", dx, dx), g01, g01,
-                  0.25 * np.einsum("pc,pc->p", dy, dy)], axis=-1).reshape(npts, 2, 2)
-    cross = np.cross(dx, dy)  # parallel to n
-    fxy = -0.5 * np.einsum("pc,pc->p", n, cross)
+    nz = n[2]
+    coherence = 0.5 * (-n[0] + 1j * n[1])
+    dcoherence = 0.5 * (-dn[0] + 1j * dn[1])
+    g = 0.25 * _dot3([c[:, :, None] for c in dn], [c[:, None, :] for c in dn])  # (P, 2, 2)
+    (ux, vx), (uy, vy), (uz, vz) = ((c[:, 0], c[:, 1]) for c in dn)  # u = dx n, v = dy n
+    cross = (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)  # u x v, parallel to n
+    fxy = -0.5 * _dot3(n, cross)
 
     sx, sy = -np.cos(th), -np.sin(th)  # S' = s.sigma with s = (sx, sy, 0)
-    eta = sx * n[:, 0] + sy * n[:, 1]  # n.s = 2 Re(exp(i theta) coherence)
+    eta = sx * n[0] + sy * n[1]  # n.s = 2 Re(exp(i theta) coherence)
     conc = np.sqrt(np.clip(1.0 - nz * nz, 0.0, None))
 
     # QS = eta g + (i/4) s.(dx n x dy n) [[0, -1], [1, 0]]; Re QS = eta g exactly,
     # so QS differs from eta Q only in Im QS_xy = -Im QS_yx, where it tests cross || n.
-    im_yx = 0.25 * (sx * cross[:, 0] + sy * cross[:, 1])
+    im_yx = 0.25 * (sx * cross[0] + sy * cross[1])
     qs = eta[:, None, None] * g + np.multiply.outer(1j * im_yx, ((0.0, -1.0), (1.0, 0.0)))
     dual = np.abs(qs[:, 0, 1].imag - 0.5 * eta * fxy)
 
@@ -157,7 +160,7 @@ def curvature_riemann_total(p: ModelParams, N) -> float:
     return float((arr.Fxy * cell).sum() / TWO_PI)
 
 
-def saturation_case(p: ModelParams | None = None) -> GeometrySamples:
+def saturation_case(p: ModelParams) -> GeometrySamples:
     """The one-point sample at a (k, theta) pair that saturates |FQS| = FQ.
 
     At an equator point (nz = 0, concurrence 1) the phase theta aligned with
@@ -165,8 +168,6 @@ def saturation_case(p: ModelParams | None = None) -> GeometrySamples:
     unfiltered one.  k = _EQUATOR_K sits on the equator for the default model
     (t1 = 1, t2 = 1/3, phi = pi/2, M = 0); elsewhere it raises ValidationError.
     """
-    if p is None:
-        p = ModelParams(t1=1.0, t2=1.0 / 3.0, phi=math.pi / 2.0, M=0.0)
     probe = qgt_sample_arrays(_EQUATOR_K, p, 0.0)
     if abs(probe.nz[0]) > EQUATOR_TOL:
         raise ValidationError(
@@ -203,12 +204,6 @@ class InequalityReport:
             "nu_S_bound": self.nu_S_bound,
             "violations": self.violations,
         }
-
-
-def _sample_count(samples) -> int:
-    if int(samples) < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
-    return int(samples)
 
 
 def _bound_report(cls, checks, where=None, **fields):
@@ -259,7 +254,7 @@ def inequality_suite(
     signals an implementation bug, never an expected outcome.
     """
     nx, ny = _mesh_size(N)
-    count = _sample_count(samples)
+    count, seed = _integer(samples, "samples", 1), _integer(seed, "seed", 0)
     rng = np.random.Generator(np.random.Philox(seed))
     uv = rng.random((count, 2))
     psi = rng.random(count) * TWO_PI
@@ -267,7 +262,7 @@ def inequality_suite(
     dirs = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
     arr = qgt_sample_arrays(k, p, theta, dirs)
 
-    dcoh_dir = np.abs(np.einsum("pa,pa->p", arr.dcoherence, dirs.astype(complex)))
+    dcoh_dir = np.abs(arr.dcoherence[:, 0] * dirs[:, 0] + arr.dcoherence[:, 1] * dirs[:, 1])
     checks = {
         "abs_fqs_le_c_fq": (np.abs(arr.FQS), arr.C * arr.FQ),
         "c_fq_le_fq": (arr.C * arr.FQ, arr.FQ),
@@ -291,7 +286,7 @@ def inequality_suite(
         InequalityReport, checks,
         where=lambda i: f"k = {arr.k[i % len(arr.k)]}, theta = {arr.theta[i % len(arr.theta)]}",
         samples=count,
-        seed=int(seed),
+        seed=seed,
         theta=float(theta),
         mesh_size=(nx, ny),
         nu_S=report_s.nu_S,
@@ -350,7 +345,7 @@ def multiorbital_bounds(
         raise ValidationError("mesh.params required (mesh not built from ModelParams)")
     xv = _require_unit(x, "x")
     yv = _require_unit(y, "y")
-    count = _sample_count(samples)
+    count, seed = _integer(samples, "samples", 1), _integer(seed, "seed", 0)
 
     rng = np.random.Generator(np.random.Philox(seed))
     flat = rng.integers(0, mesh.nx * mesh.ny, size=count)
@@ -365,11 +360,10 @@ def multiorbital_bounds(
     expectation = -2.0 * np.real(np.conj(coh) * complex(np.conj(xv) @ block @ yv))
     ab = np.abs(coh)                        # ||a|| ||b|| = |vA| |vB|
 
-    g_dd = np.einsum("pa,pab,pb->p", dirs, arr.g, dirs)
     checks = {
         "witness_expectation": (np.abs(expectation), 2.0 * y_norm * ab),
         "im_qs": (np.abs(arr.im_qs_xy), y_norm * ab * np.abs(arr.Fxy)),
-        "fqs_le_4g": (np.abs(arr.FQS), 4.0 * g_dd),
+        "fqs_le_4g": (np.abs(arr.FQS), arr.FQ),  # FQ = 4 g_dd
     }
 
     mu = _checked_chern(mesh, F)
@@ -382,7 +376,7 @@ def multiorbital_bounds(
     return _bound_report(
         MultiOrbitalBoundsReport, checks,
         samples=count,
-        seed=int(seed),
+        seed=seed,
         theta=float(theta),
         y_operator_norm=y_norm,
         nu=float(nu),

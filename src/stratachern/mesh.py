@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOverlap, GaplessMesh, GaplessPoint, NonIntegerTotal, ValidationError
-from .model import GAP_FLOOR, ModelParams, _MeshGrid, _mesh_tables, d_components, mesh_kpoints
+from .model import GAP_FLOOR, ModelParams, _MeshGrid, _mesh_tables, _norm, d_components, mesh_kpoints
 
 #: Link overlaps with modulus at or below this are treated as degenerate.
 OVERLAP_FLOOR = 1e-10
@@ -75,11 +75,6 @@ def _row_blocks(nx: int, ny: int) -> list[tuple[int, int]]:
     """Row ranges [lo, hi) that split nx evenly into ceil(nx * ny / _BLOCK_POINTS) blocks (at most nx)."""
     count = min(nx, -(-nx * ny // _BLOCK_POINTS))
     return [(b * nx // count, (b + 1) * nx // count) for b in range(count)]
-
-
-def _norm(dx, dy, dz):
-    """|d|, by the one formula that the build and the gap scan share bit for bit."""
-    return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def build_mesh(p: ModelParams, nx: int, ny: int) -> TorusMesh:

@@ -136,11 +136,22 @@ def d_component_gradients(k, p: ModelParams, _tables=None):
     return df.real, df.imag, ddz
 
 
-def bloch_vector_fields(k, p: ModelParams):
-    """Unit Bloch vector and its exact gradients over a k-array.
+def _norm(dx, dy, dz):
+    """|d|, by the one formula that the mesh build, the gap scan and the k-array path share bit for bit."""
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
 
-    Returns (n, dn, norm) with shapes (..., 3), (..., 2, 3), (...,).
-    dn[..., a, c] = d n_c / d k_a, computed from
+
+def _dot3(a, b):
+    """a.b of component triples, added (0 + 2) + 1 as numpy 2.4's einsum adds a length-3 last axis."""
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+
+
+def bloch_vector_fields(k, p: ModelParams):
+    """Unit Bloch vector and its exact gradients over a k-array of shape (..., 2).
+
+    Returns (n, dn, norm), laid out as ``d_components`` and ``d_component_gradients``
+    return d and dd: n = (n_x, n_y, n_z) and norm = |d| of shape (...), and dn = (dn_x,
+    dn_y, dn_z) of shape (..., 2) with dn_c[..., a] = d n_c / d k_a, computed from
     dn = dd/|d| - n (d . dd)/|d|^2, which keeps n exactly unit to first order.
     d and dd both come from one phase table exp(i k.delta_j) per k-point, so
     no sine or cosine is evaluated per point.
@@ -148,20 +159,19 @@ def bloch_vector_fields(k, p: ModelParams):
     """
     k = np.asarray(k, dtype=float)
     tables = _phase_tables(k)
-    d = np.stack(d_components(k, p, tables), axis=-1)
-    nrm = np.linalg.norm(d, axis=-1)
+    d = d_components(k, p, tables)
+    nrm = _norm(*d)
     if np.any(nrm < GAP_FLOOR):
         idx = np.unravel_index(int(np.argmin(nrm)), nrm.shape)
         raise GaplessPoint(
             f"|d| = {nrm[idx]:.3e} < {GAP_FLOOR:g} at k = {k[idx]}"
         )
-    n = d / nrm[..., None]
-    dd = np.stack(d_component_gradients(k, p, tables), axis=-1)    # (..., 2, 3)
+    n = tuple(c / nrm for c in d)
+    dd = d_component_gradients(k, p, tables)    # each (..., 2)
     del tables  # large batches: free the phase tables before the dn temporaries
-    ddot = np.einsum("...c,...ac->...a", d, dd)      # d . (da d)
-    dn = dd / nrm[..., None, None] - n[..., None, :] * (
-        ddot / nrm[..., None] ** 2
-    )[..., None]
+    r = nrm[..., None]
+    ddot = _dot3([c[..., None] for c in d], dd) / r ** 2  # d . (da d) / |d|^2
+    dn = tuple(g / r - c[..., None] * ddot for c, g in zip(n, dd))
     return n, dn, nrm
 
 

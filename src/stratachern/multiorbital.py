@@ -142,7 +142,7 @@ def levi_type(Y) -> LeviType:
     return LeviType(r_plus=r, r_minus=r, r_zero=m + n - 2 * r)
 
 
-def witness_block(x, y, theta: float = 0.0) -> np.ndarray:
+def witness_block(x, y, theta: float) -> np.ndarray:
     """Off-diagonal block Y_theta = exp(-i*theta) x y^dagger of the rank-one
     equal-split witness; operator norm ||x|| * ||y||."""
     x = np.asarray(x, dtype=complex).reshape(-1)

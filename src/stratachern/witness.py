@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegeneratePhase, ValidationError
+from .errors import DegeneratePhase, ValidationError, _integer
 from .mesh import _BLOCK_POINTS, CurvatureField, TorusMesh, build_mesh, chern_number, plaquette_curvature
 from .model import ModelParams, analytic_chern
 
@@ -96,7 +96,6 @@ class JumpRecord:
     wall_location: float
     delta_mu: int
     delta_nu_S: float
-    side_values: tuple[float, float, float, float]  # (mu_lo, nu_S_lo, mu_hi, nu_S_hi)
 
     def to_dict(self) -> dict:
         return {
@@ -229,8 +228,9 @@ def theta_scan(mesh: TorusMesh, F: CurvatureField, thetas) -> np.ndarray:
     return _pairwise_sum(leaf, f.size) / TWO_PI
 
 
-def theta_grid(count: int = 64) -> np.ndarray:
-    """Midpoint grid of witness phases covering (-pi, pi)."""
+def theta_grid(count: int) -> np.ndarray:
+    """Midpoint grid of ``count`` >= 1 witness phases covering (-pi, pi)."""
+    count = _integer(count, "count", 1)
     j = np.arange(count)
     return -math.pi + (j + 0.5) * (TWO_PI / count)
 
@@ -285,7 +285,6 @@ def sweep_mass(
                 wall_location=float(location),
                 delta_mu=hi.mu - lo.mu,
                 delta_nu_S=hi.nu_S - lo.nu_S,
-                side_values=(float(lo.mu), lo.nu_S, float(hi.mu), hi.nu_S),
             )
         )
     return reports, jumps

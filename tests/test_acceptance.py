@@ -194,9 +194,9 @@ def test_criterion_06_filtered_geometry_consistency(p_half, mesh48_half):
     assert worst_det <= 1e-10
 
 
-def test_criterion_07_inequality_suite(p_half):
+def test_criterion_07_inequality_suite(p_default, p_half):
     report = inequality_suite(p_half, 0.4, (48, 48), samples=10_000, seed=42)
-    sat = saturation_case()
+    sat = saturation_case(p_default)
     gap = abs(sat.FQS[0] - sat.FQ[0])
     ok = report.violations == 0 and gap <= 1e-12
     _line(7, ok, f"10^4 seeded samples, {report.violations} violations; "

@@ -242,7 +242,7 @@ def test_insertion_form_matches_matrix_form(p):
     theta = rng.uniform(-math.pi, math.pi, size=200)
     arr = qgt_sample_arrays(k, p, theta)
 
-    n, dn, _ = bloch_vector_fields(k, p)
+    n, dn = (np.stack(v, axis=-1) for v in bloch_vector_fields(k, p)[:2])  # (P, 3), (P, 2, 3)
     vA, vB = valence_amplitudes(n)
     dvA, dvB = valence_section_derivatives(n, dn)
     u = np.stack([vA, vB], axis=-1)                  # (P, 2)
@@ -303,6 +303,12 @@ def test_empty_batch_gives_empty_fields(p_half):
     (lambda p: qgt_sample_arrays([], p, 0.1), "k"),
     (lambda p: qgt_sample_arrays(np.zeros((3, 2)), p, [0.1, 0.2]), "theta"),
     (lambda p: qgt_sample_arrays(np.zeros((3, 2)), p, 0.1, np.ones((2, 2))), "direction"),
+    *(pytest.param(lambda p, bad=bad: qgt_sample_arrays([[0.3, 0.7], [bad, 0.0]], p, 0.1), "k",
+                   id=f"k-{bad}") for bad in (math.nan, math.inf, -math.inf)),
+    *(pytest.param(lambda p, bad=bad: qgt_sample_arrays([[0.3, 0.7]], p, 0.1, (1.0, bad)), "direction",
+                   id=f"direction-{bad}") for bad in (math.nan, math.inf, -math.inf)),
+    *(pytest.param(lambda p, bad=bad: qgt_sample_arrays(np.zeros((2, 2)), p, 0.1, [[1.0, 0.0], [bad, 1.0]]),
+                   "direction", id=f"per-point-direction-{bad}") for bad in (math.nan, math.inf, -math.inf)),
 ])
 def test_mismatched_input_shapes_are_refused_before_any_work(p_half, monkeypatch, call, name):
     def no_work(*args, **kwargs):
@@ -341,8 +347,8 @@ def test_filtered_sum_tracks_graded_response(p_half, mesh48_half, curv48_half):
 
 # --- saturation -----------------------------------------------------------------------
 
-def test_saturation_case_default():
-    sample = saturation_case()
+def test_saturation_case_default(p_default):
+    sample = saturation_case(p_default)
     assert isinstance(sample, GeometrySamples) and sample.k.shape == (1, 2)
     np.testing.assert_allclose(sample.FQ, 0.21794124959757002, rtol=1e-12)
     np.testing.assert_allclose(sample.FQS, sample.FQ, atol=1e-12)
@@ -406,13 +412,24 @@ def test_multiorbital_bounds_scalar_reduction(mesh48_half, curv48_half):
     np.testing.assert_allclose(report.nu, scalar.nu_S, atol=1e-13)
 
 
-@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("samples", [0, -3, 2.5, True, "10"])
 def test_bound_suites_refuse_empty_sample_batches(p_half, mesh48_half, curv48_half, samples):
     for call in (
         lambda: inequality_suite(p_half, 0.1, 8, samples, 1),
         lambda: multiorbital_bounds(mesh48_half, curv48_half, [1.0], [1.0], 0.1, samples, 1),
     ):
         with pytest.raises(ValidationError, match="samples") as excinfo:
+            call()
+        assert excinfo.value.exit_code == 2
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, None, "7"])
+def test_bound_suites_refuse_non_integer_seeds(p_half, mesh48_half, curv48_half, seed):
+    for call in (
+        lambda: inequality_suite(p_half, 0.1, 8, 10, seed),
+        lambda: multiorbital_bounds(mesh48_half, curv48_half, [1.0], [1.0], 0.1, 10, seed),
+    ):
+        with pytest.raises(ValidationError, match="^seed ") as excinfo:
             call()
         assert excinfo.value.exit_code == 2
 

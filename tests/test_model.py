@@ -212,15 +212,15 @@ DU_POINTS = [
 @pytest.mark.parametrize("k", DU_POINTS)
 def test_valence_amplitudes_derivative_matches_finite_differences(p_half, k):
     k = np.asarray(k, dtype=float)
-    n, dn, _ = bloch_vector_fields(k, p_half)
+    n, dn = (np.stack(v, axis=-1) for v in bloch_vector_fields(k, p_half)[:2])
     vA, vB = valence_amplitudes(n)
     dvA, dvB = valence_section_derivatives(n, dn)
     u = np.array([vA, vB])
     h = 1e-6
     for a in range(2):
         step = h * np.eye(2)[a]
-        plus = np.array(valence_amplitudes(bloch_vector_fields(k + step, p_half)[0]))
-        minus = np.array(valence_amplitudes(bloch_vector_fields(k - step, p_half)[0]))
+        plus = np.array(valence_amplitudes(np.stack(bloch_vector_fields(k + step, p_half)[0], axis=-1)))
+        minus = np.array(valence_amplitudes(np.stack(bloch_vector_fields(k - step, p_half)[0], axis=-1)))
         np.testing.assert_allclose(np.array([dvA[a], dvB[a]]), (plus - minus) / (2.0 * h),
                                    atol=1e-8)
     n_sigma = np.array([[n[2], n[0] - 1j * n[1]], [n[0] + 1j * n[1], -n[2]]])

@@ -166,6 +166,13 @@ def test_theta_grid_midpoints():
     assert grid.max() < math.pi
 
 
+@pytest.mark.parametrize("count", [0, -3, 2.5, True, "8", None])
+def test_theta_grid_refuses_non_counts(count):
+    with pytest.raises(ValidationError, match="^count ") as excinfo:
+        theta_grid(count)
+    assert excinfo.value.exit_code == 2
+
+
 # --- tomography -----------------------------------------------------------------
 
 def test_tomography_reconstruct_trivial():
@@ -332,8 +339,8 @@ def test_sweep_detects_both_walls(p_default):
         [j.wall_location for j in jumps], [-SQRT3, SQRT3], atol=1e-12)
     assert [j.delta_mu for j in jumps] == [-1, 1]
     assert sum(j.delta_mu for j in jumps) == 0
-    lo_mu, _, hi_mu, _ = jumps[0].side_values
-    assert (lo_mu, hi_mu) == (0.0, -1.0)
+    assert [j.delta_nu_S for j in jumps] == [reports[6].nu_S - reports[5].nu_S,
+                                              reports[19].nu_S - reports[18].nu_S]
 
 
 def test_sweep_without_walls():
