@@ -187,23 +187,11 @@ class InequalityReport:
     samples: int
     seed: int
     theta: float
-    mesh_size: tuple[int, int]
+    mesh: dict                     # {"nx": nx, "ny": ny}
     max_slack: dict
     nu_S: float
     nu_S_bound: float
     violations: int
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "theta": self.theta,
-            "mesh": {"nx": self.mesh_size[0], "ny": self.mesh_size[1]},
-            "max_slack": dict(self.max_slack),
-            "nu_S": self.nu_S,
-            "nu_S_bound": self.nu_S_bound,
-            "violations": self.violations,
-        }
 
 
 def _bound_report(cls, checks, where=None, **fields):
@@ -288,7 +276,7 @@ def inequality_suite(
         samples=count,
         seed=seed,
         theta=float(theta),
-        mesh_size=(nx, ny),
+        mesh={"nx": nx, "ny": ny},
         nu_S=report_s.nu_S,
         nu_S_bound=float(bound),
     )
@@ -306,18 +294,6 @@ class MultiOrbitalBoundsReport:
     nu: float
     nu_bound: float
     violations: int
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "theta": self.theta,
-            "y_operator_norm": self.y_operator_norm,
-            "max_slack": dict(self.max_slack),
-            "nu": self.nu,
-            "nu_bound": self.nu_bound,
-            "violations": self.violations,
-        }
 
 
 def multiorbital_bounds(

@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -47,8 +47,6 @@ from .witness import (
 
 VERSION = "v0.1.0"
 
-PANEL_IDS = "abcdefgh"
-
 
 def thread_cap() -> int:
     """Worker count for the sweep thread pool: min(4, cpu count), at least 1."""
@@ -62,15 +60,7 @@ class PanelOutput:
     panel: str
     path: str
     rows: int
-    checksum: str
-
-    def to_dict(self) -> dict:
-        return {
-            "panel": self.panel,
-            "path": self.path,
-            "rows": self.rows,
-            "sha256": self.checksum,
-        }
+    sha256: str
 
 
 #: Rows formatted, written and hashed together by `_write_csv`.
@@ -324,6 +314,7 @@ _PANELS = {
     "g": _panel_g,
     "h": _panel_h,
 }
+PANEL_IDS = "".join(_PANELS)
 
 
 def _run_panel(ws: Workspace, panel: str) -> PanelOutput:
@@ -333,8 +324,8 @@ def _run_panel(ws: Workspace, panel: str) -> PanelOutput:
     outdir = Path(ws.cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"panel_{panel}.csv"
-    count, checksum = _write_csv(path, header, columns)
-    return PanelOutput(panel=panel, path=str(path), rows=count, checksum=checksum)
+    count, sha256 = _write_csv(path, header, columns)
+    return PanelOutput(panel=panel, path=str(path), rows=count, sha256=sha256)
 
 
 def run_all(cfg: RunConfig) -> dict:
@@ -371,12 +362,12 @@ def run_all(cfg: RunConfig) -> dict:
         "residual_max": ws.residual_max,
         "tomography_max_err": ws.tomography[3],
         "inequality_violations": ws.inequalities.violations,
-        "jump_records": [j.to_dict() for j in ws.sweep[1]],
+        "jump_records": [asdict(j) for j in ws.sweep[1]],
         "seed": cfg.qfi_scan.seed,
         "mesh": {"nx": cfg.mesh.nx, "ny": cfg.mesh.ny},
         "version": VERSION,
         "panels": {
-            p: {"csv": Path(o.path).name, "rows": o.rows, "sha256": o.checksum}
+            p: {"csv": Path(o.path).name, "rows": o.rows, "sha256": o.sha256}
             for p, o in outputs.items()
         },
     }

@@ -8,13 +8,11 @@ matter how coarse the mesh.
 """
 from __future__ import annotations
 
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateOverlap, GaplessMesh, GaplessPoint, NonIntegerTotal, ValidationError
+from .errors import DegenerateOverlap, GaplessMesh, GaplessPoint, NonIntegerTotal, ValidationError, _integer
 from .model import GAP_FLOOR, ModelParams, _MeshGrid, _mesh_tables, _norm, d_components, mesh_kpoints
 
 #: Link overlaps with modulus at or below this are treated as degenerate.
@@ -56,18 +54,12 @@ class CurvatureField:
 
 
 def _mesh_size(size) -> tuple[int, int]:
-    """(nx, ny) as ints from N (an N x N mesh) or an (nx, ny) pair; ValidationError
-    unless each is an integer (numpy integers too, bool not) of at least 4."""
+    """(nx, ny) as ints from N (an N x N mesh) or an (nx, ny) pair, each read by
+    ``errors._integer`` with a minimum of 4; anything else is named by its type."""
     dims = tuple(size) if isinstance(size, (tuple, list)) else (size, size)
-    try:
-        nx, ny = map(operator.index, dims)  # a bool indexes as 0 or 1, so it is refused below
-    except (TypeError, ValueError):         # not integers, or not two of them
-        nx = ny = 0
-    if min(nx, ny) < 4:
-        # a number or a pair of them is shown as given; anything else (a mesh, an array) by its type
-        numeric = len(dims) == 2 and all(isinstance(v, numbers.Number) for v in dims)
-        shown = repr(size) if numeric else type(size).__name__
-        raise ValidationError(f"mesh size must be an integer of at least 4 or a pair of them, got {shown}")
+    if len(dims) != 2:
+        raise ValidationError(f"mesh size must be an integer or a pair of them, got {type(size).__name__}")
+    nx, ny = (_integer(v, "mesh size", 4) for v in dims)
     return nx, ny
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingProbe, NonUnitary, NonUnitProbe, NotPartialIsometry
+from .errors import MissingProbe, NonUnitary, NonUnitProbe, NotPartialIsometry, ValidationError, _integer
 from .mesh import CurvatureField, TorusMesh
 from .witness import TWO_PI, _checked_chern, _finite_thetas
 
@@ -69,11 +69,13 @@ def sector_response_multi(JF: np.ndarray, mu: int, x, y, theta: float) -> tuple[
     """(nu_minus, nu) for probe pair (x, y) at witness phase theta.
 
     nu_minus = mu/2 + Re(exp(i*theta) x^dagger JF y), nu = -2 Re(...).
-    Raises ValidationError for a non-finite theta.
+    Raises ValidationError unless theta is one finite real number and JF is len(x) x len(y).
     """
-    _finite_thetas(theta)
+    _finite_thetas(theta, scalar=True)
     x = _require_unit(x, "x")
     y = _require_unit(y, "y")
+    if np.shape(JF) != (x.size, y.size):
+        raise ValidationError(f"JF has shape {np.shape(JF)}, expected {(x.size, y.size)} for probes x, y")
     core = complex(np.conj(x) @ JF @ y)
     re = (np.exp(1j * theta) * core).real
     return float(mu / 2.0 + re), float(-2.0 * re)
@@ -86,6 +88,7 @@ def reconstruct_JF(probe_responses, m: int, n: int, mu: int) -> np.ndarray:
     (e_i, f_j), with theta exactly THETA_REAL or THETA_IMAG.  Entry (i, j) is
     (nu_minus(i,j;0) - mu/2) - i*(nu_minus(i,j;pi/2) - mu/2).
     """
+    m, n = _integer(m, "m", 1), _integer(n, "n", 1)
     half = mu / 2.0
     jf = np.empty((m, n), dtype=complex)
     for i in range(m):
@@ -144,7 +147,9 @@ def levi_type(Y) -> LeviType:
 
 def witness_block(x, y, theta: float) -> np.ndarray:
     """Off-diagonal block Y_theta = exp(-i*theta) x y^dagger of the rank-one
-    equal-split witness; operator norm ||x|| * ||y||."""
+    equal-split witness; operator norm ||x|| * ||y||.  Raises ValidationError
+    unless theta is one finite real number."""
+    _finite_thetas(theta, scalar=True)
     x = np.asarray(x, dtype=complex).reshape(-1)
     y = np.asarray(y, dtype=complex).reshape(-1)
     return np.exp(-1j * theta) * np.outer(x, np.conj(y))

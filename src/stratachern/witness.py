@@ -19,13 +19,14 @@ enough to reconstruct JF, hence nu_S at every theta.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegeneratePhase, ValidationError, _integer
-from .mesh import _BLOCK_POINTS, CurvatureField, TorusMesh, build_mesh, chern_number, plaquette_curvature
+from .mesh import _BLOCK_POINTS, CurvatureField, TorusMesh, _mesh_size, build_mesh, chern_number, plaquette_curvature
 from .model import ModelParams, analytic_chern
 
 #: |mesh-averaged coherence| below this cannot define a reference phase.
@@ -48,7 +49,7 @@ class WitnessSpec:
     def __post_init__(self):
         if self.mode not in ("fixed", "auto"):
             raise ValidationError(f"witness mode must be 'fixed' or 'auto', got {self.mode!r}")
-        t = float(_finite_thetas(self.theta))
+        t = float(_finite_thetas(self.theta, scalar=True))
         # normalize into (-pi, pi]; alpha(theta) is 2pi-periodic so this is free
         t = math.remainder(t, TWO_PI)
         if t <= -math.pi:
@@ -97,13 +98,6 @@ class JumpRecord:
     delta_mu: int
     delta_nu_S: float
 
-    def to_dict(self) -> dict:
-        return {
-            "wall_location": self.wall_location,
-            "delta_mu": self.delta_mu,
-            "delta_nu_S": self.delta_nu_S,
-        }
-
 
 def reference_phase(mesh: TorusMesh) -> float:
     """arg of the mesh-averaged vB * conj(vA); DegeneratePhase if the average
@@ -114,12 +108,23 @@ def reference_phase(mesh: TorusMesh) -> float:
     return float(np.angle(z))
 
 
-def _finite_thetas(thetas) -> np.ndarray:
+def _finite_thetas(thetas, scalar: bool = False) -> np.ndarray:
+    """``thetas`` as a float array; ValidationError unless they convert to a real numeric
+    array (no string, bool or complex one) of finite values, and, if ``scalar``, a 0-d one."""
     try:
-        t = np.asarray(thetas, dtype=float)
+        t = np.asarray(thetas)
+        # a dtype test; only an object array (integers beyond int64, say) is read element by element
+        if t.dtype.kind not in "iuf" and not (t.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in t.flat)):
+            raise TypeError
+        t = t.astype(float, copy=False)
     except OverflowError:
         raise ValidationError("witness theta must be finite, got an integer too large for a float") from None
-    if not np.isfinite(t).all():
+    except (TypeError, ValueError):     # also a ragged sequence
+        shown = repr(thetas) if isinstance(thetas, numbers.Number) else type(thetas).__name__
+        raise ValidationError(f"witness theta must be a real number, got {shown}") from None
+    if scalar and t.ndim:
+        raise ValidationError(f"witness theta must be a real number, got {type(thetas).__name__} of shape {t.shape}")
+    if not (math.isfinite(t) if scalar else np.isfinite(t).all()):
         raise ValidationError(f"witness theta must be finite, got {t[~np.isfinite(t)].flat[0]}")
     return t
 
@@ -154,8 +159,8 @@ def _pairwise_sum(leaf, n: int, width: int = 1, lo: int = 0):
 def alpha_field(mesh: TorusMesh, theta: float) -> np.ndarray:
     """Negative-sector weight alpha(k) = 1/2 + Re(exp(i*theta) * vA * conj(vB))
     at every mesh point; the witness expectation there is <S> = 1 - 2*alpha.
-    Raises ValidationError for a non-finite theta."""
-    _finite_thetas(theta)
+    Raises ValidationError unless theta is one finite real number."""
+    _finite_thetas(theta, scalar=True)
     return 0.5 + np.real(np.exp(1j * theta) * mesh.coherence)
 
 
@@ -168,7 +173,7 @@ def sector_responses(mesh: TorusMesh, F: CurvatureField, theta: float) -> Sector
     report how well the exact identities survive rounding.
     """
     mu = _checked_chern(mesh, F)
-    _finite_thetas(theta)
+    _finite_thetas(theta, scalar=True)
     phase = np.exp(1j * theta)
     coh, f = mesh.coherence.reshape(-1), F.F.reshape(-1)
 
@@ -238,7 +243,7 @@ def theta_grid(count: int) -> np.ndarray:
 def sweep_mass(
     p_base: ModelParams,
     M_values,
-    mesh_size: tuple[int, int],
+    mesh_size,
     theta_policy="auto",
     workers: int = 1,
 ) -> tuple[list[SectorReport], list[JumpRecord]]:
@@ -249,12 +254,15 @@ def sweep_mass(
     emitted for each consecutive pair whose Chern number differs; the wall
     location is the analytic critical mass +/- 3*sqrt(3)*t2*sin(phi) bracketed
     by the pair (midpoint fallback if neither analytic wall lies inside).
+    ``mesh_size`` is N or an (nx, ny) pair, as in ``inequality_suite``; every
+    argument is checked before any mesh work (ValidationError).
     Wall hits among the M values propagate OnWall.  ``workers`` > 1 evaluates
     the sweep points on a thread pool; results are collected in sweep order so
     output is identical for any worker count.
     """
-    M_values = [float(m) for m in M_values]
-    nx, ny = mesh_size
+    M_values = [float(replace(p_base, M=m).M) for m in M_values]  # ModelParams refuses a non-real M
+    nx, ny = _mesh_size(mesh_size)
+    workers = _integer(workers, "workers", 1)
     spec = WitnessSpec.from_policy(theta_policy)
 
     def one(mval: float) -> SectorReport:

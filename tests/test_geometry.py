@@ -370,7 +370,7 @@ def test_inequality_suite_clean(p_half):
     for name, slack in report.max_slack.items():
         assert slack <= 1e-12, name
     assert abs(report.nu_S) <= report.nu_S_bound
-    payload = report.to_dict()
+    payload = dataclasses.asdict(report)
     assert payload["violations"] == 0
     assert set(payload["max_slack"]) == set(report.max_slack)
 

@@ -1,5 +1,6 @@
 """Panel pipeline: thread cap, CSV emission, workspace caching, run_all summary."""
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -82,7 +83,7 @@ def test_run_panel_curvature_csv(tmp_path):
     assert out.rows == 144
     with open(out.path, "rb") as fh:
         blob = fh.read()
-    assert hashlib.sha256(blob).hexdigest() == out.checksum
+    assert hashlib.sha256(blob).hexdigest() == out.sha256
     assert blob.endswith(b"\n") and b"\r" not in blob
     with open(out.path, newline="") as fh:
         reader = csv.reader(fh)
@@ -92,13 +93,13 @@ def test_run_panel_curvature_csv(tmp_path):
     # float cells use shortest-exact formatting: parsing them recovers the value
     ws = Workspace(cfg)
     np.testing.assert_allclose(float(first[4]), ws.curvature.F[0, 0], atol=0.0)
-    assert out.to_dict()["sha256"] == out.checksum
+    assert dataclasses.asdict(out)["sha256"] == out.sha256
 
 
 def test_run_panel_deterministic(tmp_path):
     cfg = _small_cfg(tmp_path)
-    first = {pid: _run_panel(Workspace(cfg), pid).checksum for pid in PANEL_IDS}
-    second = {pid: _run_panel(Workspace(cfg), pid).checksum for pid in PANEL_IDS}
+    first = {pid: _run_panel(Workspace(cfg), pid).sha256 for pid in PANEL_IDS}
+    second = {pid: _run_panel(Workspace(cfg), pid).sha256 for pid in PANEL_IDS}
     assert first == second
 
 
@@ -178,7 +179,7 @@ def test_panels_match_per_cell_reference(tmp_path):
         blob = (tmp_path / "out" / f"panel_{panel}.csv").read_bytes()
         assert blob == _reference_csv(HEADERS[panel], rows), panel
         assert out.rows == len(rows)
-        assert out.checksum == hashlib.sha256(blob).hexdigest()
+        assert out.sha256 == hashlib.sha256(blob).hexdigest()
 
 
 @pytest.mark.parametrize("count", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,

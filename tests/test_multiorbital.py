@@ -308,3 +308,17 @@ def test_expectation_operator_norm_bound(jf_matrix, mesh48_half, curv48_half):
     x, y, _ = jf_matrix
     report = multiorbital_bounds(mesh48_half, curv48_half, x, y, 0.4, samples=50, seed=29)
     assert report.max_slack["witness_expectation"] <= 1e-12
+
+
+def test_sector_response_multi_refuses_mismatched_jf():
+    x = np.array([1.0, 0.0, 0.0], dtype=complex)
+    with pytest.raises(ValidationError, match=r"JF has shape \(2, 2\), expected \(3, 1\)") as excinfo:
+        sector_response_multi(np.eye(2), 1, x, [1.0], 0.3)
+    assert excinfo.value.exit_code == 2
+
+
+@pytest.mark.parametrize("m, n, name", [(-1, 2, "m"), (0, 2, "m"), (2.0, 2, "m"), (2, "2", "n"), (2, True, "n")])
+def test_reconstruct_jf_refuses_bad_sizes(m, n, name):
+    with pytest.raises(ValidationError, match=f"^{name} must be") as excinfo:
+        reconstruct_JF({}, m, n, 0)
+    assert excinfo.value.exit_code == 2

@@ -17,11 +17,13 @@ from stratachern import (
     build_mesh,
     qgt_sample_arrays,
     reference_phase,
+    sector_response_multi,
     sector_responses,
     sweep_mass,
     theta_grid,
     theta_scan,
     tomography_reconstruct,
+    witness_block,
 )
 from stratachern import witness
 from stratachern.mesh import _BLOCK_POINTS
@@ -315,14 +317,23 @@ def test_theta_scan_rejects_mismatched_curvature(mesh24, curv48_half):
         theta_scan(mesh24, curv48_half, theta_grid(8))
 
 
-@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
-def test_non_finite_theta_is_refused(mesh48_half, curv48_half, theta):
+@pytest.mark.parametrize("theta, problem", [
+    *(pytest.param(bad, "finite", id=str(bad)) for bad in (math.nan, math.inf, -math.inf)),
+    *(pytest.param(bad, "a real number", id=name) for name, bad in (
+        ("text", "abc"), ("numeric-text", "0.3"), ("complex", 1j), ("none", None),
+        ("sequence", [0.1, 0.2]))),
+])
+def test_non_finite_theta_is_refused(mesh48_half, curv48_half, theta, problem):
+    # theta_scan takes a sequence, so it sees a sequence theta as a ragged element
     for call in (
         lambda: alpha_field(mesh48_half, theta),
         lambda: sector_responses(mesh48_half, curv48_half, theta),
         lambda: theta_scan(mesh48_half, curv48_half, [0.0, theta]),
+        lambda: WitnessSpec(theta=theta),
+        lambda: sector_response_multi(np.ones((1, 1)), 1, [1.0], [1.0], theta),
+        lambda: witness_block([1.0], [1.0], theta),
     ):
-        with pytest.raises(ValidationError, match="witness theta must be finite") as excinfo:
+        with pytest.raises(ValidationError, match=f"^witness theta must be {problem}") as excinfo:
             call()
         assert excinfo.value.exit_code == 2
 
@@ -365,6 +376,33 @@ def test_sweep_fixed_phase_policy(p_default):
     reports, _ = sweep_mass(
         p_default, np.linspace(-1.0, 1.0, 3), (12, 12), theta_policy=0.4)
     assert all(r.theta == 0.4 for r in reports)
+
+
+@pytest.mark.parametrize("change, name", [
+    (dict(mesh_size=[0.5]), "mesh size"),
+    (dict(mesh_size=(8, 8, 8)), "mesh size"),
+    (dict(mesh_size=(8, 3)), "mesh size"),
+    (dict(workers="2"), "workers"),
+    (dict(workers=2.5), "workers"),
+    (dict(workers=0), "workers"),
+    (dict(M_values=[0.5, "x"]), "ModelParams.M"),
+    (dict(M_values=["0.5"]), "ModelParams.M"),
+])
+def test_sweep_refuses_bad_arguments_before_any_work(p_default, monkeypatch, change, name):
+    def no_work(*args, **kwargs):
+        raise AssertionError("mesh built or pool started before the argument check")
+
+    monkeypatch.setattr("stratachern.witness.build_mesh", no_work)
+    monkeypatch.setattr("stratachern.witness.ThreadPoolExecutor", no_work)
+    args = {"M_values": [0.5, 1.0], "mesh_size": (8, 8), "workers": 2, **change}
+    with pytest.raises(ValidationError, match=name) as excinfo:
+        sweep_mass(p_default, args["M_values"], args["mesh_size"], workers=args["workers"])
+    assert excinfo.value.exit_code == 2
+
+
+def test_sweep_takes_one_side_for_a_square_mesh(p_default):
+    m_values = [-2.0, 0.5, 2.0]
+    assert sweep_mass(p_default, m_values, 12) == sweep_mass(p_default, m_values, (12, 12))
 
 
 def test_sweep_rejects_unknown_phase_policy(p_default):
