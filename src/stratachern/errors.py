@@ -37,6 +37,11 @@ class ValidationError(StrataChernError):
     exit_code = EXIT_VALIDATION
 
 
+def _shown(value) -> str:
+    """A rejected value for a one-line message: its repr if it is a number, else its type's name."""
+    return repr(value) if isinstance(value, numbers.Number) else type(value).__name__
+
+
 def _integer(value, name: str, minimum: int) -> int:
     """``value`` as an int; ValidationError naming ``name`` unless it is an integer
     (numpy integers too, bool not) of at least ``minimum``."""
@@ -45,8 +50,7 @@ def _integer(value, name: str, minimum: int) -> int:
     except TypeError:
         number = None
     if number is None:
-        shown = repr(value) if isinstance(value, numbers.Number) else type(value).__name__
-        raise ValidationError(f"{name} must be an integer, got {shown}")
+        raise ValidationError(f"{name} must be an integer, got {_shown(value)}")
     if number < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {number}")
     return number

@@ -54,9 +54,10 @@ class CurvatureField:
 
 
 def _mesh_size(size) -> tuple[int, int]:
-    """(nx, ny) as ints from N (an N x N mesh) or an (nx, ny) pair, each read by
-    ``errors._integer`` with a minimum of 4; anything else is named by its type."""
-    dims = tuple(size) if isinstance(size, (tuple, list)) else (size, size)
+    """(nx, ny) as ints from N (an N x N mesh) or an (nx, ny) pair (a tuple, list or 1-d
+    array), each read by ``errors._integer`` with a minimum of 4; anything else is named by its type."""
+    pair = isinstance(size, (tuple, list)) or (isinstance(size, np.ndarray) and size.ndim == 1)
+    dims = tuple(size) if pair else (size, size)
     if len(dims) != 2:
         raise ValidationError(f"mesh size must be an integer or a pair of them, got {type(size).__name__}")
     nx, ny = (_integer(v, "mesh size", 4) for v in dims)

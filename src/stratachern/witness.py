@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegeneratePhase, ValidationError, _integer
+from .errors import DegeneratePhase, ValidationError, _integer, _shown
 from .mesh import _BLOCK_POINTS, CurvatureField, TorusMesh, _mesh_size, build_mesh, chern_number, plaquette_curvature
 from .model import ModelParams, analytic_chern
 
@@ -110,18 +110,19 @@ def reference_phase(mesh: TorusMesh) -> float:
 
 def _finite_thetas(thetas, scalar: bool = False) -> np.ndarray:
     """``thetas`` as a float array; ValidationError unless they convert to a real numeric
-    array (no string, bool or complex one) of finite values, and, if ``scalar``, a 0-d one."""
+    array of finite values, and, if ``scalar``, a 0-d one.  Text, complex values and a bool
+    given alone (or in an object array) are refused; numpy upcasts ``[0.0, True]`` to floats."""
     try:
         t = np.asarray(thetas)
         # a dtype test; only an object array (integers beyond int64, say) is read element by element
-        if t.dtype.kind not in "iuf" and not (t.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in t.flat)):
+        if t.dtype.kind not in "iuf" and not (
+                t.dtype.kind == "O" and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in t.flat)):
             raise TypeError
         t = t.astype(float, copy=False)
     except OverflowError:
         raise ValidationError("witness theta must be finite, got an integer too large for a float") from None
     except (TypeError, ValueError):     # also a ragged sequence
-        shown = repr(thetas) if isinstance(thetas, numbers.Number) else type(thetas).__name__
-        raise ValidationError(f"witness theta must be a real number, got {shown}") from None
+        raise ValidationError(f"witness theta must be a real number, got {_shown(thetas)}") from None
     if scalar and t.ndim:
         raise ValidationError(f"witness theta must be a real number, got {type(thetas).__name__} of shape {t.shape}")
     if not (math.isfinite(t) if scalar else np.isfinite(t).all()):

@@ -101,6 +101,12 @@ def test_mesh_size_accepts_numpy_integers(p_half):
     assert min_gap_on_mesh(p_half, (np.int64(24), np.int64(24))) == 2.0 * mesh.min_norm
 
 
+def test_mesh_size_takes_a_numpy_pair(p_half):
+    assert min_gap_on_mesh(p_half, np.array([24, 36])) == min_gap_on_mesh(p_half, (24, 36))
+    with pytest.raises(ValidationError, match="mesh size .*, got ndarray$"):
+        min_gap_on_mesh(p_half, np.array([24, 24, 24]))
+
+
 # --- link overlaps ----------------------------------------------------------------
 
 def _projector_mesh(n):

@@ -338,6 +338,22 @@ def test_non_finite_theta_is_refused(mesh48_half, curv48_half, theta, problem):
         assert excinfo.value.exit_code == 2
 
 
+def test_bool_theta_is_refused(mesh48_half, curv48_half):
+    # a bool given alone has dtype bool; one in a list of floats is upcast by numpy
+    for call in (
+        lambda: alpha_field(mesh48_half, True),
+        lambda: sector_responses(mesh48_half, curv48_half, True),
+        lambda: theta_scan(mesh48_half, curv48_half, np.array([True, False])),
+        lambda: theta_scan(mesh48_half, curv48_half, [10**30, True]),
+        lambda: WitnessSpec(theta=False),
+        lambda: sector_response_multi(np.ones((1, 1)), 1, [1.0], [1.0], True),
+        lambda: witness_block([1.0], [1.0], True),
+    ):
+        with pytest.raises(ValidationError, match="^witness theta must be a real number") as excinfo:
+            call()
+        assert excinfo.value.exit_code == 2
+
+
 # --- sweep_mass -----------------------------------------------------------------
 
 def test_sweep_detects_both_walls(p_default):
@@ -403,6 +419,7 @@ def test_sweep_refuses_bad_arguments_before_any_work(p_default, monkeypatch, cha
 def test_sweep_takes_one_side_for_a_square_mesh(p_default):
     m_values = [-2.0, 0.5, 2.0]
     assert sweep_mass(p_default, m_values, 12) == sweep_mass(p_default, m_values, (12, 12))
+    assert sweep_mass(p_default, m_values, np.array([12, 12])) == sweep_mass(p_default, m_values, (12, 12))
 
 
 def test_sweep_rejects_unknown_phase_policy(p_default):
