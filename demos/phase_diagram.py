@@ -35,7 +35,7 @@ print(f"analytic invariant: {analytic_chern(p):+d}   "
 mesh = build_mesh(p, 24, 24)
 F = plaquette_curvature(mesh)
 print(f"lattice invariant:  {chern_number(F):+d}   "
-      f"(plaquette flux total {F.total / (2 * math.pi):+.12f} x 2pi)")
+      f"(plaquette flux total {F.sum() / (2 * math.pi):+.12f} x 2pi)")
 print(f"minimum gap on the 24x24 mesh: {2.0 * mesh.min_norm:.3f}")  # 2 min |d|, kept by the build
 
 # --- the (M, phi) plane -------------------------------------------------------

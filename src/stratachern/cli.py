@@ -59,12 +59,11 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _chern(ws: Workspace, args) -> dict:
-    analytic = ws.analytic  # first: an on-wall model is OnWall, not GaplessMesh
     report = ws.sector
     return {
         "chern_fhs": report.mu,
-        "chern_analytic": analytic,
-        "match": bool(report.mu == analytic),
+        "chern_analytic": ws.analytic,
+        "match": bool(report.mu == ws.analytic),
         "min_gap": 2.0 * ws.mesh.min_norm,
         "mesh": {"nx": ws.cfg.mesh.nx, "ny": ws.cfg.mesh.ny},
     }

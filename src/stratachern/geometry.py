@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, ViolationFound, _integer
-from .mesh import CurvatureField, TorusMesh, _mesh_size, build_mesh, plaquette_curvature
+from .mesh import TorusMesh, _mesh_size, build_mesh, plaquette_curvature
 from .model import (
     CELL_AREA,
     RECIPROCAL,
@@ -260,9 +260,9 @@ def inequality_suite(
     }
 
     mesh = build_mesh(p, nx, ny)
-    field = plaquette_curvature(mesh)
-    report_s = sector_responses(mesh, field, theta)
-    absf = np.abs(field.F)
+    F = plaquette_curvature(mesh)
+    report_s = sector_responses(mesh, F, theta)
+    absf = np.abs(F)
     c_mesh_sq = np.clip(1.0 - mesh.nz * mesh.nz, 0.0, None)
     bound = math.sqrt(absf.sum()) * math.sqrt((c_mesh_sq * absf).sum()) / TWO_PI
     checks["global_nu_s"] = (
@@ -298,7 +298,7 @@ class MultiOrbitalBoundsReport:
 
 def multiorbital_bounds(
     mesh: TorusMesh,
-    F: CurvatureField,
+    F: np.ndarray,
     x,
     y,
     theta: float,
@@ -346,7 +346,7 @@ def multiorbital_bounds(
     jf = coherence_matrix(mesh, F, xv, yv)
     _, nu = sector_response_multi(jf, mu, xv, yv, theta)
     c_mesh = np.sqrt(np.clip(1.0 - mesh.nz * mesh.nz, 0.0, None))
-    nu_bound = float(y_norm * (c_mesh * np.abs(F.F)).sum() / TWO_PI)
+    nu_bound = float(y_norm * (c_mesh * np.abs(F)).sum() / TWO_PI)
     checks["global_nu"] = (np.array([abs(nu)]), np.array([nu_bound]))
 
     return _bound_report(

@@ -142,6 +142,7 @@ class Workspace:
 
     @cached_property
     def mesh(self):
+        self.analytic  # an on-wall model is OnWall at every mesh size, never a mesh
         return build_mesh(self.cfg.model, self.cfg.mesh.nx, self.cfg.mesh.ny)
 
     @cached_property
@@ -262,7 +263,7 @@ def _field_panel(ws: Workspace, name: str, values: np.ndarray):
 
 
 def _panel_a(ws: Workspace):
-    return _field_panel(ws, "F", ws.curvature.F)
+    return _field_panel(ws, "F", ws.curvature)
 
 
 def _panel_b(ws: Workspace):
@@ -271,7 +272,7 @@ def _panel_b(ws: Workspace):
 
 def _panel_c(ws: Workspace):
     alpha = alpha_field(ws.mesh, ws.theta)
-    return _field_panel(ws, "density", (1.0 - 2.0 * alpha) * ws.curvature.F / TWO_PI)
+    return _field_panel(ws, "density", (1.0 - 2.0 * alpha) * ws.curvature / TWO_PI)
 
 
 def _sweep_panel(ws: Workspace, *fields: str):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOverlap, GaplessMesh, GaplessPoint, NonIntegerTotal, ValidationError, _integer
-from .model import GAP_FLOOR, ModelParams, _MeshGrid, _mesh_tables, _norm, d_components, mesh_kpoints
+from .model import GAP_FLOOR, RECIPROCAL, ModelParams, _MeshGrid, _mesh_tables, _norm, d_components
 
 #: Link overlaps with modulus at or below this are treated as degenerate.
 OVERLAP_FLOOR = 1e-10
@@ -39,18 +39,6 @@ class TorusMesh:
     coherence: np.ndarray          # (nx, ny) complex = P_AB = (-n_x + i n_y)/2
     params: ModelParams | None = None
     min_norm: float = 0.0          # min |d(k)| encountered during the build
-
-
-@dataclass(frozen=True)
-class CurvatureField:
-    """Per-plaquette lattice Berry curvature, each value in (-pi, pi]."""
-
-    F: np.ndarray                  # (nx, ny) real
-
-    @property
-    def total(self) -> float:
-        """Row-major deterministic sum of all plaquette values."""
-        return float(self.F.sum())
 
 
 def _mesh_size(size) -> tuple[int, int]:
@@ -79,30 +67,27 @@ def build_mesh(p: ModelParams, nx: int, ny: int) -> TorusMesh:
     """
     nx, ny = _mesh_size((nx, ny))
     ex, ey, wx, wy = _mesh_tables(_MeshGrid((nx, ny)))
-    nz, coherence, min_norm = np.empty((nx, ny)), np.empty((nx, ny), dtype=complex), np.inf
+    nz, coherence = np.empty((nx, ny)), np.empty((nx, ny), dtype=complex)
+    gapless, firsts = False, []  # each block's first minimum of |d| and its flat mesh index
     for lo, hi in _row_blocks(nx, ny):
         bx, by, bz = d_components(_MeshGrid((hi - lo, ny)), p, (ex[:, lo:hi], ey, wx[:, lo:hi], wy))
         nrm = _norm(bx, by, bz)
+        i = int(np.argmin(nrm))
+        firsts.append((nrm.flat[i], lo * ny + i))
         if np.any(nrm < GAP_FLOOR):
-            nrm = _norm(*d_components(_MeshGrid((nx, ny)), p))  # the refusal names the whole-mesh argmin
-            m, n = np.unravel_index(int(np.argmin(nrm)), nrm.shape)
-            raise GaplessMesh(
-                f"gapless mesh point at (m, n) = ({m}, {n}), k = {mesh_kpoints(nx, ny)[m, n]}, "
-                f"|d| = {nrm[m, n]:.3e}"
-            ) from GaplessPoint(f"|d| < {GAP_FLOOR:g}")
+            gapless = True
+            continue
         np.divide(bz, nrm, out=nz[lo:hi])
         np.multiply(0.5, -(bx / nrm) + 1j * (by / nrm), out=coherence[lo:hi])
-        min_norm = np.minimum(min_norm, nrm.min())  # NaN-propagating, as nrm.min() over the mesh
+    # np.argmin's first minimum (NaN first) over the block minima is the mesh's own
+    min_norm, at = firsts[int(np.argmin([v for v, _ in firsts]))]
+    if gapless:
+        m, n = divmod(at, ny)
+        raise GaplessMesh(
+            f"gapless mesh point at (m, n) = ({m}, {n}), k = {np.array([m / nx, n / ny]) @ RECIPROCAL}, "
+            f"|d| = {min_norm:.3e}"
+        ) from GaplessPoint(f"|d| < {GAP_FLOOR:g}")
     return TorusMesh(nx=nx, ny=ny, nz=nz, coherence=coherence, params=p, min_norm=float(min_norm))
-
-
-def min_gap_on_mesh(p: ModelParams, size) -> float:
-    """Minimum of the spectral gap 2|d(k)| over the points of an (nx, ny) mesh.
-
-    It takes a size, not a mesh, so the scan also works for gapless parameter
-    sets where a mesh cannot be built; a built mesh holds its gap as 2 * min_norm.
-    """
-    return float(2.0 * _norm(*d_components(_MeshGrid(_mesh_size(size)), p)).min())
 
 
 def _dot(a, b=None):
@@ -110,8 +95,8 @@ def _dot(a, b=None):
     return np.einsum("c...,c...->...", a, a if b is None else b)
 
 
-def plaquette_curvature(mesh: TorusMesh) -> CurvatureField:
-    """Principal-branch plaquette phase of the corner Bloch vectors.
+def plaquette_curvature(mesh: TorusMesh) -> np.ndarray:
+    """Principal-branch plaquette phase of the corner Bloch vectors, an (nx, ny) float64 array.
 
     F[m, n] = arg[Z(n1, n2, n3) Z(n1, n3, n4)] for the corners n1..n4 at (m, n),
     (m+1, n), (m+1, n+1), (m, n+1), taken periodically, with
@@ -165,15 +150,17 @@ def plaquette_curvature(mesh: TorusMesh) -> CurvatureField:
                 f"{name}-link overlap {0.5 * np.sqrt(e2):.3e} <= {OVERLAP_FLOOR:g} "
                 f"at (m, n) = ({i}, {j}); mesh too coarse for this gap"
             )
-    return CurvatureField(F=F)
+    return F
 
 
-def chern_number(F: CurvatureField) -> int:
-    """Nearest integer to total flux / 2pi; NonIntegerTotal beyond tolerance."""
-    s = F.total / (2.0 * np.pi)
-    mu = round(s)
+def chern_number(F: np.ndarray) -> int:
+    """Nearest integer to total flux / 2pi of a 2-d float64 curvature F; NonIntegerTotal beyond tolerance."""
+    if not (isinstance(F, np.ndarray) and F.dtype == np.float64 and F.ndim == 2):
+        raise ValidationError(f"curvature must be a 2-d float64 array, got {getattr(F, 'dtype', type(F).__name__)}")
+    s = float(F.sum()) / (2.0 * np.pi)
+    mu = round(s) if np.isfinite(s) else 0
     dev = abs(s - mu)
-    if dev > INTEGER_TOL:
+    if not dev <= INTEGER_TOL:
         raise NonIntegerTotal(
             f"sum(F)/2pi = {s!r} deviates from {mu} by {dev:.3e} "
             f"(tol {INTEGER_TOL:g}); a plaquette likely left the principal branch"

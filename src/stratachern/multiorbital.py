@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingProbe, NonUnitary, NonUnitProbe, NotPartialIsometry, ValidationError, _integer
-from .mesh import CurvatureField, TorusMesh
-from .witness import TWO_PI, _checked_chern, _finite_thetas
+from .mesh import TorusMesh
+from .witness import _checked_chern, _finite_thetas, _weighted_coherence
 
 #: Norm tolerance for unit probes and unitarity checks.
 UNIT_TOL = 1e-12
@@ -50,19 +50,18 @@ def _require_unit(vec, name: str) -> np.ndarray:
     return v
 
 
-def coherence_matrix(mesh: TorusMesh, F: CurvatureField, x, y) -> np.ndarray:
+def coherence_matrix(mesh: TorusMesh, F: np.ndarray, x, y) -> np.ndarray:
     """Lattice sum of F(k) * a(k) b(k)^dagger over plaquette base corners, m x n complex.
 
     For the product embedding a = vA x, b = vB y this is the scalar sum
     (1/2pi) sum F * vA conj(vB) of ``SectorReport.JF`` times the dyad x y^dagger.
-    F must have the mesh's shape (ValidationError) and an integer total
-    (NonIntegerTotal), as in ``sector_responses``.
+    F must be a float64 array of the mesh's shape (ValidationError) with an
+    integer total (NonIntegerTotal), as in ``sector_responses``.
     """
     x = _require_unit(x, "x")
     y = _require_unit(y, "y")
     _checked_chern(mesh, F)
-    jf = complex((F.F * mesh.coherence).sum() / TWO_PI)
-    return jf * np.outer(x, np.conj(y))
+    return _weighted_coherence(mesh, F) * np.outer(x, np.conj(y))
 
 
 def sector_response_multi(JF: np.ndarray, mu: int, x, y, theta: float) -> tuple[float, float]:

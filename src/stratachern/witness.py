@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegeneratePhase, ValidationError, _integer, _shown
-from .mesh import _BLOCK_POINTS, CurvatureField, TorusMesh, _mesh_size, build_mesh, chern_number, plaquette_curvature
+from .mesh import _BLOCK_POINTS, TorusMesh, _mesh_size, build_mesh, chern_number, plaquette_curvature
 from .model import ModelParams, analytic_chern
 
 #: |mesh-averaged coherence| below this cannot define a reference phase.
@@ -111,10 +111,10 @@ def reference_phase(mesh: TorusMesh) -> float:
 def _finite_thetas(thetas, scalar: bool = False) -> np.ndarray:
     """``thetas`` as a float array; ValidationError unless they convert to a real numeric
     array of finite values, and, if ``scalar``, a 0-d one.  Text, complex values and a bool
-    given alone (or in an object array) are refused; numpy upcasts ``[0.0, True]`` to floats."""
+    are refused, also in lists and tuples at any depth, where numpy would upcast it to 1.0."""
     try:
-        t = np.asarray(thetas)
-        # a dtype test; only an object array (integers beyond int64, say) is read element by element
+        t = np.asarray(thetas, dtype=object if isinstance(thetas, (list, tuple)) else None)
+        # a dtype test; only an object array (a list or tuple, or integers beyond int64) is read element by element
         if t.dtype.kind not in "iuf" and not (
                 t.dtype.kind == "O" and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in t.flat)):
             raise TypeError
@@ -130,10 +130,10 @@ def _finite_thetas(thetas, scalar: bool = False) -> np.ndarray:
     return t
 
 
-def _checked_chern(mesh: TorusMesh, F: CurvatureField) -> int:
-    if F.F.shape != (mesh.nx, mesh.ny):
+def _checked_chern(mesh: TorusMesh, F: np.ndarray) -> int:
+    if isinstance(F, np.ndarray) and F.shape != (mesh.nx, mesh.ny):  # chern_number refuses a non-array
         raise ValidationError(
-            f"curvature field shape {F.F.shape} does not match mesh {(mesh.nx, mesh.ny)}"
+            f"curvature field shape {F.shape} does not match mesh {(mesh.nx, mesh.ny)}"
         )
     return chern_number(F)
 
@@ -157,6 +157,12 @@ def _pairwise_sum(leaf, n: int, width: int = 1, lo: int = 0):
     return np.add(_pairwise_sum(leaf, half, width, lo), _pairwise_sum(leaf, n - half, width, lo + half))
 
 
+def _weighted_coherence(mesh: TorusMesh, F: np.ndarray) -> complex:
+    """JF = (1/2pi) sum F * coherence, bit-equal to the whole-mesh ``.sum()`` (see ``_pairwise_sum``)."""
+    coh, f = mesh.coherence.reshape(-1), F.reshape(-1)
+    return complex(_pairwise_sum(lambda lo, hi: _sum(f[lo:hi] * coh[lo:hi]), f.size, width=2) / TWO_PI)
+
+
 def alpha_field(mesh: TorusMesh, theta: float) -> np.ndarray:
     """Negative-sector weight alpha(k) = 1/2 + Re(exp(i*theta) * vA * conj(vB))
     at every mesh point; the witness expectation there is <S> = 1 - 2*alpha.
@@ -165,7 +171,7 @@ def alpha_field(mesh: TorusMesh, theta: float) -> np.ndarray:
     return 0.5 + np.real(np.exp(1j * theta) * mesh.coherence)
 
 
-def sector_responses(mesh: TorusMesh, F: CurvatureField, theta: float) -> SectorReport:
+def sector_responses(mesh: TorusMesh, F: np.ndarray, theta: float) -> SectorReport:
     """Curvature-weighted sector responses with base-corner weights.
 
     Each response is an independent deterministic lattice sum, bit-equal to
@@ -176,7 +182,7 @@ def sector_responses(mesh: TorusMesh, F: CurvatureField, theta: float) -> Sector
     mu = _checked_chern(mesh, F)
     _finite_thetas(theta, scalar=True)
     phase = np.exp(1j * theta)
-    coh, f = mesh.coherence.reshape(-1), F.F.reshape(-1)
+    coh, f = mesh.coherence.reshape(-1), F.reshape(-1)
 
     def weighted(lo, hi):  # the nu_minus, nu_plus and nu_S sums over points lo..hi
         alpha, fb = 0.5 + (phase * coh[lo:hi]).real, f[lo:hi]
@@ -184,13 +190,12 @@ def sector_responses(mesh: TorusMesh, F: CurvatureField, theta: float) -> Sector
 
     s_minus, s_plus, s_graded = _pairwise_sum(weighted, f.size)
     nu_minus, nu_plus, nu_s = float(s_minus / TWO_PI), float(s_plus / TWO_PI), float(s_graded / TWO_PI)
-    jf = complex(_pairwise_sum(lambda lo, hi: _sum(f[lo:hi] * coh[lo:hi]), f.size, width=2) / TWO_PI)
     return SectorReport(
         mu=mu,
         nu_minus=nu_minus,
         nu_plus=nu_plus,
         nu_S=nu_s,
-        JF=jf,
+        JF=_weighted_coherence(mesh, F),
         r_mu=abs(mu - (nu_plus + nu_minus)),
         r_nu=abs(nu_s - (nu_plus - nu_minus)),
         theta=float(theta),
@@ -208,7 +213,7 @@ def tomography_reconstruct(nu0: float, nu90: float, mu: int) -> complex:
     return complex(nu0 - half, -(nu90 - half))
 
 
-def theta_scan(mesh: TorusMesh, F: CurvatureField, thetas) -> np.ndarray:
+def theta_scan(mesh: TorusMesh, F: np.ndarray, thetas) -> np.ndarray:
     """Direct graded response nu_S(theta) for each theta, bit-equal to sector_responses' nu_S.
 
     Points are the outer loop and phases the inner one: each leaf of
@@ -218,7 +223,7 @@ def theta_scan(mesh: TorusMesh, F: CurvatureField, thetas) -> np.ndarray:
     thetas = _finite_thetas(thetas).reshape(-1)
     _checked_chern(mesh, F)
     phases = np.exp(1j * thetas)
-    coh, f = mesh.coherence.reshape(-1), F.F.reshape(-1)
+    coh, f = mesh.coherence.reshape(-1), F.reshape(-1)
     size = min(f.size, max(_BLOCK_POINTS, _PAIRWISE_LEAF))  # the longest leaf
     z, terms = np.empty(size, dtype=complex), np.empty(size)
 

@@ -22,9 +22,10 @@ from stratachern import (
     ValidationError,
     ViolationFound,
     load_config,
-    min_gap_on_mesh,
 )
 from stratachern import cli, geometry
+
+from test_model import oracle_gap
 
 SQRT3 = math.sqrt(3.0)
 
@@ -72,12 +73,13 @@ def test_chern_subcommand(tmp_path):
 
 @pytest.mark.parametrize("mesh", [(12, 12), (17, 33)])
 def test_chern_min_gap_equals_mesh_scan(tmp_path, mesh):
-    # the reported gap comes from the mesh build; it must equal an
-    # independent d-field scan over the same points bit for bit
+    # the reported gap comes from the mesh build; it must equal the gap of
+    # the oracle's dense spectrum over the same points to rounding
     path = _write_cfg(tmp_path)
     res = _run("chern", "--config", path, "--mesh", f"{mesh[0]}x{mesh[1]}")
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout)["min_gap"] == min_gap_on_mesh(load_config(path).model, mesh)
+    gap = oracle_gap(load_config(path).model, *mesh)
+    assert json.loads(res.stdout)["min_gap"] == pytest.approx(gap, rel=0, abs=1e-13)
 
 
 def test_mesh_flag_overrides_config(tmp_path):
@@ -136,6 +138,20 @@ def test_on_wall_exit_code(tmp_path):
     res = _run("chern", "--config", cfg)
     assert res.returncode == 4
     assert res.stderr.startswith("OnWall:")
+
+
+@pytest.mark.parametrize("command, code", [
+    *(([name], 4) for name in ("tomography", "inequalities", "multiorbital")),
+    *((["figure", panel], 4) for panel in "abcfg"),
+    (["qgt"], 0), (["figure", "h"], 0), (["sweep"], 0),
+], ids=lambda v: "-".join(v) if isinstance(v, list) else str(v))
+def test_on_wall_mesh_readers_refuse_at_any_mesh_size(tmp_path, capsys, command, code):
+    # no point of a 17x33 mesh is the gapless zone corner, so the mesh builds; every
+    # mesh reader refuses first (OnWall), and what reads no mesh still runs
+    cfg = _write_cfg(tmp_path, model={"M": SQRT3})
+    assert cli.main([*command, "--config", cfg, "--mesh", "17x33", "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("OnWall: Dirac mass on a wall") if code else err == ""
 
 
 def test_sweep_subcommand(tmp_path):

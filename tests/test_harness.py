@@ -92,7 +92,7 @@ def test_run_panel_curvature_csv(tmp_path):
     assert header == ["m", "n", "k_x", "k_y", "F"]
     # float cells use shortest-exact formatting: parsing them recovers the value
     ws = Workspace(cfg)
-    np.testing.assert_allclose(float(first[4]), ws.curvature.F[0, 0], atol=0.0)
+    np.testing.assert_allclose(float(first[4]), ws.curvature[0, 0], atol=0.0)
     assert dataclasses.asdict(out)["sha256"] == out.sha256
 
 
@@ -143,9 +143,9 @@ def _reference_rows(ws, panel):
     if panel in "abc":
         alpha = alpha_field(ws.mesh, ws.theta)
         values = {
-            "a": ws.curvature.F,
+            "a": ws.curvature,
             "b": alpha,
-            "c": (1.0 - 2.0 * alpha) * ws.curvature.F / (2.0 * math.pi),
+            "c": (1.0 - 2.0 * alpha) * ws.curvature / (2.0 * math.pi),
         }[panel]
         k = mesh_kpoints(ws.mesh.nx, ws.mesh.ny)
         return [(i, j, *k[i, j], values[i, j])

@@ -1,4 +1,5 @@
 """Torus mesh construction, link overlaps, plaquette field, lattice invariant."""
+import contextlib
 import dataclasses
 import math
 import tracemalloc
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 
 from stratachern import (
-    CurvatureField,
     DegenerateOverlap,
     GaplessMesh,
     ModelParams,
@@ -19,15 +19,16 @@ from stratachern import (
     chern_number,
     coherence_matrix,
     curvature_riemann_total,
-    min_gap_on_mesh,
     multiorbital_bounds,
     plaquette_curvature,
+    sector_responses,
+    sweep_mass,
 )
 from stratachern import mesh as mesh_module
 from stratachern.mesh import _BLOCK_POINTS, OVERLAP_FLOOR
-from stratachern.model import RECIPROCAL, mesh_kpoints
+from stratachern.model import RECIPROCAL, _MeshGrid, _norm, d_components, mesh_kpoints
 
-from test_model import oracle
+from test_model import oracle, oracle_gap
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
@@ -55,11 +56,8 @@ def test_build_mesh_refuses_gapless():
 
 
 def test_min_norm_matches_min_gap(p_half, mesh48_half):
-    np.testing.assert_allclose(
-        2.0 * mesh48_half.min_norm, min_gap_on_mesh(p_half, (48, 48)), atol=1e-15)
-    # one input form: a built mesh already holds its gap, so it is not a size
-    with pytest.raises(ValidationError, match="mesh size"):
-        min_gap_on_mesh(p_half, mesh48_half)
+    # the gap of the oracle's dense spectrum on the same points
+    np.testing.assert_allclose(2.0 * mesh48_half.min_norm, oracle_gap(p_half, 48, 48), atol=1e-13)
 
 
 @pytest.mark.parametrize("p, size", [
@@ -68,10 +66,12 @@ def test_min_norm_matches_min_gap(p_half, mesh48_half):
     (ModelParams(1.0, 0.3, 0.7, -0.4), (24, 36)),
 ])
 def test_build_gap_is_the_scanned_gap_exactly(p, size):
-    # `stratachern chern` reports 2 * min_norm from the build as its gap, so
-    # the build and the scan must use one |d| formula, bit for bit.
+    # `stratachern chern` reports 2 * min_norm from the build as its gap: the
+    # blocked build's minimum is the whole-mesh |d| scan's, bit for bit, and
+    # the oracle's dense spectrum gives the same gap to rounding
     mesh = build_mesh(p, *size)
-    assert min_gap_on_mesh(p, size) == 2.0 * mesh.min_norm
+    assert mesh.min_norm == _norm(*d_components(_MeshGrid(size), p)).min()
+    np.testing.assert_allclose(2.0 * mesh.min_norm, oracle_gap(p, *size), atol=1e-13)
 
 
 @pytest.mark.parametrize("size", [(24.5, 24), (8.0, 8), (True, 8), (0, 0), (3, 8), (8, 8, 8)])
@@ -81,7 +81,7 @@ def test_mesh_size_must_be_integers_at_least_4(p_half, size):
             build_mesh(p_half, *size)
         assert info.value.exit_code == 2
     with pytest.raises(ValidationError, match="mesh size"):
-        min_gap_on_mesh(p_half, size)
+        sweep_mass(p_half, [0.5], size)
     with pytest.raises(ValidationError, match="mesh size"):
         curvature_riemann_total(p_half, size)
 
@@ -90,7 +90,7 @@ def test_rejected_size_message_is_one_short_line(p_half, mesh48_half):
     # a non-size argument is named by its type: the repr of a 48^2 mesh is 32 lines
     for size, shown in ((mesh48_half, "TorusMesh"), (np.zeros(10_000), "ndarray"), ([4] * 10_000, "list")):
         with pytest.raises(ValidationError, match=f"mesh size .*, got {shown}$") as info:
-            min_gap_on_mesh(p_half, size)
+            sweep_mass(p_half, [0.5], size)
         assert info.value.exit_code == 2
         assert "\n" not in str(info.value) and len(str(info.value)) < 200
 
@@ -98,13 +98,14 @@ def test_rejected_size_message_is_one_short_line(p_half, mesh48_half):
 def test_mesh_size_accepts_numpy_integers(p_half):
     mesh = build_mesh(p_half, np.int64(24), np.int32(24))
     assert (type(mesh.nx), type(mesh.ny)) == (int, int)
-    assert min_gap_on_mesh(p_half, (np.int64(24), np.int64(24))) == 2.0 * mesh.min_norm
+    reports, _ = sweep_mass(p_half, [p_half.M], (np.int64(24), np.int64(24)), 0.0)
+    assert reports == [sector_responses(mesh, plaquette_curvature(mesh), 0.0)]
 
 
 def test_mesh_size_takes_a_numpy_pair(p_half):
-    assert min_gap_on_mesh(p_half, np.array([24, 36])) == min_gap_on_mesh(p_half, (24, 36))
+    assert sweep_mass(p_half, [0.5], np.array([24, 36]), 0.0) == sweep_mass(p_half, [0.5], (24, 36), 0.0)
     with pytest.raises(ValidationError, match="mesh size .*, got ndarray$"):
-        min_gap_on_mesh(p_half, np.array([24, 24, 24]))
+        sweep_mass(p_half, [0.5], np.array([24, 24, 24]))
 
 
 # --- link overlaps ----------------------------------------------------------------
@@ -124,7 +125,7 @@ def _oracle_mesh(p, nx, ny):
     vA, vB = u[..., 0], u[..., 1]
     mesh = TorusMesh(nx=nx, ny=ny, params=p,
                      nz=abs(vB) ** 2 - abs(vA) ** 2, coherence=vA * np.conj(vB))
-    return mesh, CurvatureField(F=oracle.fhs_curvature(*args, nx, ny))
+    return mesh, oracle.fhs_curvature(*args, nx, ny)
 
 
 def test_link_variable_identity(mesh24):
@@ -132,14 +133,14 @@ def test_link_variable_identity(mesh24):
     for m, n in ((0, 0), (5, 17), (23, 1)):
         n_const = (-2.0 * mesh24.coherence[m, n].real, 2.0 * mesh24.coherence[m, n].imag, mesh24.nz[m, n])
         F = plaquette_curvature(_projector_mesh(np.broadcast_to(n_const, (4, 4, 3))))
-        assert np.all(F.F == 0.0)
+        assert np.all(F == 0.0)
 
 
 def test_rephasing_leaves_outputs_unchanged(p_half, mesh48_half, curv48_half):
     # the oracle's eigh states carry an arbitrary phase per point; every output
     # depends on the projector only, so it must agree to rounding
     mesh_o, F_o = _oracle_mesh(p_half, 48, 48)
-    np.testing.assert_allclose(curv48_half.F, F_o.F, atol=1e-13)
+    np.testing.assert_allclose(curv48_half, F_o, atol=1e-13)
     x = np.array([0.6, 0.8j])
     y = np.array([0.8, -0.6])
     np.testing.assert_allclose(
@@ -199,31 +200,32 @@ def test_degenerate_overlap_near_the_floor():
 def test_plaquette_field_trivial_phase():
     mesh = build_mesh(ModelParams(1.0, 0.0, 0.0, 2.0), 12, 12)
     F = plaquette_curvature(mesh)
-    assert abs(F.total) <= 1e-12
+    assert abs(F.sum()) <= 1e-12
     assert chern_number(F) == 0
 
 
 def test_plaquette_field_topological_phase(mesh24, curv24):
     assert chern_number(curv24) == -1
-    np.testing.assert_allclose(curv24.total, -TWO_PI, atol=1e-12)
+    np.testing.assert_allclose(curv24.sum(), -TWO_PI, atol=1e-12)
 
 
 def test_plaquette_field_gauge_invariance(p_default, curv24):
     # against the link product of the oracle's arbitrarily phased eigh states
     F_o = oracle.fhs_curvature(*dataclasses.astuple(p_default), 24, 24)
-    np.testing.assert_allclose(curv24.F, F_o, atol=1e-13)
+    np.testing.assert_allclose(curv24, F_o, atol=1e-13)
 
 
 def test_chern_number_rejects_non_integer_total():
-    with pytest.raises(NonIntegerTotal):
-        chern_number(CurvatureField(F=np.full((8, 8), 0.01)))
+    for value in (0.01, math.nan, math.inf):
+        with pytest.raises(NonIntegerTotal):
+            chern_number(np.full((8, 8), value))
 
 
 def test_invariant_is_mesh_independent(p_default):
     for n in (12, 24, 48):
         F = plaquette_curvature(build_mesh(p_default, n, n))
         assert chern_number(F) == -1
-        total = F.total / TWO_PI
+        total = F.sum() / TWO_PI
         assert abs(total - round(total)) <= 1e-12
 
 
@@ -267,7 +269,7 @@ def test_row_blocks_are_bit_identical_to_one_block(monkeypatch, p_half, nx, ny, 
     assert np.array_equal(mesh.nz, whole.nz) and np.array_equal(mesh.coherence, whole.coherence)
     assert mesh.min_norm == whole.min_norm
     F_whole = _blocked(monkeypatch, nx * ny, plaquette_curvature, whole)
-    assert np.array_equal(_blocked(monkeypatch, points, plaquette_curvature, mesh).F, F_whole.F)
+    assert np.array_equal(_blocked(monkeypatch, points, plaquette_curvature, mesh), F_whole)
 
 
 def _row_angles(theta):
@@ -337,18 +339,22 @@ def test_curvature_peak_memory_is_its_output_plus_one_block(p_half):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < F.F.nbytes + 32 * 8 * _BLOCK_POINTS
+    assert peak < F.nbytes + 32 * 8 * _BLOCK_POINTS
 
 
 def test_build_peak_memory_is_its_outputs_plus_a_few_blocks(p_half):
     # nz and coherence (6 MiB at 512^2) plus block-sized d-field temporaries
     # (about 1.6 MiB at 16384-point blocks); a whole-mesh d-field held about
-    # ten mesh-sized arrays at once (16 MiB over entry at 512^2)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        mesh = build_mesh(p_half, 512, 512)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < mesh.nz.nbytes + mesh.coherence.nbytes + 32 * 8 * _BLOCK_POINTS
+    # ten mesh-sized arrays at once (16 MiB over entry at 512^2).  A refused
+    # build (the wall, whose gapless point is on a 513^2 mesh) stays blocked too.
+    wall = ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, SQRT3)
+    for p, size, refused in ((p_half, 512, False), (wall, 513, True)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(GaplessMesh) if refused else contextlib.nullcontext():
+                build_mesh(p, size, size)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < size * size * (8 + 16) + 32 * 8 * _BLOCK_POINTS, size

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from stratachern import (
+    GaplessMesh,
     GaplessPoint,
     ModelParams,
     OnWall,
     ValidationError,
     analytic_chern,
+    build_mesh,
     dirac_masses,
-    min_gap_on_mesh,
     sweep_mass,
 )
 from stratachern.model import (
@@ -37,6 +38,12 @@ _spec = importlib.util.spec_from_file_location(
     "oracle_reference", Path(__file__).parent / "oracles" / "oracle_reference.py")
 oracle = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(oracle)
+
+
+def oracle_gap(p, nx, ny):
+    """Smallest gap of the oracle's dense spectrum over the points of an nx-by-ny mesh."""
+    e = np.linalg.eigvalsh(oracle.hamiltonian(oracle.mesh_k(nx, ny), p.t1, p.t2, p.phi, p.M))
+    return float((e[..., 1] - e[..., 0]).min())
 
 
 # --- ModelParams --------------------------------------------------------------
@@ -274,24 +281,27 @@ def test_analytic_chern_on_wall_raises():
     assert analytic_chern(ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, SQRT3 - 1e-6)) == -1
 
 
-# --- min_gap_on_mesh ---------------------------------------------------------
+# --- the mesh gap 2 * min_norm ----------------------------------------------------
 
 def test_min_gap_vanishes_on_wall():
-    # 3 | nx and 3 | ny, so the zone corner where the gap closes lies on the mesh.
+    # 3 | nx and 3 | ny, so the zone corner where the gap closes lies on the mesh,
+    # and the build's refusal reports |d| there
     p = ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, SQRT3)
     for size in [(24, 24), (18, 27)]:
-        assert min_gap_on_mesh(p, size) <= 1e-12
+        with pytest.raises(GaplessMesh, match=r"\|d\| = \S+$") as info:
+            build_mesh(p, *size)
+        assert float(str(info.value).rsplit(" ", 1)[1]) <= 1e-12
 
 
 def test_min_gap_massive_lower_bound():
     # With t2=0 the gap is 2*sqrt(|f|^2 + M^2) >= 2|M|, met exactly at the corner.
     p = ModelParams(1.0, 0.0, 0.0, 2.0)
-    gap = min_gap_on_mesh(p, (24, 24))
+    gap = 2.0 * build_mesh(p, 24, 24).min_norm
     assert gap >= 2.0 * abs(p.M) - 1e-12
     np.testing.assert_allclose(gap, 4.0, atol=1e-12)
 
 
 def test_min_gap_stable_under_refinement(p_half):
-    g24 = min_gap_on_mesh(p_half, (24, 24))
-    g48 = min_gap_on_mesh(p_half, (48, 48))
+    g24 = 2.0 * build_mesh(p_half, 24, 24).min_norm
+    g48 = 2.0 * build_mesh(p_half, 48, 48).min_norm
     assert abs(g24 - g48) <= 0.01 * g24

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from stratachern import (
-    CurvatureField,
     MissingProbe,
     ModelParams,
     NonIntegerTotal,
@@ -63,7 +62,7 @@ def test_embed_state_scalar_reduction(mesh48_half, curv48_half):
     # with one-orbital probes the embedded amplitudes are (vA, vB) themselves
     jf = coherence_matrix(mesh48_half, curv48_half, [1.0], [1.0])
     vA, vB = _spinors(mesh48_half)
-    want = (curv48_half.F * vA * np.conj(vB)).sum() / (2.0 * math.pi)
+    want = (curv48_half * vA * np.conj(vB)).sum() / (2.0 * math.pi)
     np.testing.assert_allclose(jf[0, 0], want, atol=1e-15)
 
 
@@ -126,24 +125,24 @@ def test_coherence_matrix_refuses_a_field_of_another_shape():
     np.testing.assert_allclose(coherence_matrix(mesh, F, x, y)[0, 1],
                                0.09192377985106608 - 0.05321061951352951j, atol=1e-15)
     with pytest.raises(ValidationError, match=r"shape \(1, 8\) does not match mesh \(8, 8\)") as info:
-        coherence_matrix(mesh, CurvatureField(F=F.F[:1]), x, y)
+        coherence_matrix(mesh, F[:1], x, y)
     assert info.value.exit_code == 2
 
 
 def test_coherence_matrix_refuses_a_non_integer_total():
     mesh, _, x, y = _mesh8_probes()
     with pytest.raises(NonIntegerTotal):
-        coherence_matrix(mesh, CurvatureField(F=np.full((8, 8), 0.01)), x, y)
+        coherence_matrix(mesh, np.full((8, 8), 0.01), x, y)
 
 
 def test_multiorbital_bounds_refuses_a_field_of_another_shape():
     # an all-zero (1, 8) field used to pass with nu = nu_bound = 0
     mesh, _, x, y = _mesh8_probes()
     with pytest.raises(ValidationError, match=r"shape \(1, 8\) does not match mesh \(8, 8\)") as info:
-        multiorbital_bounds(mesh, CurvatureField(F=np.zeros((1, 8))), x, y, 0.3, 20, 1)
+        multiorbital_bounds(mesh, np.zeros((1, 8)), x, y, 0.3, 20, 1)
     assert info.value.exit_code == 2
     with pytest.raises(NonIntegerTotal):
-        multiorbital_bounds(mesh, CurvatureField(F=np.full((8, 8), 0.01)), x, y, 0.3, 20, 1)
+        multiorbital_bounds(mesh, np.full((8, 8), 0.01), x, y, 0.3, 20, 1)
 
 
 # --- sector_response_multi ----------------------------------------------------------

@@ -96,7 +96,7 @@ def test_qgt_sample_arrays_matches_projector_differences(t1, t2, phi, M, k, thet
 def test_plaquette_curvature_matches_oracle_links(t1, t2, phi, M, nx, ny):
     p = _off_walls(t1, t2, phi, M)
     assume(_oracle_min_overlap(p, nx, ny) > OVERLAP_FLOOR)
-    F = plaquette_curvature(build_mesh(p, nx, ny)).F
+    F = plaquette_curvature(build_mesh(p, nx, ny))
     np.testing.assert_allclose(F, oracle.fhs_curvature(t1, t2, phi, M, nx, ny), rtol=0.0, atol=MESH_TOL)
 
 
@@ -119,8 +119,8 @@ def test_curvature_unchanged_under_t1_sign(t1, t2, phi, M, nx, ny):
     # t1 -> -t1 negates nx and ny exactly, a rotation by pi about z that
     # leaves every dot and triple product of the corner vectors bit for bit
     p = _off_walls(t1, t2, phi, M)
-    F = plaquette_curvature(build_mesh(p, nx, ny)).F
-    F_neg = plaquette_curvature(build_mesh(ModelParams(-t1, t2, phi, M), nx, ny)).F
+    F = plaquette_curvature(build_mesh(p, nx, ny))
+    F_neg = plaquette_curvature(build_mesh(ModelParams(-t1, t2, phi, M), nx, ny))
     assert np.array_equal(F, F_neg)
 
 
@@ -165,8 +165,8 @@ def test_witness_sums_are_whole_mesh_sums_at_any_leaf_size(t1, t2, phi, M, nx, n
     mesh = build_mesh(p, nx, ny)
     F = plaquette_curvature(mesh)
     alpha = alpha_field(mesh, theta)
-    sums = [(alpha * F.F).sum(), ((1.0 - alpha) * F.F).sum(), ((1.0 - 2.0 * alpha) * F.F).sum(),
-            (F.F * mesh.coherence).sum()]
+    sums = [(alpha * F).sum(), ((1.0 - alpha) * F).sum(), ((1.0 - 2.0 * alpha) * F).sum(),
+            (F * mesh.coherence).sum()]
     want = [s / (2.0 * math.pi) for s in sums]  # each a numpy scalar over a float, as the library divides
     with mock.patch.object(witness, "_BLOCK_POINTS", leaf):
         rep = sector_responses(mesh, F, theta)

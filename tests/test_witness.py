@@ -13,6 +13,8 @@ from stratachern import (
     WitnessSpec,
     alpha_field,
     chern_number,
+    coherence_matrix,
+    multiorbital_bounds,
     plaquette_curvature,
     build_mesh,
     qgt_sample_arrays,
@@ -230,10 +232,10 @@ def _whole_mesh_sums(mesh, F, theta):
     """nu_minus, nu_plus, nu_S and JF as whole-array numpy sums over the (nx, ny) mesh."""
     alpha = alpha_field(mesh, theta)
     return (
-        (alpha * F.F).sum() / TWO_PI,
-        ((1.0 - alpha) * F.F).sum() / TWO_PI,
-        ((1.0 - 2.0 * alpha) * F.F).sum() / TWO_PI,
-        (F.F * mesh.coherence).sum() / TWO_PI,
+        (alpha * F).sum() / TWO_PI,
+        ((1.0 - alpha) * F).sum() / TWO_PI,
+        ((1.0 - 2.0 * alpha) * F).sum() / TWO_PI,
+        (F * mesh.coherence).sum() / TWO_PI,
     )
 
 
@@ -290,7 +292,8 @@ def test_pairwise_tree_is_numpys_own(dtype, n):
 @pytest.mark.parametrize("call", [
     lambda mesh, F: theta_scan(mesh, F, theta_grid(64)),
     lambda mesh, F: sector_responses(mesh, F, 0.4),
-], ids=["theta_scan", "sector_responses"])
+    lambda mesh, F: coherence_matrix(mesh, F, [0.6, 0.8j], [0.8, -0.6]),
+], ids=["theta_scan", "sector_responses", "coherence_matrix"])
 def test_witness_sums_hold_no_mesh_sized_temporary(p_half, call):
     # block-sized buffers only (about 0.4 MiB at 16384-point blocks); the
     # whole-mesh passes held 2.3 (theta_scan) and 6.1 MiB at 512^2
@@ -303,7 +306,25 @@ def test_witness_sums_hold_no_mesh_sized_temporary(p_half, call):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 8 * _BLOCK_POINTS < F.F.nbytes
+    assert peak < 8 * 8 * _BLOCK_POINTS < F.nbytes
+
+
+@pytest.mark.parametrize("make", [
+    lambda F: F.tolist(), lambda F: F.astype(np.float32), lambda F: F.astype(int), lambda F: F.reshape(-1),
+], ids=["list", "float32", "int", "flat"])
+def test_curvature_must_be_a_float64_array_of_the_mesh_shape(mesh48_half, curv48_half, make):
+    # the curvature is caller input: anything but the (nx, ny) float64 array is refused
+    bad = make(curv48_half)
+    for call in (
+        lambda: chern_number(bad),
+        lambda: sector_responses(mesh48_half, bad, 0.4),
+        lambda: theta_scan(mesh48_half, bad, [0.4]),
+        lambda: coherence_matrix(mesh48_half, bad, [1.0], [1.0]),
+        lambda: multiorbital_bounds(mesh48_half, bad, [1.0], [1.0], 0.4, 20, 1),
+    ):
+        with pytest.raises(ValidationError, match="curvature") as excinfo:
+            call()
+        assert excinfo.value.exit_code == 2
 
 
 def test_theta_scan_empty_grid(mesh48_half, curv48_half):
@@ -317,18 +338,24 @@ def test_theta_scan_rejects_mismatched_curvature(mesh24, curv48_half):
         theta_scan(mesh24, curv48_half, theta_grid(8))
 
 
+#: Sequences of phases that hold a bool, which numpy alone would upcast to 1.0.
+_BOOL_SEQUENCES = {"bool-in-list": [0.0, True], "bool-in-tuple": (True, 0.5), "nested-bool": [[0.1], [False]]}
+
+
 @pytest.mark.parametrize("theta, problem", [
     *(pytest.param(bad, "finite", id=str(bad)) for bad in (math.nan, math.inf, -math.inf)),
     *(pytest.param(bad, "a real number", id=name) for name, bad in (
         ("text", "abc"), ("numeric-text", "0.3"), ("complex", 1j), ("none", None),
-        ("sequence", [0.1, 0.2]))),
+        ("sequence", [0.1, 0.2]), *_BOOL_SEQUENCES.items())),
 ])
 def test_non_finite_theta_is_refused(mesh48_half, curv48_half, theta, problem):
-    # theta_scan takes a sequence, so it sees a sequence theta as a ragged element
+    # theta_scan takes a sequence, so it sees a sequence theta as a ragged element;
+    # a sequence that holds a bool it is also given whole
+    scans = [[0.0, theta]] + [theta] * any(theta is bad for bad in _BOOL_SEQUENCES.values())
     for call in (
         lambda: alpha_field(mesh48_half, theta),
         lambda: sector_responses(mesh48_half, curv48_half, theta),
-        lambda: theta_scan(mesh48_half, curv48_half, [0.0, theta]),
+        *(lambda scan=scan: theta_scan(mesh48_half, curv48_half, scan) for scan in scans),
         lambda: WitnessSpec(theta=theta),
         lambda: sector_response_multi(np.ones((1, 1)), 1, [1.0], [1.0], theta),
         lambda: witness_block([1.0], [1.0], theta),
