@@ -37,12 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, ViolationFound, _integer
-from .mesh import TorusMesh, _mesh_size, build_mesh, plaquette_curvature
+from .mesh import TorusMesh, _mesh_size, _row_blocks, build_mesh, plaquette_curvature
 from .model import (
     CELL_AREA,
     RECIPROCAL,
     ModelParams,
     _dot3,
+    analytic_chern,
     bloch_vector_fields,
     mesh_kpoints,
 )
@@ -59,7 +60,12 @@ _EQUATOR_K = (0.0, 1.0)
 
 @dataclass(frozen=True)
 class GeometrySamples:
-    """Vectorized geometry fields over a batch of k-points."""
+    """Vectorized geometry fields over a batch of k-points.
+
+    The filtered tensor is stored as its one part beyond eta g, ``im_qs_xy``;
+    ``QS`` builds the full (P, 2, 2) array when read.  ``theta`` and
+    ``direction`` are read-only broadcast views of the inputs.
+    """
 
     k: np.ndarray            # (P, 2)
     nz: np.ndarray           # (P,)
@@ -69,7 +75,7 @@ class GeometrySamples:
     Fxy: np.ndarray          # (P,)
     eta: np.ndarray          # (P,)
     C: np.ndarray            # (P,)
-    QS: np.ndarray           # (P, 2, 2) complex, insertion form
+    im_qs_xy: np.ndarray     # (P,) Im QS_xy = -Im QS_yx
     dual_dev: np.ndarray     # (P,)
     FQ: np.ndarray           # (P,)
     FQS: np.ndarray          # (P,)
@@ -77,8 +83,9 @@ class GeometrySamples:
     theta: np.ndarray        # (P,)
 
     @property
-    def im_qs_xy(self) -> np.ndarray:
-        return self.QS[:, 0, 1].imag
+    def QS(self) -> np.ndarray:
+        """(P, 2, 2) complex insertion-form tensor: eta g + i Im QS_xy [[0, 1], [-1, 0]]."""
+        return self.eta[:, None, None] * self.g + np.multiply.outer(1j * self.im_qs_xy, ((0.0, 1.0), (-1.0, 0.0)))
 
 
 def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySamples:
@@ -114,20 +121,19 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
     eta = sx * n[0] + sy * n[1]  # n.s = 2 Re(exp(i theta) coherence)
     conc = np.sqrt(np.clip(1.0 - nz * nz, 0.0, None))
 
-    # QS = eta g + (i/4) s.(dx n x dy n) [[0, -1], [1, 0]]; Re QS = eta g exactly,
+    # QS = eta g + (i/4) s.(dy n x dx n) [[0, 1], [-1, 0]]; Re QS = eta g exactly,
     # so QS differs from eta Q only in Im QS_xy = -Im QS_yx, where it tests cross || n.
-    im_yx = 0.25 * (sx * cross[0] + sy * cross[1])
-    qs = eta[:, None, None] * g + np.multiply.outer(1j * im_yx, ((0.0, -1.0), (1.0, 0.0)))
-    dual = np.abs(qs[:, 0, 1].imag - 0.5 * eta * fxy)
+    im_xy = -0.25 * (sx * cross[0] + sy * cross[1])
+    dual = np.abs(im_xy - 0.5 * eta * fxy)
 
-    th = np.broadcast_to(th, (npts,)).copy()
-    dirs = np.broadcast_to(dirs, (npts, 2)).copy()
+    th = np.broadcast_to(th, (npts,))
+    dirs = np.broadcast_to(dirs, (npts, 2))
     fq = 4.0 * np.einsum("pa,pab,pb->p", dirs, g, dirs)
     fqs = eta * fq  # 4 Re(QS_dd)
 
     return GeometrySamples(
         k=k, nz=nz, coherence=coherence, dcoherence=dcoherence, g=g, Fxy=fxy,
-        eta=eta, C=conc, QS=qs, dual_dev=dual, FQ=fq, FQS=fqs,
+        eta=eta, C=conc, im_qs_xy=im_xy, dual_dev=dual, FQ=fq, FQS=fqs,
         direction=dirs, theta=th,
     )
 
@@ -194,20 +200,31 @@ class InequalityReport:
     violations: int
 
 
-def _bound_report(cls, checks, where=None, **fields):
-    """Report of type ``cls`` from bound checks, or ViolationFound carrying it.
+def _fold_checks(tally: dict, checks: dict, offset: int = 0) -> dict:
+    """Fold the bound checks of samples offset, offset + 1, ... into ``tally``.
 
-    ``checks`` maps a bound name to (lhs array, rhs array); the report gets
-    the max slack (lhs - rhs) per bound and the count beyond BOUND_SLACK, plus
-    ``fields``.  ``where(i)`` optionally describes sample i in the message.
+    ``checks`` maps a bound name to (lhs array, rhs array).  ``tally`` maps it
+    to [max slack (lhs - rhs) so far, the first three samples beyond
+    BOUND_SLACK as (global index, lhs, rhs)]; a NaN slack stays NaN.
     """
-    max_slack = {}
-    offenders = []
     for name, (lhs, rhs) in checks.items():
         gap = lhs - rhs
-        max_slack[name] = float(gap.max())
-        for i in np.nonzero(gap > BOUND_SLACK)[0][:3]:
-            offenders.append((name, int(i), float(lhs[i]), float(rhs[i])))
+        slot = tally.setdefault(name, [-math.inf, []])
+        slot[0] = float(np.maximum(slot[0], gap.max()))
+        for i in np.nonzero(gap > BOUND_SLACK)[0][: 3 - len(slot[1])]:
+            slot[1].append((offset + int(i), float(lhs[i]), float(rhs[i])))
+    return tally
+
+
+def _bound_report(cls, tally, where=None, **fields):
+    """Report of type ``cls`` from a ``_fold_checks`` tally, or ViolationFound carrying it.
+
+    The report gets the max slack per bound and the count of offenders kept
+    (at most three per bound), plus ``fields``.  ``where(i)`` optionally
+    describes sample i in the message.
+    """
+    max_slack = {name: slack for name, (slack, _) in tally.items()}
+    offenders = [(name, *hit) for name, (_, hits) in tally.items() for hit in hits]
     report = cls(max_slack=max_slack, violations=len(offenders), **fields)
     if offenders:
         name, i, lhs, rhs = offenders[0]
@@ -237,27 +254,39 @@ def inequality_suite(
         |Im QS_xy| <= (C/2) |F_xy|   |d_dir (vA vB*)| <= (1/2) sqrt(FQ)
 
     pointwise and the global  |nu_S| <= (1/2pi) sqrt(sum|F|) sqrt(sum C^2 |F|)
-    on an N x N mesh.  Returns the per-bound max slack; raises ViolationFound
-    (carrying the report) if any bound fails by more than BOUND_SLACK --- that
-    signals an implementation bug, never an expected outcome.
+    on an N x N mesh.  The pointwise checks run on even blocks of at most
+    mesh._BLOCK_POINTS samples, so memory beyond the drawn k and angles stays
+    flat in ``samples``; each sample gets the bits one whole batch gives it.
+    Returns the per-bound max slack; raises ViolationFound (carrying the
+    report) if any bound fails by more than BOUND_SLACK --- that signals an
+    implementation bug, never an expected outcome.  An on-wall model raises
+    OnWall before any sampling.
     """
     nx, ny = _mesh_size(N)
     count, seed = _integer(samples, "samples", 1), _integer(seed, "seed", 0)
+    theta = float(_finite_thetas(theta, scalar=True))
+    analytic_chern(p)  # OnWall propagates before any sampling, as in sweep_mass
     rng = np.random.Generator(np.random.Philox(seed))
-    uv = rng.random((count, 2))
+    k = rng.random((count, 2)) @ RECIPROCAL
     psi = rng.random(count) * TWO_PI
-    k = uv @ RECIPROCAL
-    dirs = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
-    arr = qgt_sample_arrays(k, p, theta, dirs)
 
-    dcoh_dir = np.abs(arr.dcoherence[:, 0] * dirs[:, 0] + arr.dcoherence[:, 1] * dirs[:, 1])
-    checks = {
-        "abs_fqs_le_c_fq": (np.abs(arr.FQS), arr.C * arr.FQ),
-        "c_fq_le_fq": (arr.C * arr.FQ, arr.FQ),
-        "abs_eta_le_c": (np.abs(arr.eta), arr.C),
-        "im_qs_le_half_c_f": (np.abs(arr.im_qs_xy), 0.5 * arr.C * np.abs(arr.Fxy)),
-        "dcoh_le_half_sqrt_fq": (dcoh_dir, 0.5 * np.sqrt(arr.FQ)),
-    }
+    # Even blocks (one sample per row), so none of a multi-block run is below _BLOCK_POINTS / 2:
+    # numpy elides temporaries of 256 KiB or more, and its in-place complex product (the NNN
+    # phase table, from 5462 points) rounds apart from the out-of-place one, so a small tail
+    # block would not give each sample the bits that one whole-batch call gives it.
+    tally = {}
+    for lo, hi in _row_blocks(count, 1):
+        part = slice(lo, hi)
+        dirs = np.stack([np.cos(psi[part]), np.sin(psi[part])], axis=-1)
+        arr = qgt_sample_arrays(k[part], p, theta, dirs)
+        dcoh_dir = np.abs(arr.dcoherence[:, 0] * dirs[:, 0] + arr.dcoherence[:, 1] * dirs[:, 1])
+        _fold_checks(tally, {
+            "abs_fqs_le_c_fq": (np.abs(arr.FQS), arr.C * arr.FQ),
+            "c_fq_le_fq": (arr.C * arr.FQ, arr.FQ),
+            "abs_eta_le_c": (np.abs(arr.eta), arr.C),
+            "im_qs_le_half_c_f": (np.abs(arr.im_qs_xy), 0.5 * arr.C * np.abs(arr.Fxy)),
+            "dcoh_le_half_sqrt_fq": (dcoh_dir, 0.5 * np.sqrt(arr.FQ)),
+        }, lo)
 
     mesh = build_mesh(p, nx, ny)
     F = plaquette_curvature(mesh)
@@ -265,17 +294,14 @@ def inequality_suite(
     absf = np.abs(F)
     c_mesh_sq = np.clip(1.0 - mesh.nz * mesh.nz, 0.0, None)
     bound = math.sqrt(absf.sum()) * math.sqrt((c_mesh_sq * absf).sum()) / TWO_PI
-    checks["global_nu_s"] = (
-        np.array([abs(report_s.nu_S)]),
-        np.array([bound]),
-    )
+    _fold_checks(tally, {"global_nu_s": (np.array([abs(report_s.nu_S)]), np.array([bound]))})
 
     return _bound_report(
-        InequalityReport, checks,
-        where=lambda i: f"k = {arr.k[i % len(arr.k)]}, theta = {arr.theta[i % len(arr.theta)]}",
+        InequalityReport, tally,
+        where=lambda i: f"k = {k[i]}, theta = {theta}",
         samples=count,
         seed=seed,
-        theta=float(theta),
+        theta=theta,
         mesh={"nx": nx, "ny": ny},
         nu_S=report_s.nu_S,
         nu_S_bound=float(bound),
@@ -350,7 +376,7 @@ def multiorbital_bounds(
     checks["global_nu"] = (np.array([abs(nu)]), np.array([nu_bound]))
 
     return _bound_report(
-        MultiOrbitalBoundsReport, checks,
+        MultiOrbitalBoundsReport, _fold_checks({}, checks),
         samples=count,
         seed=seed,
         theta=float(theta),

@@ -117,6 +117,14 @@ def test_probe_length_must_match_dims():
         config_from_dict(doc)
 
 
+def test_probe_entry_must_be_one_pair():
+    vec = [[1.0, 0.0], [0.0, 0.0]]
+    doc = {"multi": {"m": 2, "n": 2, "probes": [[vec, vec, vec]]}}
+    with pytest.raises(ValidationError, match=r"^multi\.probes\[0\] must be an \[x, y\] pair") as excinfo:
+        config_from_dict(doc)
+    assert excinfo.value.exit_code == 2
+
+
 def test_round_trip_through_canonical_dict():
     cfg = config_from_dict({
         "model": {"M": 0.5, "phi": 0.3},

@@ -1,6 +1,7 @@
 """Quantum geometric tensor, sign-filtered variant, QFI, and inequality suite."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from stratachern import (
     GeometrySamples,
     ModelParams,
+    OnWall,
     ValidationError,
     ViolationFound,
     alpha_field,
@@ -21,7 +23,9 @@ from stratachern import (
     sector_responses,
 )
 from stratachern import geometry
-from stratachern.model import K_PLUS, bloch_vector_fields, mesh_kpoints
+from stratachern import mesh as mesh_module
+from stratachern.mesh import _BLOCK_POINTS
+from stratachern.model import K_PLUS, RECIPROCAL, bloch_vector_fields, mesh_kpoints
 
 SQRT3 = math.sqrt(3.0)
 
@@ -388,6 +392,81 @@ def test_inequality_suite_negative_margin_flags(p_half, monkeypatch):
     with pytest.raises(ViolationFound) as excinfo:
         inequality_suite(p_half, 0.4, (12, 12), samples=50, seed=1)
     assert excinfo.value.report.violations > 0
+
+
+def test_inequality_suite_is_the_same_across_blocks(p_half, monkeypatch):
+    # three blocks, cut at samples that are not multiples of a SIMD width, against one block
+    samples = 2 * _BLOCK_POINTS + 1234
+    sizes = []
+    engine = geometry.qgt_sample_arrays
+    monkeypatch.setattr(geometry, "qgt_sample_arrays", lambda k, *args: sizes.append(len(k)) or engine(k, *args))
+
+    def run(block, slack=geometry.BOUND_SLACK):
+        with monkeypatch.context() as patch:
+            patch.setattr(mesh_module, "_BLOCK_POINTS", block)
+            patch.setattr(geometry, "BOUND_SLACK", slack)
+            try:
+                return inequality_suite(p_half, 0.4, 12, samples, 7), None
+            except ViolationFound as err:
+                return err.report, str(err)
+
+    (blocked, _), (whole, _) = run(_BLOCK_POINTS), run(samples + 1)
+    assert len(sizes) == 4 and sum(sizes[:3]) == samples == sizes[3]
+    assert blocked.violations == 0
+    assert {n: v.hex() for n, v in blocked.max_slack.items()} == {n: v.hex() for n, v in whole.max_slack.items()}
+
+    # the sample at the largest |FQS| - C FQ lies in the second block; a slack just below
+    # it makes that sample the first offender, named by its global index and its own k
+    k = np.random.Generator(np.random.Philox(7)).random((samples, 2)) @ RECIPROCAL
+    for slack in (-1.0, np.nextafter(whole.max_slack["abs_fqs_le_c_fq"], -np.inf)):
+        (report, message), (want, want_message) = run(_BLOCK_POINTS, slack), run(samples + 1, slack)
+        assert report == want and message == want_message and report.violations > 0
+        i = int(message.split(" at sample ")[1].split(":")[0])
+        assert f"(k = {k[i]}, theta = 0.4)" in message
+    assert sizes[0] < i and " first: abs_fqs_le_c_fq at sample " in message
+
+
+def test_inequality_suite_refuses_an_on_wall_model(monkeypatch):
+    # M = sqrt(3) closes the gap at K; no point of a 17 x 33 mesh lands there
+    on_wall = ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, SQRT3)
+    with pytest.raises(ValidationError, match="^samples "):
+        inequality_suite(on_wall, 0.3, (17, 33), 0, 1)  # argument checks come first
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled before the on-wall check")
+
+    monkeypatch.setattr(geometry, "qgt_sample_arrays", no_work)
+    monkeypatch.setattr(geometry, "build_mesh", no_work)
+    with pytest.raises(OnWall) as excinfo:
+        inequality_suite(on_wall, 0.3, (17, 33), 200, 1)
+    assert excinfo.value.exit_code == 4
+
+
+def test_inequality_suite_global_bound_matches_the_oracle(p_half):
+    # (1/2pi) sqrt(sum |F|) sqrt(sum C^2 |F|) from the oracle's link curvature, with
+    # C^2 = 1 - nz^2 and nz = |uA|^2 - |uB|^2 of its own eigh valence states
+    from test_model import oracle  # here: test_model imports this module
+    args = dataclasses.astuple(p_half)
+    absf = np.abs(oracle.fhs_curvature(*args, 24, 24))
+    u = oracle.valence(oracle.mesh_k(24, 24), *args)
+    nz = np.abs(u[..., 0]) ** 2 - np.abs(u[..., 1]) ** 2
+    want = math.sqrt(absf.sum()) * math.sqrt(((1.0 - nz * nz) * absf).sum()) / (2.0 * math.pi)
+    report = inequality_suite(p_half, 0.4, (24, 24), samples=10, seed=1)
+    assert abs(report.nu_S_bound - want) <= 1e-13
+
+
+def test_inequality_suite_peak_memory_is_the_stream_plus_a_few_blocks(p_half):
+    # the k (16 bytes) and angle (8 bytes) stream plus block temporaries, about 7 MiB at
+    # 16384-point blocks; one whole-batch pass held about 24 MiB at this sample count
+    samples = 4 * _BLOCK_POINTS
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        inequality_suite(p_half, 0.4, 12, samples, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * samples + 96 * 8 * _BLOCK_POINTS
 
 
 def test_multiorbital_bounds_clean(mesh48_half, curv48_half):
