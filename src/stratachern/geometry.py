@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, ViolationFound, _integer
-from .mesh import TorusMesh, _mesh_size, _row_blocks, build_mesh, plaquette_curvature
+from .mesh import TorusMesh, _mesh_size, _row_blocks, _sum, _total, build_mesh, plaquette_curvature
 from .model import (
     CELL_AREA,
     RECIPROCAL,
@@ -138,11 +138,11 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
     )
 
 
-def _mesh_samples(p: ModelParams, theta: float, N):
-    """Geometry fields at the N x N plaquette base corners, and the cell area."""
+def _riemann_sum(p: ModelParams, theta: float, N, field: str) -> float:
+    """sum field * dA of a geometry field over the N x N plaquette base corners (a ``mesh._total``)."""
     nx, ny = _mesh_size(N)
-    arr = qgt_sample_arrays(mesh_kpoints(nx, ny).reshape(-1, 2), p, theta)
-    return arr, CELL_AREA / (nx * ny)
+    values = getattr(qgt_sample_arrays(mesh_kpoints(nx, ny).reshape(-1, 2), p, theta), field)
+    return _total(lambda lo, hi: [_sum(values[lo:hi] * (CELL_AREA / (nx * ny)))], values.size)[0]
 
 
 def filtered_chern_from_qgt(p: ModelParams, theta: float, N) -> float:
@@ -151,8 +151,7 @@ def filtered_chern_from_qgt(p: ModelParams, theta: float, N) -> float:
     Uses the insertion-form filtered tensor at the N x N plaquette base
     corners with cell area |g1 x g2| / N^2.
     """
-    arr, cell = _mesh_samples(p, theta, N)
-    return float(-(arr.im_qs_xy * cell).sum() / math.pi)
+    return -_riemann_sum(p, theta, N, "im_qs_xy") / math.pi
 
 
 def curvature_riemann_total(p: ModelParams, N) -> float:
@@ -162,8 +161,7 @@ def curvature_riemann_total(p: ModelParams, N) -> float:
     this converges to the Chern number only in the N -> infinity limit; the
     integrand is smooth and periodic, so convergence is spectral.
     """
-    arr, cell = _mesh_samples(p, 0.0, N)
-    return float((arr.Fxy * cell).sum() / TWO_PI)
+    return _riemann_sum(p, 0.0, N, "Fxy") / TWO_PI
 
 
 def saturation_case(p: ModelParams) -> GeometrySamples:
@@ -204,33 +202,35 @@ def _fold_checks(tally: dict, checks: dict, offset: int = 0) -> dict:
     """Fold the bound checks of samples offset, offset + 1, ... into ``tally``.
 
     ``checks`` maps a bound name to (lhs array, rhs array).  ``tally`` maps it
-    to [max slack (lhs - rhs) so far, the first three samples beyond
-    BOUND_SLACK as (global index, lhs, rhs)]; a NaN slack stays NaN.
+    to [max slack (lhs - rhs) so far, the count of samples beyond BOUND_SLACK,
+    the first three of them as (global index, lhs, rhs)]; a NaN slack stays NaN.
     """
     for name, (lhs, rhs) in checks.items():
         gap = lhs - rhs
-        slot = tally.setdefault(name, [-math.inf, []])
+        slot = tally.setdefault(name, [-math.inf, 0, []])
         slot[0] = float(np.maximum(slot[0], gap.max()))
-        for i in np.nonzero(gap > BOUND_SLACK)[0][: 3 - len(slot[1])]:
-            slot[1].append((offset + int(i), float(lhs[i]), float(rhs[i])))
+        beyond = np.nonzero(gap > BOUND_SLACK)[0]
+        slot[1] += beyond.size
+        slot[2] += [(offset + int(i), float(lhs[i]), float(rhs[i])) for i in beyond[: 3 - len(slot[2])]]
     return tally
 
 
 def _bound_report(cls, tally, where=None, **fields):
     """Report of type ``cls`` from a ``_fold_checks`` tally, or ViolationFound carrying it.
 
-    The report gets the max slack per bound and the count of offenders kept
-    (at most three per bound), plus ``fields``.  ``where(i)`` optionally
-    describes sample i in the message.
+    The report gets the max slack per bound and the count of every offender
+    over all bounds, plus ``fields``; the message names the first offender
+    kept.  ``where(i)`` optionally describes sample i in the message.
     """
-    max_slack = {name: slack for name, (slack, _) in tally.items()}
-    offenders = [(name, *hit) for name, (_, hits) in tally.items() for hit in hits]
-    report = cls(max_slack=max_slack, violations=len(offenders), **fields)
+    max_slack = {name: slack for name, (slack, _, _) in tally.items()}
+    violations = sum(count for _, count, _ in tally.values())
+    offenders = [(name, *hit) for name, (_, _, hits) in tally.items() for hit in hits]
+    report = cls(max_slack=max_slack, violations=violations, **fields)
     if offenders:
         name, i, lhs, rhs = offenders[0]
         detail = f" ({where(i)})" if where is not None else ""
         err = ViolationFound(
-            f"{len(offenders)} bound violation(s); first: {name} at sample {i}: "
+            f"{violations} bound violation(s); first: {name} at sample {i}: "
             f"lhs = {lhs!r} > rhs = {rhs!r}{detail}"
         )
         err.report = report
@@ -270,10 +270,6 @@ def inequality_suite(
     k = rng.random((count, 2)) @ RECIPROCAL
     psi = rng.random(count) * TWO_PI
 
-    # Even blocks (one sample per row), so none of a multi-block run is below _BLOCK_POINTS / 2:
-    # numpy elides temporaries of 256 KiB or more, and its in-place complex product (the NNN
-    # phase table, from 5462 points) rounds apart from the out-of-place one, so a small tail
-    # block would not give each sample the bits that one whole-batch call gives it.
     tally = {}
     for lo, hi in _row_blocks(count, 1):
         part = slice(lo, hi)
@@ -291,9 +287,9 @@ def inequality_suite(
     mesh = build_mesh(p, nx, ny)
     F = plaquette_curvature(mesh)
     report_s = sector_responses(mesh, F, theta)
-    absf = np.abs(F)
-    c_mesh_sq = np.clip(1.0 - mesh.nz * mesh.nz, 0.0, None)
-    bound = math.sqrt(absf.sum()) * math.sqrt((c_mesh_sq * absf).sum()) / TWO_PI
+    absf, c_sq = np.abs(F).reshape(-1), np.clip(1.0 - mesh.nz * mesh.nz, 0.0, None).reshape(-1)
+    abs_total, c_total = _total(lambda lo, hi: (_sum(absf[lo:hi]), _sum(c_sq[lo:hi] * absf[lo:hi])), absf.size)
+    bound = math.sqrt(abs_total) * math.sqrt(c_total) / TWO_PI
     _fold_checks(tally, {"global_nu_s": (np.array([abs(report_s.nu_S)]), np.array([bound]))})
 
     return _bound_report(
@@ -371,8 +367,8 @@ def multiorbital_bounds(
     mu = _checked_chern(mesh, F)
     jf = coherence_matrix(mesh, F, xv, yv)
     _, nu = sector_response_multi(jf, mu, xv, yv, theta)
-    c_mesh = np.sqrt(np.clip(1.0 - mesh.nz * mesh.nz, 0.0, None))
-    nu_bound = float(y_norm * (c_mesh * np.abs(F)).sum() / TWO_PI)
+    c_abs_f = (np.sqrt(np.clip(1.0 - mesh.nz * mesh.nz, 0.0, None)) * np.abs(F)).reshape(-1)
+    nu_bound = y_norm * _total(lambda lo, hi: [_sum(c_abs_f[lo:hi])], c_abs_f.size)[0] / TWO_PI
     checks["global_nu"] = (np.array([abs(nu)]), np.array([nu_bound]))
 
     return _bound_report(

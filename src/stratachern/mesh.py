@@ -8,6 +8,7 @@ matter how coarse the mesh.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,26 @@ from .model import GAP_FLOOR, RECIPROCAL, ModelParams, _MeshGrid, _mesh_tables, 
 OVERLAP_FLOOR = 1e-10
 #: Max tolerated deviation of the total flux / 2pi from the nearest integer.
 INTEGER_TOL = 1e-10
-#: Mesh points per row block of the whole-mesh passes; a block's temporaries stay in cache.
+#: Mesh points per row block of the whole-mesh passes, and per leaf of every lattice total.
 _BLOCK_POINTS = 16384
+#: ``x.sum()`` of a 1-D array, without the method's Python wrapper.
+_sum = np.add.reduce
+
+
+def _total(leaf, n: int) -> list[float]:
+    """One total over flat points 0..n per entry of ``leaf(lo, hi)``, the real ``.sum()``s of points lo..hi.
+
+    The leaves are [0, B), [B, 2B), ... with B = _BLOCK_POINTS, and a total is the ``math.fsum`` of its
+    leaf sums: correctly rounded from them, in whatever order they combine (Demmel & Nguyen, IEEE Trans.
+    Comput. 64, 2015).  A zero total is +0.0.  Leaf sums that are not all finite, or overflow, add plainly.
+    """
+    totals = []
+    for column in zip(*[leaf(lo, min(lo + _BLOCK_POINTS, n)) for lo in range(0, n, _BLOCK_POINTS)]):
+        try:
+            totals.append(math.fsum(column))
+        except (ValueError, OverflowError):  # inf - inf, or an overflowing partial: NaN or inf
+            totals.append(sum(map(float, column)))
+    return totals
 
 
 @dataclass(frozen=True)
@@ -154,10 +173,11 @@ def plaquette_curvature(mesh: TorusMesh) -> np.ndarray:
 
 
 def chern_number(F: np.ndarray) -> int:
-    """Nearest integer to total flux / 2pi of a 2-d float64 curvature F; NonIntegerTotal beyond tolerance."""
+    """Nearest integer to total flux / 2pi (a ``_total``) of 2-d float64 curvature F; NonIntegerTotal beyond tolerance."""
     if not (isinstance(F, np.ndarray) and F.dtype == np.float64 and F.ndim == 2):
         raise ValidationError(f"curvature must be a 2-d float64 array, got {getattr(F, 'dtype', type(F).__name__)}")
-    s = float(F.sum()) / (2.0 * np.pi)
+    f = F.reshape(-1)
+    s = _total(lambda lo, hi: [_sum(f[lo:hi])], f.size)[0] / (2.0 * np.pi)
     mu = round(s) if np.isfinite(s) else 0
     dev = abs(s - mu)
     if not dev <= INTEGER_TOL:

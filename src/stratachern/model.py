@@ -92,15 +92,16 @@ class _MeshGrid(tuple):
 
 
 def _phase_tables(k):
-    """NN phases e_j = exp(i k.delta_j) and NNN phases exp(i k.b_j) = e_p conj(e_q), each (..., 3)."""
+    """NN phases e_j = exp(i k.delta_j) and NNN phases exp(i k.b_j) = e_p conj(e_q), each (..., 3).
+    np.multiply, unlike ``*``, is never elided into an in-place product, which rounds apart."""
     e = np.exp(1j * (np.asarray(k, dtype=float) @ NN_VECTORS.T))
-    return e, e[..., _NNN_P] * np.conj(e[..., _NNN_Q])
+    return e, np.multiply(e[..., _NNN_P], np.conj(e[..., _NNN_Q]))
 
 
 def _mesh_tables(grid: _MeshGrid):
     """1-D tables ex[j, m] = exp(i (m/nx) g1.delta_j), ey[j, n], and the NNN ones wx, wy."""
     ex, ey = (np.exp(1j * np.outer(NN_VECTORS @ g, np.arange(n) / n)) for g, n in zip(RECIPROCAL, grid))
-    return ex, ey, ex[_NNN_P] * np.conj(ex[_NNN_Q]), ey[_NNN_P] * np.conj(ey[_NNN_Q])
+    return ex, ey, np.multiply(ex[_NNN_P], np.conj(ex[_NNN_Q])), np.multiply(ey[_NNN_P], np.conj(ey[_NNN_Q]))
 
 
 def d_components(k, p: ModelParams, _tables=None):

@@ -26,17 +26,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegeneratePhase, ValidationError, _integer, _shown
-from .mesh import _BLOCK_POINTS, TorusMesh, _mesh_size, build_mesh, chern_number, plaquette_curvature
+from .mesh import TorusMesh, _mesh_size, _sum, _total, build_mesh, chern_number, plaquette_curvature
 from .model import ModelParams, analytic_chern
 
 #: |mesh-averaged coherence| below this cannot define a reference phase.
 PHASE_FLOOR = 1e-12
 
 TWO_PI = 2.0 * math.pi
-#: numpy's pairwise summation adds a part of at most this many doubles without splitting it.
-_PAIRWISE_LEAF = 128
-#: ``x.sum()`` of a 1-D array, without the method's Python wrapper.
-_sum = np.add.reduce
 
 
 @dataclass(frozen=True)
@@ -100,9 +96,10 @@ class JumpRecord:
 
 
 def reference_phase(mesh: TorusMesh) -> float:
-    """arg of the mesh-averaged vB * conj(vA); DegeneratePhase if the average
-    is smaller than PHASE_FLOOR in modulus."""
-    z = complex(np.mean(np.conj(mesh.coherence)))
+    """arg of the mesh-averaged vB * conj(vA), its sum taken by ``mesh._total``;
+    DegeneratePhase if the average is smaller than PHASE_FLOOR in modulus."""
+    coh = mesh.coherence.reshape(-1)
+    z = complex(np.conj(_complex_total(lambda lo, hi: coh[lo:hi], coh.size)) / coh.size)
     if abs(z) < PHASE_FLOOR:
         raise DegeneratePhase(f"|<vB vA*>| = {abs(z):.3e} < {PHASE_FLOOR:g}")
     return float(np.angle(z))
@@ -138,29 +135,20 @@ def _checked_chern(mesh: TorusMesh, F: np.ndarray) -> int:
     return chern_number(F)
 
 
-def _pairwise_sum(leaf, n: int, width: int = 1, lo: int = 0):
-    """numpy's own pairwise sum over flat points lo..lo+n, bit for bit, from leaf sums.
+def _complex_total(terms, n: int) -> np.complex128:
+    """Sum of the complex ``terms(lo, hi)`` of points 0..n, formed per leaf of ``mesh._total``,
+    which totals their real and imaginary parts; a numpy scalar, so it divides as np.mean does."""
+    def leaf(lo, hi):
+        z = _sum(terms(lo, hi))
+        return z.real, z.imag
 
-    ``np.add.reduce`` over n doubles splits them at n//2 - (n//2) % 8 until a
-    part holds at most _PAIRWISE_LEAF doubles (Higham, SIAM J. Sci. Comput. 14,
-    783 (1993)); ``width`` is 1 for float64 points and 2 for complex128 ones.
-    This walks the same tree, stops at parts of at most _BLOCK_POINTS points and
-    there returns ``leaf(lo, hi)``, the ``.sum()`` of points lo..hi (or a
-    sequence of such sums), so each total equals the whole-mesh ``.sum()``.  A
-    leaf's ``.sum()`` starts from +0.0 as the whole one does, so only a zero's
-    sign can differ within the tree, and the whole sum's own +0.0 start erases it.
-    """
-    doubles = n * width
-    if n <= _BLOCK_POINTS or doubles <= _PAIRWISE_LEAF:
-        return leaf(lo, lo + n)
-    half = (doubles // 2 - doubles // 2 % 8) // width
-    return np.add(_pairwise_sum(leaf, half, width, lo), _pairwise_sum(leaf, n - half, width, lo + half))
+    return np.complex128(complex(*_total(leaf, n)))
 
 
 def _weighted_coherence(mesh: TorusMesh, F: np.ndarray) -> complex:
-    """JF = (1/2pi) sum F * coherence, bit-equal to the whole-mesh ``.sum()`` (see ``_pairwise_sum``)."""
+    """JF = (1/2pi) sum F * coherence, with each leaf's products formed in cache (see ``_complex_total``)."""
     coh, f = mesh.coherence.reshape(-1), F.reshape(-1)
-    return complex(_pairwise_sum(lambda lo, hi: _sum(f[lo:hi] * coh[lo:hi]), f.size, width=2) / TWO_PI)
+    return complex(_complex_total(lambda lo, hi: f[lo:hi] * coh[lo:hi], f.size) / TWO_PI)
 
 
 def alpha_field(mesh: TorusMesh, theta: float) -> np.ndarray:
@@ -174,10 +162,9 @@ def alpha_field(mesh: TorusMesh, theta: float) -> np.ndarray:
 def sector_responses(mesh: TorusMesh, F: np.ndarray, theta: float) -> SectorReport:
     """Curvature-weighted sector responses with base-corner weights.
 
-    Each response is an independent deterministic lattice sum, bit-equal to
-    numpy's ``.sum()`` of its per-point terms over the whole mesh but taken in
-    one cache-resident pass (see ``_pairwise_sum``); the residuals r_mu, r_nu
-    report how well the exact identities survive rounding.
+    Each response is an independent lattice sum of its per-point terms, formed and
+    summed per leaf of ``mesh._total`` in one cache-resident pass; the residuals
+    r_mu, r_nu report how well the exact identities survive rounding.
     """
     mu = _checked_chern(mesh, F)
     _finite_thetas(theta, scalar=True)
@@ -188,8 +175,7 @@ def sector_responses(mesh: TorusMesh, F: np.ndarray, theta: float) -> SectorRepo
         alpha, fb = 0.5 + (phase * coh[lo:hi]).real, f[lo:hi]
         return _sum(alpha * fb), _sum((1.0 - alpha) * fb), _sum((1.0 - 2.0 * alpha) * fb)
 
-    s_minus, s_plus, s_graded = _pairwise_sum(weighted, f.size)
-    nu_minus, nu_plus, nu_s = float(s_minus / TWO_PI), float(s_plus / TWO_PI), float(s_graded / TWO_PI)
+    nu_minus, nu_plus, nu_s = (s / TWO_PI for s in _total(weighted, f.size))
     return SectorReport(
         mu=mu,
         nu_minus=nu_minus,
@@ -216,19 +202,16 @@ def tomography_reconstruct(nu0: float, nu90: float, mu: int) -> complex:
 def theta_scan(mesh: TorusMesh, F: np.ndarray, thetas) -> np.ndarray:
     """Direct graded response nu_S(theta) for each theta, bit-equal to sector_responses' nu_S.
 
-    Points are the outer loop and phases the inner one: each leaf of
-    ``_pairwise_sum`` reads its coherence and F once and sums the per-point
-    terms of every phase while they are in cache.
+    Points are the outer loop and phases the inner one: each leaf of ``mesh._total`` reads
+    its coherence and F once and sums every phase's per-point terms while they are in cache.
     """
     thetas = _finite_thetas(thetas).reshape(-1)
     _checked_chern(mesh, F)
     phases = np.exp(1j * thetas)
     coh, f = mesh.coherence.reshape(-1), F.reshape(-1)
-    size = min(f.size, max(_BLOCK_POINTS, _PAIRWISE_LEAF))  # the longest leaf
-    z, terms = np.empty(size, dtype=complex), np.empty(size)
 
     def leaf(lo, hi):  # every phase's sum over points lo..hi
-        cb, fb, zb, t = coh[lo:hi], f[lo:hi], z[:hi - lo], terms[:hi - lo]
+        cb, fb, zb, t = coh[lo:hi], f[lo:hi], np.empty(hi - lo, dtype=complex), np.empty(hi - lo)
         sums = np.empty(phases.size)
         for i, phase in enumerate(phases):
             np.add(0.5, np.multiply(phase, cb, out=zb).real, out=t)  # alpha
@@ -236,7 +219,7 @@ def theta_scan(mesh: TorusMesh, F: np.ndarray, thetas) -> np.ndarray:
             sums[i] = _sum(np.multiply(t, fb, out=t))
         return sums
 
-    return _pairwise_sum(leaf, f.size) / TWO_PI
+    return np.array(_total(leaf, f.size)) / TWO_PI
 
 
 def theta_grid(count: int) -> np.ndarray:

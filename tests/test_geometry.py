@@ -13,10 +13,12 @@ from stratachern import (
     ValidationError,
     ViolationFound,
     alpha_field,
+    build_mesh,
     curvature_riemann_total,
     filtered_chern_from_qgt,
     inequality_suite,
     multiorbital_bounds,
+    plaquette_curvature,
     qgt_sample_arrays,
     reference_phase,
     saturation_case,
@@ -397,9 +399,16 @@ def test_inequality_suite_negative_margin_flags(p_half, monkeypatch):
 def test_inequality_suite_is_the_same_across_blocks(p_half, monkeypatch):
     # three blocks, cut at samples that are not multiples of a SIMD width, against one block
     samples = 2 * _BLOCK_POINTS + 1234
-    sizes = []
+    sizes, fields = [], []  # per engine call: its sample count and the fields the checks read
     engine = geometry.qgt_sample_arrays
-    monkeypatch.setattr(geometry, "qgt_sample_arrays", lambda k, *args: sizes.append(len(k)) or engine(k, *args))
+
+    def recorded(k, *args):
+        arr = engine(k, *args)
+        sizes.append(len(k))
+        fields.append([arr.nz, arr.coherence, arr.dcoherence, arr.Fxy, arr.eta, arr.im_qs_xy, arr.FQ, arr.FQS])
+        return arr
+
+    monkeypatch.setattr(geometry, "qgt_sample_arrays", recorded)
 
     def run(block, slack=geometry.BOUND_SLACK):
         with monkeypatch.context() as patch:
@@ -414,6 +423,14 @@ def test_inequality_suite_is_the_same_across_blocks(p_half, monkeypatch):
     assert len(sizes) == 4 and sum(sizes[:3]) == samples == sizes[3]
     assert blocked.violations == 0
     assert {n: v.hex() for n, v in blocked.max_slack.items()} == {n: v.hex() for n, v in whole.max_slack.items()}
+    # 44 blocks below 5462 samples, the size from which numpy would elide an in-place NNN
+    # phase product; every sample's fields are the whole batch's, to the last bit
+    small, _ = run(777)
+    assert len(sizes) == 4 + 44 and max(sizes[4:]) < 5462
+    assert {n: v.hex() for n, v in small.max_slack.items()} == {n: v.hex() for n, v in whole.max_slack.items()}
+    for cut, one in zip(zip(*fields[4:]), fields[3]):
+        assert np.concatenate(cut).tobytes() == one.tobytes()
+    del fields[:]
 
     # the sample at the largest |FQS| - C FQ lies in the second block; a slack just below
     # it makes that sample the first offender, named by its global index and its own k
@@ -421,9 +438,24 @@ def test_inequality_suite_is_the_same_across_blocks(p_half, monkeypatch):
     for slack in (-1.0, np.nextafter(whole.max_slack["abs_fqs_le_c_fq"], -np.inf)):
         (report, message), (want, want_message) = run(_BLOCK_POINTS, slack), run(samples + 1, slack)
         assert report == want and message == want_message and report.violations > 0
+        assert run(777, slack) == (want, want_message)  # the offenders' lhs and rhs, to the last bit
         i = int(message.split(" at sample ")[1].split(":")[0])
         assert f"(k = {k[i]}, theta = 0.4)" in message
     assert sizes[0] < i and " first: abs_fqs_le_c_fq at sample " in message
+
+
+def test_inequality_suite_counts_every_violation(monkeypatch):
+    # at a slack of -1, 1866 to 2000 of the 2000 samples fail each pointwise bound, and the global one fails
+    monkeypatch.setattr(geometry, "BOUND_SLACK", -1.0)
+    with pytest.raises(ViolationFound, match="^9803 bound violation[(]s[)]; first: ") as excinfo:
+        inequality_suite(ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, 0.5), 0.4, 12, 2000, 1)
+    assert excinfo.value.report.violations == 9803
+    # and a multi-orbital report counts more than the three offenders per bound its message keeps
+    mesh = build_mesh(ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, 0.5), 12, 12)
+    with pytest.raises(ViolationFound) as excinfo:
+        multiorbital_bounds(mesh, plaquette_curvature(mesh), [1.0], [1.0], 0.4, 200, 1)
+    report = excinfo.value.report
+    assert report.violations > 3 * len(report.max_slack) and str(excinfo.value).startswith(f"{report.violations} ")
 
 
 def test_inequality_suite_refuses_an_on_wall_model(monkeypatch):

@@ -219,6 +219,13 @@ def test_chern_number_rejects_non_integer_total():
     for value in (0.01, math.nan, math.inf):
         with pytest.raises(NonIntegerTotal):
             chern_number(np.full((8, 8), value))
+    # one value in each of the two leaves of 181 x 181 points; math.fsum refuses their leaf
+    # sums (inf - inf, and an overflowing partial), which add plainly to NaN and to inf
+    for first, last, total in ((math.inf, -math.inf, "nan"), (1e308, 1e308, "inf")):
+        F = np.zeros((181, 181))
+        F.flat[0], F.flat[-1] = first, last
+        with pytest.raises(NonIntegerTotal, match=f"^sum\\(F\\)/2pi = {total} "):
+            chern_number(F)
 
 
 def test_invariant_is_mesh_independent(p_default):

@@ -30,7 +30,7 @@ from stratachern import (
     sector_responses,
     theta_scan,
 )
-from stratachern import witness
+from stratachern import mesh as mesh_module
 from stratachern.harness import _BLOCK_ROWS, _write_csv
 from stratachern.mesh import OVERLAP_FLOOR
 from test_harness import DICT_FLOATS, DICT_INTS, _reference_csv
@@ -165,10 +165,13 @@ def test_witness_sums_are_whole_mesh_sums_at_any_leaf_size(t1, t2, phi, M, nx, n
     mesh = build_mesh(p, nx, ny)
     F = plaquette_curvature(mesh)
     alpha = alpha_field(mesh, theta)
-    sums = [(alpha * F).sum(), ((1.0 - alpha) * F).sum(), ((1.0 - 2.0 * alpha) * F).sum(),
-            (F * mesh.coherence).sum()]
-    want = [s / (2.0 * math.pi) for s in sums]  # each a numpy scalar over a float, as the library divides
-    with mock.patch.object(witness, "_BLOCK_POINTS", leaf):
+    want = []
+    for terms in (alpha * F, (1.0 - alpha) * F, (1.0 - 2.0 * alpha) * F, F * mesh.coherence):
+        # each flat leaf [0, leaf), [leaf, 2 leaf), ... summed by numpy, the leaf sums by math.fsum
+        sums = [s.sum() for s in np.split(terms.reshape(-1), range(leaf, terms.size, leaf))]
+        total = np.complex128(complex(math.fsum(np.real(sums)), math.fsum(np.imag(sums))))
+        want.append((total if terms.dtype == complex else total.real) / (2.0 * math.pi))  # as the library divides
+    with mock.patch.object(mesh_module, "_BLOCK_POINTS", leaf):
         rep = sector_responses(mesh, F, theta)
         scan = theta_scan(mesh, F, [theta])
     got = [rep.nu_minus, rep.nu_plus, rep.nu_S, rep.JF]

@@ -9,11 +9,13 @@ import pytest
 from stratachern import (
     DegeneratePhase,
     ModelParams,
+    NonIntegerTotal,
     ValidationError,
     WitnessSpec,
     alpha_field,
     chern_number,
     coherence_matrix,
+    inequality_suite,
     multiorbital_bounds,
     plaquette_curvature,
     build_mesh,
@@ -27,6 +29,7 @@ from stratachern import (
     tomography_reconstruct,
     witness_block,
 )
+from stratachern import mesh as mesh_module
 from stratachern import witness
 from stratachern.mesh import _BLOCK_POINTS
 from stratachern.model import mesh_kpoints
@@ -228,65 +231,91 @@ def test_theta_scan_equals_sector_path_on_rectangular_meshes(nx, ny):
     assert scan.tobytes() == _bits([sector_responses(mesh, F, t).nu_S for t in SCAN_THETAS])
 
 
-def _whole_mesh_sums(mesh, F, theta):
-    """nu_minus, nu_plus, nu_S and JF as whole-array numpy sums over the (nx, ny) mesh."""
-    alpha = alpha_field(mesh, theta)
-    return (
-        (alpha * F).sum() / TWO_PI,
-        ((1.0 - alpha) * F).sum() / TWO_PI,
-        ((1.0 - 2.0 * alpha) * F).sum() / TWO_PI,
-        (F * mesh.coherence).sum() / TWO_PI,
-    )
+def _leaf_sums(values):
+    """Each fixed flat leaf's ``.sum()`` of a whole-mesh array, as the test's own cut."""
+    flat = values.reshape(-1)
+    return [flat[lo:lo + _BLOCK_POINTS].sum() for lo in range(0, flat.size, _BLOCK_POINTS)]
 
 
-def _report_sums(rep):
-    return rep.nu_minus, rep.nu_plus, rep.nu_S, rep.JF
-
-
-def _assert_whole_mesh_bits(mesh, F):
-    scan = theta_scan(mesh, F, SCAN_THETAS)
-    wanted = [_whole_mesh_sums(mesh, F, t) for t in SCAN_THETAS]
-    assert scan.tobytes() == _bits([w[2] for w in wanted])
-    for t, want in zip(SCAN_THETAS, wanted):
-        got = _report_sums(sector_responses(mesh, F, t))
-        assert np.asarray(got, dtype=complex).tobytes() == np.asarray(want, dtype=complex).tobytes()
-
-
-def test_sums_are_the_whole_mesh_sums_on_an_uneven_tree():
-    # 181 x 181 = 32761 points: numpy's pairwise tree splits them 16376 | 16385
-    # and the right half again, 8192 | 8193, so the float64 sums have three
-    # unequal leaves; the complex128 JF sum has its own split
-    mesh = build_mesh(ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, 0.5), 181, 181)
-    F = plaquette_curvature(mesh)
-    leaves = []
-    witness._pairwise_sum(lambda lo, hi: leaves.append((lo, hi)) or 0.0, mesh.nx * mesh.ny)
-    assert leaves == [(0, 16376), (16376, 24568), (24568, 32761)]
-    _assert_whole_mesh_bits(mesh, F)
-
-
-def test_deep_trees_keep_the_whole_mesh_sums(monkeypatch):
-    # 64-point leaves cut 17 x 33 = 561 points into eight float64 leaves three
-    # levels down, each one of numpy's own unsplit parts of at most 128 doubles
-    mesh = build_mesh(ModelParams(0.8, 0.2, -2.0, 0.1), 17, 33)
-    F = plaquette_curvature(mesh)
-    monkeypatch.setattr(witness, "_BLOCK_POINTS", 64)
-    leaves = []
-    witness._pairwise_sum(lambda lo, hi: leaves.append(hi - lo) or 0.0, mesh.nx * mesh.ny)
-    assert leaves == [64, 72, 72, 72, 64, 72, 72, 73]
-    _assert_whole_mesh_bits(mesh, F)
+def _fsum(sums):
+    """math.fsum of real leaf sums; of complex ones, a numpy complex of the part totals."""
+    if np.iscomplexobj(sums[0]):
+        return np.complex128(complex(math.fsum(np.real(sums)), math.fsum(np.imag(sums))))
+    return math.fsum(sums)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 16384, 16385, 32761, 65539])
-def test_pairwise_tree_is_numpys_own(dtype, n):
-    # values spread over 60 binary orders, so a different summation order
-    # would round differently; this fails by name if numpy's summation changes
+def test_totals_are_the_fsum_of_fixed_flat_leaves(dtype, n):
+    # values spread over 60 binary orders, so that a total that depended on the
+    # order in which leaves combine would show it
     rng = np.random.default_rng(n)
     x = rng.standard_normal((2, n)) * np.exp2(rng.integers(-30, 30, (2, n)))
     x = (x[0] + 1j * x[1]) if dtype is np.complex128 else x[0]
-    width = 2 if dtype is np.complex128 else 1
-    got = witness._pairwise_sum(lambda lo, hi: x[lo:hi].sum(), n, width)
-    assert np.asarray(got).tobytes() == np.add.reduce(x).tobytes()
+    cuts = []
+
+    def terms(lo, hi):
+        cuts.append((lo, hi))
+        return x[lo:hi]
+
+    if dtype is np.complex128:
+        got = witness._complex_total(terms, n)
+    else:
+        got = mesh_module._total(lambda lo, hi: [terms(lo, hi).sum()], n)[0]
+    assert cuts == [(lo, min(lo + _BLOCK_POINTS, n)) for lo in range(0, n, _BLOCK_POINTS)]
+    sums = _leaf_sums(x)
+    for order in (sums, sums[::-1], [sums[i] for i in rng.permutation(len(sums))]):
+        assert np.asarray(_fsum(order)).tobytes() == np.asarray(got).tobytes()
+    if n <= _BLOCK_POINTS:  # one leaf: numpy's own whole-array sum, so a 48 x 48 mesh sums as it always did
+        assert np.asarray(got).tobytes() == np.add.reduce(x).tobytes()
+
+
+@pytest.fixture(scope="module")
+def mesh181():
+    # 181 x 181 = 32761 points: a full 16384-point leaf and a ragged one of 16377
+    mesh = build_mesh(ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, 0.5), 181, 181)
+    return mesh, plaquette_curvature(mesh)
+
+
+def test_lattice_totals_are_the_fsum_of_their_leaf_sums(mesh181, monkeypatch):
+    mesh, F = mesh181
+    # each sector sum, JF and the theta scan
+    for theta in (0.4, *theta_grid(8)):
+        alpha = alpha_field(mesh, theta)
+        terms = (alpha * F, (1.0 - alpha) * F, (1.0 - 2.0 * alpha) * F)
+        want = [_fsum(_leaf_sums(t)) / TWO_PI for t in terms]
+        rep = sector_responses(mesh, F, theta)
+        assert _bits([rep.nu_minus, rep.nu_plus, rep.nu_S]) == _bits(want)
+        assert theta_scan(mesh, F, [theta]).tobytes() == _bits([rep.nu_S])
+        jf = complex(_fsum(_leaf_sums(F * mesh.coherence)) / TWO_PI)  # numpy's complex quotient
+        assert np.asarray(rep.JF).tobytes() == np.asarray(jf).tobytes()
+    # the reference phase: the mean of the conjugated coherence, as np.mean divides
+    mean = np.conj(_fsum(_leaf_sums(mesh.coherence))) / F.size
+    assert reference_phase(mesh).hex() == float(np.angle(complex(mean))).hex()
+    # the global bound sums of both bound families
+    c_sq = np.clip(1.0 - mesh.nz * mesh.nz, 0.0, None)
+    bound = math.sqrt(_fsum(_leaf_sums(np.abs(F)))) * math.sqrt(_fsum(_leaf_sums(c_sq * np.abs(F)))) / TWO_PI
+    assert inequality_suite(mesh.params, 0.4, 181, 10, 1).nu_S_bound.hex() == bound.hex()
+    x, y = [0.6, 0.8j], [0.8, -0.6]
+    multi = multiorbital_bounds(mesh, F, x, y, 0.4, 10, 1)
+    want = multi.y_operator_norm * _fsum(_leaf_sums(np.sqrt(c_sq) * np.abs(F))) / TWO_PI
+    assert multi.nu_bound.hex() == want.hex()
+    # the flux total, which a NonIntegerTotal message shows when no deviation is tolerated
+    monkeypatch.setattr(mesh_module, "INTEGER_TOL", -1.0)
+    with pytest.raises(NonIntegerTotal) as excinfo:
+        chern_number(F)
+    assert str(excinfo.value).startswith(f"sum(F)/2pi = {_fsum(_leaf_sums(F)) / (2.0 * np.pi)!r} ")
+
+
+def test_a_zero_total_is_positive_zero(mesh181):
+    # the CSV writer prints -0.0 and 0.0 apart; leaf sums of -0.0, which numpy's .sum() may give, total +0.0
+    mesh, F = mesh181
+    assert _bits(mesh_module._total(lambda lo, hi: [-0.0, -0.0], 2 * _BLOCK_POINTS + 1)) == _bits([0.0, 0.0])
+    zero = np.full_like(F, -0.0)
+    rep = sector_responses(mesh, zero, 0.4)
+    assert rep.mu == 0 and _bits([rep.nu_minus, rep.nu_plus, rep.nu_S]) == _bits([0.0] * 3)
+    assert np.asarray(rep.JF).tobytes() == np.asarray(0j).tobytes()
+    assert theta_scan(mesh, zero, [0.4, -2.0]).tobytes() == _bits([0.0, 0.0])
 
 
 @pytest.mark.parametrize("call", [
