@@ -122,8 +122,8 @@ def _probe_vector(value, length: int, where: str) -> tuple:
 
 
 def _parse_probes(value, m: int, n: int, where: str) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{where} must be a list of [x, y] pairs")
+    if not isinstance(value, (list, tuple)) or len(value) > 1:  # a second pair would never be used
+        raise ValidationError(f"{where} must be a list of at most one [x, y] pair")
     probes = []
     for i, pair in enumerate(value):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOverlap, GaplessMesh, GaplessPoint, NonIntegerTotal, ValidationError, _integer
-from .model import GAP_FLOOR, RECIPROCAL, ModelParams, _MeshGrid, _mesh_tables, _norm, d_components
+from .model import GAP_FLOOR, RECIPROCAL, ModelParams, _mesh_tables, _norm, analytic_chern, d_components
 
 #: Link overlaps with modulus at or below this are treated as degenerate.
 OVERLAP_FLOOR = 1e-10
@@ -80,16 +80,19 @@ def _row_blocks(nx: int, ny: int) -> list[tuple[int, int]]:
 def build_mesh(p: ModelParams, nx: int, ny: int) -> TorusMesh:
     """Valence projectors at every mesh point k = (m/nx) g1 + (n/ny) g2.
 
-    Raises GaplessMesh if any point fails the GAP_FLOOR check; the caller must
-    perturb the parameters or refuse to proceed.  d is evaluated and normalized
-    one row block at a time, from phase tables built once for the whole mesh.
+    Raises GaplessMesh if any point fails the GAP_FLOOR check, and else OnWall
+    if a Dirac mass vanishes (the invariant is undefined even where no mesh
+    point is gapless); the caller must perturb the parameters or refuse to
+    proceed.  d is evaluated and normalized one row block at a time, from the
+    rows of one grid of phase tables.
     """
     nx, ny = _mesh_size((nx, ny))
-    ex, ey, wx, wy = _mesh_tables(_MeshGrid((nx, ny)))
+    xs, ys = np.arange(nx) / nx, np.arange(ny) / ny
+    grid = _mesh_tables(xs, ys)
     nz, coherence = np.empty((nx, ny)), np.empty((nx, ny), dtype=complex)
     gapless, firsts = False, []  # each block's first minimum of |d| and its flat mesh index
     for lo, hi in _row_blocks(nx, ny):
-        bx, by, bz = d_components(_MeshGrid((hi - lo, ny)), p, (ex[:, lo:hi], ey, wx[:, lo:hi], wy))
+        bx, by, bz = d_components(grid.rows(lo, hi), p)
         nrm = _norm(bx, by, bz)
         i = int(np.argmin(nrm))
         firsts.append((nrm.flat[i], lo * ny + i))
@@ -103,9 +106,10 @@ def build_mesh(p: ModelParams, nx: int, ny: int) -> TorusMesh:
     if gapless:
         m, n = divmod(at, ny)
         raise GaplessMesh(
-            f"gapless mesh point at (m, n) = ({m}, {n}), k = {np.array([m / nx, n / ny]) @ RECIPROCAL}, "
+            f"gapless mesh point at (m, n) = ({m}, {n}), k = {np.array([xs[m], ys[n]]) @ RECIPROCAL}, "
             f"|d| = {min_norm:.3e}"
         ) from GaplessPoint(f"|d| < {GAP_FLOOR:g}")
+    analytic_chern(p)  # OnWall for a wall whose gapless point misses the mesh
     return TorusMesh(nx=nx, ny=ny, nz=nz, coherence=coherence, params=p, min_norm=float(min_norm))
 
 

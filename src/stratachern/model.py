@@ -12,7 +12,7 @@ n = d/|d| and its exact k-derivatives, which this module provides in closed
 form as (dx, dy, dz) and (ddx, ddy, ddz); no spinor gauge is chosen.  d0 drops
 out of every computed quantity and is not evaluated.  Lattice geometry is fixed: the
 NN distance is 1 and the oriented NNN difference vectors satisfy b1 + b2 + b3 = 0.
-On the mesh k = (m/nx) g1 + (n/ny) g2 each exp(i k.delta) is a product of 1-D
+On a mesh k = xs[m] g1 + ys[n] g2 each exp(i k.delta) is a product of 1-D
 tables in m and n: two rank-3 matrix products, no per-point transcendental.
 At arbitrary k, d and its gradients come from one table e_j = exp(i k.delta_j)
 per point, with exp(i k.b_j) = e_p conj(e_q): three complex exponentials, no
@@ -87,8 +87,12 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 class _MeshGrid(tuple):
-    """(nx, ny) standing in for the mesh_kpoints(nx, ny) array, whose shape it reports."""
-    shape = property(lambda self: (*self, 2))
+    """The tables (ex, ey, wx, wy) of ``_mesh_tables``, standing in for their k-array, whose shape it reports."""
+    shape = property(lambda self: (self[0].shape[1], self[1].shape[1], 2))
+
+    def rows(self, lo: int, hi: int) -> _MeshGrid:
+        """The grid of rows lo..hi, whose x tables are columns lo..hi of these."""
+        return _MeshGrid((self[0][:, lo:hi], self[1], self[2][:, lo:hi], self[3]))
 
 
 def _phase_tables(k):
@@ -98,23 +102,18 @@ def _phase_tables(k):
     return e, np.multiply(e[..., _NNN_P], np.conj(e[..., _NNN_Q]))
 
 
-def _mesh_tables(grid: _MeshGrid):
-    """1-D tables ex[j, m] = exp(i (m/nx) g1.delta_j), ey[j, n], and the NNN ones wx, wy."""
-    ex, ey = (np.exp(1j * np.outer(NN_VECTORS @ g, np.arange(n) / n)) for g, n in zip(RECIPROCAL, grid))
-    return ex, ey, np.multiply(ex[_NNN_P], np.conj(ex[_NNN_Q])), np.multiply(ey[_NNN_P], np.conj(ey[_NNN_Q]))
+def _mesh_tables(xs, ys) -> _MeshGrid:
+    """Grid k[m, n] = xs[m] g1 + ys[n] g2 of 1-D fractions xs, ys: ex[j, m] = exp(i xs[m] g1.delta_j), ey, wx, wy."""
+    ex, ey = (np.exp(1j * np.outer(NN_VECTORS @ g, c)) for g, c in zip(RECIPROCAL, (xs, ys)))
+    return _MeshGrid((ex, ey, *(np.multiply(e[_NNN_P], np.conj(e[_NNN_Q])) for e in (ex, ey))))
 
 
 def d_components(k, p: ModelParams, _tables=None):
-    """Return (dx, dy, dz) arrays for k of shape (..., 2) or a ``_MeshGrid``.
-
-    ``_tables`` is the caller's ``_phase_tables(k)``, if it already holds them;
-    for a ``_MeshGrid``, its ``_mesh_tables``, whose x tables may be cut to the
-    columns of the mesh rows wanted (d is then those rows only).
-    """
+    """Return (dx, dy, dz) arrays for k of shape (..., 2), whose ``_phase_tables(k)`` a caller
+    holding them passes as ``_tables``, or for a ``_MeshGrid``, from the tables it holds."""
     if isinstance(k, _MeshGrid):
-        ex, ey, wx, wy = _mesh_tables(k) if _tables is None else _tables
         # einsum, not matmul: BLAS calls contend across the sweep_mass worker threads.
-        nn_sum, nnn_sin_sum = np.einsum("jm,jn->mn", ex, ey), np.einsum("jm,jn->mn", wx, wy).imag
+        nn_sum, nnn_sin_sum = np.einsum("jm,jn->mn", *k[:2]), np.einsum("jm,jn->mn", *k[2:]).imag
     else:
         e, w = _phase_tables(k) if _tables is None else _tables
         nn_sum, nnn_sin_sum = e.sum(axis=-1), w.imag.sum(axis=-1)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegeneratePhase, ValidationError, _integer, _shown
 from .mesh import TorusMesh, _mesh_size, _sum, _total, build_mesh, chern_number, plaquette_curvature
-from .model import ModelParams, analytic_chern
+from .model import ModelParams, analytic_chern, dirac_masses
 
 #: |mesh-averaged coherence| below this cannot define a reference phase.
 PHASE_FLOOR = 1e-12
@@ -241,7 +241,7 @@ def sweep_mass(
     theta_policy is "auto" (recompute the reference phase per M, falling back
     to 0 when degenerate) or a fixed phase in radians.  A JumpRecord is
     emitted for each consecutive pair whose Chern number differs; the wall
-    location is the analytic critical mass +/- 3*sqrt(3)*t2*sin(phi) bracketed
+    location is the analytic critical mass (a zero of ``dirac_masses``) bracketed
     by the pair (midpoint fallback if neither analytic wall lies inside).
     ``mesh_size`` is N or an (nx, ny) pair, as in ``inequality_suite``; every
     argument is checked before any mesh work (ValidationError).
@@ -268,7 +268,7 @@ def sweep_mass(
         reports = [one(m) for m in M_values]
 
     jumps: list[JumpRecord] = []
-    wall = 3.0 * math.sqrt(3.0) * p_base.t2 * math.sin(p_base.phi)
+    wall = dirac_masses(replace(p_base, M=0.0))[1]  # the Dirac walls are at M = +/- wall
     for (m_lo, lo), (m_hi, hi) in zip(
         zip(M_values, reports), zip(M_values[1:], reports[1:])
     ):

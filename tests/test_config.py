@@ -125,6 +125,15 @@ def test_probe_entry_must_be_one_pair():
     assert excinfo.value.exit_code == 2
 
 
+def test_more_than_one_probe_pair_is_refused():
+    # the run uses one probe pair: a second would be neither used nor unit-checked
+    pair = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]]
+    with pytest.raises(ValidationError, match=r"^multi\.probes must be a list of at most one \[x, y\] pair") as excinfo:
+        config_from_dict({"multi": {"probes": [pair, pair]}})
+    assert excinfo.value.exit_code == 2
+    assert config_from_dict({"multi": {"probes": [pair]}}).multi.probes[0][1] == (1j, 0j)
+
+
 def test_round_trip_through_canonical_dict():
     cfg = config_from_dict({
         "model": {"M": 0.5, "phi": 0.3},

@@ -23,7 +23,7 @@ from stratachern.model import (
     NNN_VECTORS,
     _NNN_P,
     _NNN_Q,
-    _MeshGrid,
+    _mesh_tables,
     bloch_vector_fields,
     d_component_gradients,
     d_components,
@@ -111,7 +111,7 @@ def test_d_vector_hopping_free():
 ])
 @pytest.mark.parametrize("size", [(4, 4), (17, 33), (48, 48), (129, 131)])
 def test_mesh_d_field_matches_pointwise(p, size):
-    table = np.stack(d_components(_MeshGrid(size), p))
+    table = np.stack(d_components(_mesh_tables(*(np.arange(n) / n for n in size)), p))
     pointwise = np.stack(d_components(mesh_kpoints(*size), p))
     assert table.shape == (3,) + size
     assert np.abs(table - pointwise).max() <= 4e-15
