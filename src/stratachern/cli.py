@@ -107,7 +107,7 @@ def _multiorbital(ws: Workspace, args) -> dict:
 
 def _qgt(ws: Workspace, args) -> dict:
     out_h = _run_panel(ws, "h")
-    _, _, arr = ws.qfi_samples
+    arr = ws.qfi_samples
     sat = saturation_case(ws.cfg.model) if abs(ws.cfg.model.M) < 1e-12 else None
     result = {
         "samples": out_h.rows,

@@ -236,7 +236,7 @@ class Workspace:
 
     @cached_property
     def qfi_samples(self):
-        """Seeded (k, theta, direction) batch with its geometry fields.
+        """Geometry fields (GeometrySamples) of a seeded (k, theta, direction) batch.
 
         Draw order is fixed (k fractions, then theta, then direction angle)
         so the stream, and hence panel h, is byte-stable for a given seed.
@@ -248,8 +248,7 @@ class Workspace:
         psi = TWO_PI * rng.random(scan.samples)
         k = uv @ RECIPROCAL
         dirs = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
-        arr = qgt_sample_arrays(k, self.cfg.model, th, dirs)
-        return k, th, arr
+        return qgt_sample_arrays(k, self.cfg.model, th, dirs)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +300,8 @@ def _panel_g(ws: Workspace):
 
 
 def _panel_h(ws: Workspace):
-    k, th, arr = ws.qfi_samples
-    return ["FQ", "FQS", "k_x", "k_y", "theta"], [arr.FQ, arr.FQS, k[:, 0], k[:, 1], th]
+    arr = ws.qfi_samples
+    return ["FQ", "FQS", "k_x", "k_y", "theta"], [arr.FQ, arr.FQS, arr.k[:, 0], arr.k[:, 1], arr.theta]
 
 
 _PANELS = {

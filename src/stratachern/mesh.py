@@ -48,16 +48,22 @@ class TorusMesh:
 
     Per-point data is stored as (nx, ny) arrays: n_z and P_AB = (-n_x + i n_y)/2
     at k = mesh_kpoints(nx, ny), which (nx, ny) fixes, so the mesh does not hold it.
-    Indexing is periodic: the +x neighbour of (nx-1, n) is (0, n), and
-    likewise in y.  Construction guarantees every point passed the gap check.
+    The size is nz's shape: nz must be a non-empty 2-d array and coherence of its shape,
+    or ValidationError.  Indexing is periodic: the +x neighbour of (nx-1, n) is (0, n),
+    and likewise in y.  ``build_mesh`` guarantees every point passed the gap check.
     """
 
-    nx: int
-    ny: int
     nz: np.ndarray                 # (nx, ny) real
     coherence: np.ndarray          # (nx, ny) complex = P_AB = (-n_x + i n_y)/2
     params: ModelParams | None = None
     min_norm: float = 0.0          # min |d(k)| encountered during the build
+    nx = property(lambda self: self.nz.shape[0], doc="Mesh rows, nz.shape[0].")
+    ny = property(lambda self: self.nz.shape[1], doc="Mesh columns, nz.shape[1].")
+
+    def __post_init__(self):
+        nz, coh = (getattr(a, "shape", type(a).__name__) for a in (self.nz, self.coherence))
+        if not (isinstance(self.nz, np.ndarray) and self.nz.ndim == 2 and self.nz.size and coh == nz):
+            raise ValidationError(f"mesh nz and coherence must share one non-empty 2-d shape, got {nz} and {coh}")
 
 
 def _mesh_size(size) -> tuple[int, int]:
@@ -110,7 +116,7 @@ def build_mesh(p: ModelParams, nx: int, ny: int) -> TorusMesh:
             f"|d| = {min_norm:.3e}"
         ) from GaplessPoint(f"|d| < {GAP_FLOOR:g}")
     analytic_chern(p)  # OnWall for a wall whose gapless point misses the mesh
-    return TorusMesh(nx=nx, ny=ny, nz=nz, coherence=coherence, params=p, min_norm=float(min_norm))
+    return TorusMesh(nz=nz, coherence=coherence, params=p, min_norm=float(min_norm))
 
 
 def _dot(a, b=None):
@@ -177,9 +183,10 @@ def plaquette_curvature(mesh: TorusMesh) -> np.ndarray:
 
 
 def chern_number(F: np.ndarray) -> int:
-    """Nearest integer to total flux / 2pi (a ``_total``) of 2-d float64 curvature F; NonIntegerTotal beyond tolerance."""
-    if not (isinstance(F, np.ndarray) and F.dtype == np.float64 and F.ndim == 2):
-        raise ValidationError(f"curvature must be a 2-d float64 array, got {getattr(F, 'dtype', type(F).__name__)}")
+    """Nearest integer to total flux / 2pi (a ``_total``) of non-empty 2-d float64 F; NonIntegerTotal beyond tolerance."""
+    if not (isinstance(F, np.ndarray) and F.dtype == np.float64 and F.ndim == 2 and F.size):
+        shown = f"{F.dtype} of shape {F.shape}" if isinstance(F, np.ndarray) else type(F).__name__
+        raise ValidationError(f"curvature must be a non-empty 2-d float64 array, got {shown}")
     f = F.reshape(-1)
     s = _total(lambda lo, hi: [_sum(f[lo:hi])], f.size)[0] / (2.0 * np.pi)
     mu = round(s) if np.isfinite(s) else 0

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import MissingProbe, NonUnitary, NonUnitProbe, NotPartialIsometry, ValidationError, _integer
 from .mesh import TorusMesh
-from .witness import _checked_chern, _finite_thetas, _weighted_coherence
+from .witness import _checked_chern, _finite_thetas, _weighted_coherence, tomography_reconstruct
 
 #: Norm tolerance for unit probes and unitarity checks.
 UNIT_TOL = 1e-12
@@ -85,20 +85,16 @@ def reconstruct_JF(probe_responses, m: int, n: int, mu: int) -> np.ndarray:
 
     ``probe_responses`` maps (i, j, theta) -> nu_minus for the basis pair
     (e_i, f_j), with theta exactly THETA_REAL or THETA_IMAG.  Entry (i, j) is
-    (nu_minus(i,j;0) - mu/2) - i*(nu_minus(i,j;pi/2) - mu/2).
+    ``tomography_reconstruct`` of its responses at theta = 0 and pi/2.
     """
     m, n = _integer(m, "m", 1), _integer(n, "n", 1)
-    half = mu / 2.0
     jf = np.empty((m, n), dtype=complex)
     for i in range(m):
         for j in range(n):
             for theta in (THETA_REAL, THETA_IMAG):
                 if (i, j, theta) not in probe_responses:
                     raise MissingProbe(f"missing response for (i={i}, j={j}, theta={theta!r})")
-            jf[i, j] = complex(
-                probe_responses[(i, j, THETA_REAL)] - half,
-                -(probe_responses[(i, j, THETA_IMAG)] - half),
-            )
+            jf[i, j] = tomography_reconstruct(*(probe_responses[(i, j, t)] for t in (THETA_REAL, THETA_IMAG)), mu)
     return jf
 
 

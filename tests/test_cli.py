@@ -196,6 +196,21 @@ def test_multiorbital_bound_violation_exit_code(tmp_path, monkeypatch, capsys):
     assert err.startswith("ViolationFound:") and err.count("\n") == 1
 
 
+def test_all_names_its_failed_panels_and_writes_no_summary(tmp_path, capsys):
+    # a probe of norm sqrt(2) fails panel g alone: every other panel is written,
+    # the summary is not, and the first failure's error carries the list
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"mesh": {"nx": 12, "ny": 12},
+                               "multi": {"probes": [[[[1, 0], [1, 0]], [[1, 0], [0, 0]]]]}}))
+    out = tmp_path / "out"
+    assert cli.main(["all", "--config", str(cfg), "--out", str(out)]) == 2
+    std = capsys.readouterr()
+    assert std.out == ""
+    assert std.err == (f"NonUnitProbe: probe x has norm {math.sqrt(2.0)!r}, expected 1 within 1e-12 "
+                       "[failed panels: panel g: NonUnitProbe]\n")
+    assert sorted(f.name for f in out.iterdir()) == [f"panel_{p}.csv" for p in "abcdefh"]
+
+
 def test_qgt_subcommand_with_saturation(tmp_path):
     cfg = _write_cfg(tmp_path, model={"M": 0.0})
     res = _run("qgt", "--config", cfg, "--out", str(tmp_path / "qgt"))

@@ -161,8 +161,8 @@ def _reference_rows(ws, panel):
         return list(zip(thetas, direct, reconstructed))
     if panel == "g":
         return [(i, j, theta, nu) for (i, j, theta), nu in ws.probe_responses.items()]
-    k, th, arr = ws.qfi_samples
-    return list(zip(arr.FQ, arr.FQS, k[:, 0], k[:, 1], th))
+    arr = ws.qfi_samples
+    return list(zip(arr.FQ, arr.FQS, arr.k[:, 0], arr.k[:, 1], arr.theta))
 
 
 def test_panels_match_per_cell_reference(tmp_path):

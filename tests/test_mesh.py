@@ -47,6 +47,34 @@ def test_build_mesh_layout(p_half):
     np.testing.assert_allclose(kpts[2, 3], want, atol=1e-15)
 
 
+def test_mesh_size_is_the_shape_of_its_arrays():
+    assert [f.name for f in dataclasses.fields(TorusMesh)] == ["nz", "coherence", "params", "min_norm"]
+    p = ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, 0.5)
+    mesh = build_mesh(p, 17, 33)
+    assert (mesh.nx, mesh.ny) == (17, 33) and (type(mesh.nx), type(mesh.ny)) == (int, int)
+    # a size given beside the arrays could disagree with them; there is none to give
+    m5, F4 = build_mesh(p, 5, 5), plaquette_curvature(build_mesh(p, 4, 4))
+    with pytest.raises(TypeError):
+        TorusMesh(nx=4, ny=4, nz=m5.nz, coherence=m5.coherence)
+    hand = TorusMesh(nz=m5.nz, coherence=m5.coherence)
+    assert (hand.nx, hand.ny) == (5, 5)
+    with pytest.raises(ValidationError, match=r"curvature field shape \(4, 4\) does not match mesh \(5, 5\)"):
+        sector_responses(hand, F4, 0.4)
+
+
+@pytest.mark.parametrize("nz, coherence, shown", [
+    (np.zeros((5, 5)), np.zeros((4, 4), complex), r"\(5, 5\) and \(4, 4\)"),
+    (np.zeros(5), np.zeros(5, complex), r"\(5,\) and \(5,\)"),
+    (np.zeros((0, 5)), np.zeros((0, 5), complex), r"\(0, 5\) and \(0, 5\)"),
+    (np.zeros((5, 5)), np.zeros((5, 5)).tolist(), r"\(5, 5\) and list"),
+    ([[0.0] * 5] * 5, np.zeros((5, 5), complex), r"list and \(5, 5\)"),
+], ids=["shapes-differ", "1-d", "empty", "coherence-list", "nz-list"])
+def test_mesh_refuses_arrays_without_one_2d_shape(nz, coherence, shown):
+    with pytest.raises(ValidationError, match=f"one non-empty 2-d shape, got {shown}$") as info:
+        TorusMesh(nz=nz, coherence=coherence)
+    assert info.value.exit_code == 2
+
+
 def test_build_mesh_refuses_gapless():
     # On the wall the zone corner K = (2/3) g1 + (1/3) g2 is gapless, and
     # 3 | nx, 3 | ny put it on the mesh at (m, n) = (2 nx/3, ny/3).
@@ -125,9 +153,7 @@ def test_mesh_size_takes_a_numpy_pair(p_half):
 def _projector_mesh(n):
     """A mesh holding the valence projector of the unit Bloch vectors n, shape (nx, ny, 3)."""
     n = np.asarray(n, dtype=float)
-    nx, ny = n.shape[:2]
-    return TorusMesh(nx=nx, ny=ny, nz=n[..., 2],
-                     coherence=0.5 * (-n[..., 0] + 1j * n[..., 1]))
+    return TorusMesh(nz=n[..., 2], coherence=0.5 * (-n[..., 0] + 1j * n[..., 1]))
 
 
 def _oracle_mesh(p, nx, ny):
@@ -135,8 +161,7 @@ def _oracle_mesh(p, nx, ny):
     args = dataclasses.astuple(p)
     u = oracle.valence(oracle.mesh_k(nx, ny), *args)
     vA, vB = u[..., 0], u[..., 1]
-    mesh = TorusMesh(nx=nx, ny=ny, params=p,
-                     nz=abs(vB) ** 2 - abs(vA) ** 2, coherence=vA * np.conj(vB))
+    mesh = TorusMesh(nz=abs(vB) ** 2 - abs(vA) ** 2, coherence=vA * np.conj(vB), params=p)
     return mesh, oracle.fhs_curvature(*args, nx, ny)
 
 
@@ -282,6 +307,14 @@ def test_chern_number_rejects_non_integer_total():
         F.flat[0], F.flat[-1] = first, last
         with pytest.raises(NonIntegerTotal, match=f"^sum\\(F\\)/2pi = {total} "):
             chern_number(F)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+def test_chern_number_refuses_a_curvature_with_no_points(shape):
+    with pytest.raises(ValidationError) as info:
+        chern_number(np.zeros(shape))
+    assert str(info.value) == f"curvature must be a non-empty 2-d float64 array, got float64 of shape {shape}"
+    assert info.value.exit_code == 2
 
 
 def test_invariant_is_mesh_independent(p_default):
