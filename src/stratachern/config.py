@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, _integer
+from .errors import ParseError, ValidationError, _integer, _real
 from .model import ModelParams
 
 
@@ -97,22 +97,10 @@ def _reject_unknown(doc: dict, allowed, where: str) -> None:
             raise ValidationError(f"unknown key {where}.{key}" if where else f"unknown key {key}")
 
 
-def _number(value, key: str, kind: str = "a number") -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{key} must be {kind}")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ValidationError(f"{key} must be finite, got an integer too large for a float") from None
-    if not math.isfinite(value):
-        raise ValidationError(f"{key} must be finite")
-    return value
-
-
 def _complex_entry(value, where: str) -> complex:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValidationError(f"{where} must be a [re, im] pair of numbers")
-    return complex(*(_number(v, where, "a [re, im] pair of numbers") for v in value))
+    return complex(*(_real(v, where) for v in value))
 
 
 def _probe_vector(value, length: int, where: str) -> tuple:
@@ -141,7 +129,7 @@ def _section(doc, default, where: str):
     """Parse one section against the fields of its default instance.
 
     Integer fields (integer default) are checked against their
-    ``metadata["minimum"]``, float fields for finiteness; ``witness.theta``,
+    ``metadata["minimum"]``, float fields by ``errors._real``; ``witness.theta``,
     ``multi.probes`` and ``model.t2`` have formats of their own.
     """
     doc = _require_mapping(doc, where)
@@ -151,14 +139,15 @@ def _section(doc, default, where: str):
         key = f"{where}.{f.name}"
         fallback = getattr(default, f.name)
         value = doc.get(f.name, fallback)
-        if key == "witness.theta":
-            value = value if value == "auto" else _number(value, key, 'a number or "auto"')
+        if key == "witness.theta" and isinstance(value, str):
+            if value != "auto":
+                raise ValidationError(f'witness.theta must be a real number or "auto", got {value!r}')
         elif key == "multi.probes":
             value = _parse_probes(value, values["m"], values["n"], key)
         elif isinstance(fallback, int):
             value = _integer(value, key, f.metadata["minimum"])
         else:
-            value = _number(value, key)
+            value = _real(value, key)
             if key == "model.t2" and value < 0.0:
                 raise ValidationError(f"model.t2 must be >= 0, got {value}")
         values[f.name] = value

@@ -5,10 +5,12 @@ contract: 2 = configuration/argument validation, 3 = a numerical contract
 was violated (non-integer flux total, degenerate overlap, failed bound, ...),
 4 = the spectrum is gapless or the parameters sit on a phase wall.
 """
+import math
 import numbers
 import operator
 
-EXIT_OK = 0
+import numpy as np
+
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_GAPLESS = 4
@@ -54,6 +56,31 @@ def _integer(value, name: str, minimum: int) -> int:
     if number < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {number}")
     return number
+
+
+def _real(value, name: str, scalar: bool = True):
+    """``value`` as a float if ``scalar``, else as a float array; ValidationError naming ``name`` unless
+    it converts to finite real numbers (numpy scalars and 0-d arrays too) and, if ``scalar``, to one.
+    Text, complex values, None and a bool are refused, also in lists and tuples at any depth,
+    where numpy would upcast a bool to 1.0."""
+    if scalar and type(value) is float and math.isfinite(value):
+        return value
+    try:
+        t = np.asarray(value, dtype=object if isinstance(value, (list, tuple)) else None)
+        # a dtype test; only an object array (a list or tuple, or integers beyond int64) is read element by element
+        if t.dtype.kind not in "iuf" and not (
+                t.dtype.kind == "O" and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in t.flat)):
+            raise TypeError
+        t = t.astype(float, copy=False)
+    except OverflowError:
+        raise ValidationError(f"{name} must be finite, got an integer too large for a float") from None
+    except (TypeError, ValueError):     # also a ragged sequence
+        raise ValidationError(f"{name} must be a real number, got {_shown(value)}") from None
+    if scalar and t.ndim:
+        raise ValidationError(f"{name} must be a real number, got {type(value).__name__} of shape {t.shape}")
+    if not np.isfinite(t).all():
+        raise ValidationError(f"{name} must be finite, got {t[~np.isfinite(t)].flat[0]}")
+    return float(t) if scalar else t
 
 
 class NonUnitProbe(StrataChernError):

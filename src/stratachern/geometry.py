@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, ViolationFound, _integer
+from .errors import ValidationError, ViolationFound, _integer, _real
 from .mesh import TorusMesh, _mesh_size, _row_blocks, _sum, _total, build_mesh, plaquette_curvature
 from .model import (
     CELL_AREA,
@@ -48,7 +48,7 @@ from .model import (
     mesh_kpoints,
 )
 from .multiorbital import _require_unit, coherence_matrix, sector_response_multi, witness_block
-from .witness import TWO_PI, _checked_chern, _finite_thetas, sector_responses
+from .witness import TWO_PI, _checked_chern, sector_responses
 
 #: Additive slack allowed when checking the analytic inequalities.
 BOUND_SLACK = 1e-12
@@ -95,18 +95,15 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
     array; ``direction`` is a finite per-point (P, 2) array, a single 2-vector, or None
     for the x direction.  n and dn stay component triples, as ``bloch_vector_fields`` gives them.
     """
-    th = _finite_thetas(theta)
-    k = np.atleast_2d(np.asarray(k, dtype=float))
+    th = _real(theta, "witness theta", scalar=False)
+    k = np.atleast_2d(_real(k, "k", scalar=False))
     if k.ndim != 2 or k.shape[1] != 2:
         raise ValidationError(f"k must have shape (P, 2), got {k.shape}")
     npts = k.shape[0]
-    dirs = np.asarray((1.0, 0.0) if direction is None else direction, dtype=float)
+    dirs = _real((1.0, 0.0) if direction is None else direction, "direction", scalar=False)
     for name, arr, shape in (("theta", th, (npts,)), ("direction", dirs, (npts, 2))):
         if arr.ndim > len(shape) or any(a not in (1, b) for a, b in zip(arr.shape[::-1], shape[::-1])):
             raise ValidationError(f"{name} of shape {arr.shape} does not broadcast to {npts} k-points")
-    for name, arr in (("k", k), ("direction", dirs)):
-        if not np.isfinite(arr).all():
-            raise ValidationError(f"{name} must be finite, got {arr[~np.isfinite(arr)].flat[0]}")
     n, dn, _ = bloch_vector_fields(k, p)
 
     nz = n[2]
@@ -264,7 +261,7 @@ def inequality_suite(
     """
     nx, ny = _mesh_size(N)
     count, seed = _integer(samples, "samples", 1), _integer(seed, "seed", 0)
-    theta = float(_finite_thetas(theta, scalar=True))
+    theta = _real(theta, "witness theta")
     analytic_chern(p)  # OnWall propagates before any sampling, as in sweep_mass
     rng = np.random.Generator(np.random.Philox(seed))
     k = rng.random((count, 2)) @ RECIPROCAL

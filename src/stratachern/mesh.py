@@ -48,9 +48,9 @@ class TorusMesh:
 
     Per-point data is stored as (nx, ny) arrays: n_z and P_AB = (-n_x + i n_y)/2
     at k = mesh_kpoints(nx, ny), which (nx, ny) fixes, so the mesh does not hold it.
-    The size is nz's shape: nz must be a non-empty 2-d array and coherence of its shape,
-    or ValidationError.  Indexing is periodic: the +x neighbour of (nx-1, n) is (0, n),
-    and likewise in y.  ``build_mesh`` guarantees every point passed the gap check.
+    The size is nz's shape: nz must be a non-empty 2-d float64 array and coherence a complex128
+    array of its shape, or ValidationError.  Indexing is periodic: the +x neighbour of (nx-1, n)
+    is (0, n), and likewise in y.  ``build_mesh`` guarantees every point passed the gap check.
     """
 
     nz: np.ndarray                 # (nx, ny) real
@@ -64,6 +64,9 @@ class TorusMesh:
         nz, coh = (getattr(a, "shape", type(a).__name__) for a in (self.nz, self.coherence))
         if not (isinstance(self.nz, np.ndarray) and self.nz.ndim == 2 and self.nz.size and coh == nz):
             raise ValidationError(f"mesh nz and coherence must share one non-empty 2-d shape, got {nz} and {coh}")
+        dtypes = (self.nz.dtype, self.coherence.dtype)  # numpy would cast any others, or only warn
+        if dtypes != (np.float64, np.complex128):
+            raise ValidationError("mesh nz and coherence must be float64 and complex128, got {} and {}".format(*dtypes))
 
 
 def _mesh_size(size) -> tuple[int, int]:

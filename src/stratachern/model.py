@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GaplessPoint, OnWall, ValidationError
+from .errors import GaplessPoint, OnWall, _real
 
 # Fixed honeycomb geometry (NN distance = 1).
 NN_VECTORS = np.array(
@@ -62,7 +62,7 @@ WALL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Couplings: NN hopping t1, NNN magnitude t2 >= 0, NNN phase phi, stagger M."""
+    """Couplings: NN hopping t1, NNN magnitude t2 >= 0, NNN phase phi, stagger M, each stored as a float."""
 
     t1: float
     t2: float
@@ -71,15 +71,7 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("t1", "t2", "phi", "M"):
-            value = getattr(self, name)
-            try:
-                finite = math.isfinite(value)
-            except TypeError:
-                raise ValidationError(f"ModelParams.{name} must be a real number, got {value!r}") from None
-            except OverflowError:
-                raise ValidationError(f"ModelParams.{name} must be finite, got an integer too large for a float") from None
-            if not finite:
-                raise ValidationError(f"ModelParams.{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, _real(getattr(self, name), f"ModelParams.{name}"))
 
 
 # ---------------------------------------------------------------------------

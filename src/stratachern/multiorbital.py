@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingProbe, NonUnitary, NonUnitProbe, NotPartialIsometry, ValidationError, _integer
+from .errors import MissingProbe, NonUnitary, NonUnitProbe, NotPartialIsometry, ValidationError, _integer, _real
 from .mesh import TorusMesh
-from .witness import _checked_chern, _finite_thetas, _weighted_coherence, tomography_reconstruct
+from .witness import _checked_chern, _weighted_coherence, tomography_reconstruct
 
 #: Norm tolerance for unit probes and unitarity checks.
 UNIT_TOL = 1e-12
@@ -70,7 +70,7 @@ def sector_response_multi(JF: np.ndarray, mu: int, x, y, theta: float) -> tuple[
     nu_minus = mu/2 + Re(exp(i*theta) x^dagger JF y), nu = -2 Re(...).
     Raises ValidationError unless theta is one finite real number and JF is len(x) x len(y).
     """
-    _finite_thetas(theta, scalar=True)
+    theta = _real(theta, "witness theta")
     x = _require_unit(x, "x")
     y = _require_unit(y, "y")
     if np.shape(JF) != (x.size, y.size):
@@ -144,7 +144,7 @@ def witness_block(x, y, theta: float) -> np.ndarray:
     """Off-diagonal block Y_theta = exp(-i*theta) x y^dagger of the rank-one
     equal-split witness; operator norm ||x|| * ||y||.  Raises ValidationError
     unless theta is one finite real number."""
-    _finite_thetas(theta, scalar=True)
+    theta = _real(theta, "witness theta")
     x = np.asarray(x, dtype=complex).reshape(-1)
     y = np.asarray(y, dtype=complex).reshape(-1)
     return np.exp(-1j * theta) * np.outer(x, np.conj(y))

@@ -19,13 +19,12 @@ enough to reconstruct JF, hence nu_S at every theta.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegeneratePhase, ValidationError, _integer, _shown
+from .errors import DegeneratePhase, ValidationError, _integer, _real
 from .mesh import TorusMesh, _mesh_size, _sum, _total, build_mesh, chern_number, plaquette_curvature
 from .model import ModelParams, analytic_chern, dirac_masses
 
@@ -45,7 +44,7 @@ class WitnessSpec:
     def __post_init__(self):
         if self.mode not in ("fixed", "auto"):
             raise ValidationError(f"witness mode must be 'fixed' or 'auto', got {self.mode!r}")
-        t = float(_finite_thetas(self.theta, scalar=True))
+        t = _real(self.theta, "witness theta")
         # normalize into (-pi, pi]; alpha(theta) is 2pi-periodic so this is free
         t = math.remainder(t, TWO_PI)
         if t <= -math.pi:
@@ -105,28 +104,6 @@ def reference_phase(mesh: TorusMesh) -> float:
     return float(np.angle(z))
 
 
-def _finite_thetas(thetas, scalar: bool = False) -> np.ndarray:
-    """``thetas`` as a float array; ValidationError unless they convert to a real numeric
-    array of finite values, and, if ``scalar``, a 0-d one.  Text, complex values and a bool
-    are refused, also in lists and tuples at any depth, where numpy would upcast it to 1.0."""
-    try:
-        t = np.asarray(thetas, dtype=object if isinstance(thetas, (list, tuple)) else None)
-        # a dtype test; only an object array (a list or tuple, or integers beyond int64) is read element by element
-        if t.dtype.kind not in "iuf" and not (
-                t.dtype.kind == "O" and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in t.flat)):
-            raise TypeError
-        t = t.astype(float, copy=False)
-    except OverflowError:
-        raise ValidationError("witness theta must be finite, got an integer too large for a float") from None
-    except (TypeError, ValueError):     # also a ragged sequence
-        raise ValidationError(f"witness theta must be a real number, got {_shown(thetas)}") from None
-    if scalar and t.ndim:
-        raise ValidationError(f"witness theta must be a real number, got {type(thetas).__name__} of shape {t.shape}")
-    if not (math.isfinite(t) if scalar else np.isfinite(t).all()):
-        raise ValidationError(f"witness theta must be finite, got {t[~np.isfinite(t)].flat[0]}")
-    return t
-
-
 def _checked_chern(mesh: TorusMesh, F: np.ndarray) -> int:
     if isinstance(F, np.ndarray) and F.shape != (mesh.nx, mesh.ny):  # chern_number refuses a non-array
         raise ValidationError(
@@ -155,7 +132,7 @@ def alpha_field(mesh: TorusMesh, theta: float) -> np.ndarray:
     """Negative-sector weight alpha(k) = 1/2 + Re(exp(i*theta) * vA * conj(vB))
     at every mesh point; the witness expectation there is <S> = 1 - 2*alpha.
     Raises ValidationError unless theta is one finite real number."""
-    _finite_thetas(theta, scalar=True)
+    theta = _real(theta, "witness theta")
     return 0.5 + np.real(np.exp(1j * theta) * mesh.coherence)
 
 
@@ -167,7 +144,7 @@ def sector_responses(mesh: TorusMesh, F: np.ndarray, theta: float) -> SectorRepo
     r_mu, r_nu report how well the exact identities survive rounding.
     """
     mu = _checked_chern(mesh, F)
-    _finite_thetas(theta, scalar=True)
+    theta = _real(theta, "witness theta")
     phase = np.exp(1j * theta)
     coh, f = mesh.coherence.reshape(-1), F.reshape(-1)
 
@@ -184,7 +161,7 @@ def sector_responses(mesh: TorusMesh, F: np.ndarray, theta: float) -> SectorRepo
         JF=_weighted_coherence(mesh, F),
         r_mu=abs(mu - (nu_plus + nu_minus)),
         r_nu=abs(nu_s - (nu_plus - nu_minus)),
-        theta=float(theta),
+        theta=theta,
     )
 
 
@@ -205,7 +182,7 @@ def theta_scan(mesh: TorusMesh, F: np.ndarray, thetas) -> np.ndarray:
     Points are the outer loop and phases the inner one: each leaf of ``mesh._total`` reads
     its coherence and F once and sums every phase's per-point terms while they are in cache.
     """
-    thetas = _finite_thetas(thetas).reshape(-1)
+    thetas = _real(thetas, "witness theta", scalar=False).reshape(-1)
     _checked_chern(mesh, F)
     phases = np.exp(1j * thetas)
     coh, f = mesh.coherence.reshape(-1), F.reshape(-1)
@@ -249,7 +226,7 @@ def sweep_mass(
     the sweep points on a thread pool; results are collected in sweep order so
     output is identical for any worker count.
     """
-    M_values = [float(replace(p_base, M=m).M) for m in M_values]  # ModelParams refuses a non-real M
+    M_values = [replace(p_base, M=m).M for m in M_values]  # ModelParams refuses a non-real M
     nx, ny = _mesh_size(mesh_size)
     workers = _integer(workers, "workers", 1)
     spec = WitnessSpec.from_policy(theta_policy)

@@ -68,6 +68,21 @@ def test_model_params_reject_non_real(field, bad):
     assert excinfo.value.exit_code == 2
 
 
+@pytest.mark.parametrize("value", [1, np.int64(1), np.float32(0.5), np.array(0.5)],
+                         ids=["int", "int64", "float32", "0-d-array"])
+def test_model_params_store_each_coupling_as_a_float(value):
+    p = ModelParams(value, value, value, value)
+    assert all(type(getattr(p, f)) is float for f in ("t1", "t2", "phi", "M"))
+    assert p == ModelParams(*[float(value)] * 4) and hash(p) == hash(ModelParams(*[float(value)] * 4))
+
+
+def test_float32_mass_is_read_at_double_precision():
+    # float32(sqrt 3) is 3.1e-8 below the wall; float32 arithmetic would put it on the wall (mK = 0.0)
+    p = ModelParams(1, 1 / 3, math.pi / 2, np.float32(SQRT3))
+    assert dirac_masses(p)[0] < 0.0
+    assert analytic_chern(p) == -1
+
+
 def test_sweep_rejects_non_finite_mass(p_half):
     with pytest.raises(ValidationError, match="ModelParams.M"):
         sweep_mass(p_half, [0.5, math.nan], (8, 8))

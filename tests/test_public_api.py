@@ -1,12 +1,26 @@
 """Public API hygiene: every exported name resolves once, the scalar
-per-point API stays deleted in favour of the batched functions, and no
-public callable takes a guard tolerance."""
+per-point API stays deleted in favour of the batched functions, no
+public callable takes a guard tolerance, and every real-valued input is
+read by one rule."""
 import dataclasses
 import importlib
 import inspect
+import math
 import pkgutil
+import re
+
+import pytest
 
 import stratachern
+from stratachern import (
+    ModelParams,
+    ValidationError,
+    WitnessSpec,
+    config_from_dict,
+    qgt_sample_arrays,
+    sector_responses,
+    theta_scan,
+)
 
 #: Removed with the scalar path and the spinor gauge, by the module that defined each of them.
 REMOVED = {
@@ -60,3 +74,37 @@ def test_no_callable_takes_a_guard_tolerance():
             continue
         found += [(fn.__name__, name) for name in params if name in GUARD_KEYWORDS]
     assert found == []
+
+
+_P = dict(t1=1.0, t2=1.0 / 3.0, phi=math.pi / 2.0, M=0.5)
+_PROBE = "multi.probes[0].x[0]"
+
+
+def _probe_doc(v):
+    return {"multi": {"probes": [[[[v, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]]}}
+
+
+#: Every entry point that reads a real number: (id, the name its refusal starts with, call(v, mesh, F)).
+READERS = [
+    *((f"ModelParams.{f}", f"ModelParams.{f}", lambda v, m, F, f=f: ModelParams(**{**_P, f: v})) for f in _P),
+    ("WitnessSpec", "witness theta", lambda v, m, F: WitnessSpec(theta=v)),
+    ("sector_responses", "witness theta", lambda v, m, F: sector_responses(m, F, v)),
+    ("theta_scan", "witness theta", lambda v, m, F: theta_scan(m, F, [0.0, v])),
+    ("qgt-k", "k", lambda v, m, F: qgt_sample_arrays([[v, 0.7]], m.params, 0.1)),
+    ("qgt-theta", "witness theta", lambda v, m, F: qgt_sample_arrays([[0.3, 0.7]], m.params, v)),
+    ("qgt-direction", "direction", lambda v, m, F: qgt_sample_arrays([[0.3, 0.7]], m.params, 0.1, (v, 0.0))),
+    *((f"config-{key}", key, lambda v, m, F, key=key: config_from_dict({key.split(".")[0]: {key.split(".")[1]: v}}))
+      for key in ("model.M", "sweep.m_min", "witness.theta")),
+    ("config-probe", _PROBE, lambda v, m, F: config_from_dict(_probe_doc(v))),
+]
+
+
+@pytest.mark.parametrize("bad, problem", [
+    (True, "a real number"), ("1", "a real number"), (1j, "a real number"), (None, "a real number"),
+    (math.nan, "finite"), (math.inf, "finite"), (10**400, "finite"),
+], ids=["bool", "text", "complex", "none", "nan", "inf", "huge-int"])
+@pytest.mark.parametrize("name, call", [r[1:] for r in READERS], ids=[r[0] for r in READERS])
+def test_every_real_input_is_read_by_one_rule(mesh48_half, curv48_half, name, call, bad, problem):
+    with pytest.raises(ValidationError, match=f"^{re.escape(name)} must be {problem}") as excinfo:
+        call(bad, mesh48_half, curv48_half)
+    assert excinfo.value.exit_code == 2
