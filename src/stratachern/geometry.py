@@ -25,9 +25,10 @@ Since dx(n) x dy(n) is parallel to n, this equals eta * Q with
 eta = n.s = 2 Re(exp(i*theta) vA conj(vB)).  Both sides are evaluated and
 their deviation is reported: it tests that parallelism pointwise.
 
-The quantum Fisher information along a direction is FQ = 4 g_dd, its
+The quantum Fisher information along a direction is FQ = 4 g_dd = |d_dir(n)|^2, its
 filtered version FQS = 4 Re(QS_dd) = eta * FQ, and the whole family obeys the
-concurrence-weighted bounds checked by ``inequality_suite``.
+concurrence-weighted bounds checked by ``inequality_suite``.  A batch stores the
+gradient triple dn and Im QS_xy; g and QS are formed from them when read.
 """
 from __future__ import annotations
 
@@ -62,16 +63,16 @@ _EQUATOR_K = (0.0, 1.0)
 class GeometrySamples:
     """Vectorized geometry fields over a batch of k-points.
 
-    The filtered tensor is stored as its one part beyond eta g, ``im_qs_xy``;
-    ``QS`` builds the full (P, 2, 2) array when read.  ``theta`` and
-    ``direction`` are read-only broadcast views of the inputs.
+    The metric is stored as the gradient triple ``dn``, the filtered tensor as its one
+    part beyond eta g, ``im_qs_xy``; ``g`` and ``QS`` build the (P, 2, 2) arrays when
+    read.  ``theta`` and ``direction`` are read-only broadcast views of the inputs.
     """
 
     k: np.ndarray            # (P, 2)
     nz: np.ndarray           # (P,)
     coherence: np.ndarray    # (P,) complex
     dcoherence: np.ndarray   # (P, 2) complex, d(vA vB*)/dk_a
-    g: np.ndarray            # (P, 2, 2)
+    dn: tuple                # (dn_x, dn_y, dn_z), each a (d/dkx, d/dky) pair of (P,) arrays
     Fxy: np.ndarray          # (P,)
     eta: np.ndarray          # (P,)
     C: np.ndarray            # (P,)
@@ -81,6 +82,12 @@ class GeometrySamples:
     FQS: np.ndarray          # (P,)
     direction: np.ndarray    # (P, 2)
     theta: np.ndarray        # (P,)
+
+    @property
+    def g(self) -> np.ndarray:
+        """(P, 2, 2) Fubini-Study metric g_ab = (1/4) da(n).db(n)."""
+        dn = [np.stack(c, axis=-1) for c in self.dn]
+        return 0.25 * _dot3([c[:, :, None] for c in dn], [c[:, None, :] for c in dn])
 
     @property
     def QS(self) -> np.ndarray:
@@ -108,9 +115,8 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
 
     nz = n[2]
     coherence = 0.5 * (-n[0] + 1j * n[1])
-    dcoherence = 0.5 * (-dn[0] + 1j * dn[1])
-    g = 0.25 * _dot3([c[:, :, None] for c in dn], [c[:, None, :] for c in dn])  # (P, 2, 2)
-    (ux, vx), (uy, vy), (uz, vz) = ((c[:, 0], c[:, 1]) for c in dn)  # u = dx n, v = dy n
+    dcoherence = 0.5 * (-np.stack(dn[0], axis=-1) + 1j * np.stack(dn[1], axis=-1))
+    (ux, vx), (uy, vy), (uz, vz) = dn  # u = dx n, v = dy n
     cross = (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)  # u x v, parallel to n
     fxy = -0.5 * _dot3(n, cross)
 
@@ -125,11 +131,12 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
 
     th = np.broadcast_to(th, (npts,))
     dirs = np.broadcast_to(dirs, (npts, 2))
-    fq = 4.0 * np.einsum("pa,pab,pb->p", dirs, g, dirs)
+    along = [dirs[:, 0] * cx + dirs[:, 1] * cy for cx, cy in dn]  # d_dir(n)
+    fq = _dot3(along, along)  # 4 g_dd
     fqs = eta * fq  # 4 Re(QS_dd)
 
     return GeometrySamples(
-        k=k, nz=nz, coherence=coherence, dcoherence=dcoherence, g=g, Fxy=fxy,
+        k=k, nz=nz, coherence=coherence, dcoherence=dcoherence, dn=dn, Fxy=fxy,
         eta=eta, C=conc, im_qs_xy=im_xy, dual_dev=dual, FQ=fq, FQS=fqs,
         direction=dirs, theta=th,
     )

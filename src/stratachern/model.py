@@ -14,9 +14,10 @@ out of every computed quantity and is not evaluated.  Lattice geometry is fixed:
 NN distance is 1 and the oriented NNN difference vectors satisfy b1 + b2 + b3 = 0.
 On a mesh k = xs[m] g1 + ys[n] g2 each exp(i k.delta) is a product of 1-D
 tables in m and n: two rank-3 matrix products, no per-point transcendental.
-At arbitrary k, d and its gradients come from one table e_j = exp(i k.delta_j)
-per point, with exp(i k.b_j) = e_p conj(e_q): three complex exponentials, no
-sine or cosine.
+At arbitrary k every quantity is a tuple of per-component arrays, and a gradient
+is a (d/dkx, d/dky) pair of them.  d and its gradients come from three phases
+e_j = exp(i (kx delta_jx + ky delta_jy)), formed elementwise with no matrix product,
+and w_j = exp(i k.b_j) = e_p conj(e_q): three complex exponentials, no sine or cosine.
 """
 from __future__ import annotations
 
@@ -88,10 +89,11 @@ class _MeshGrid(tuple):
 
 
 def _phase_tables(k):
-    """NN phases e_j = exp(i k.delta_j) and NNN phases exp(i k.b_j) = e_p conj(e_q), each (..., 3).
-    np.multiply, unlike ``*``, is never elided into an in-place product, which rounds apart."""
-    e = np.exp(1j * (np.asarray(k, dtype=float) @ NN_VECTORS.T))
-    return e, np.multiply(e[..., _NNN_P], np.conj(e[..., _NNN_Q]))
+    """NN phases e_j = exp(i k.delta_j) and NNN phases w_j = e_p conj(e_q), elementwise, so any batch gives a point
+    the same bits; np.multiply, unlike ``*``, is never elided into an in-place product, which rounds apart."""
+    kx, ky = np.moveaxis(np.asarray(k, dtype=float), -1, 0)
+    e = [np.exp(1j * (kx * a + ky * b)) for a, b in NN_VECTORS.tolist()]
+    return e, [np.multiply(e[i], np.conj(e[j])) for i, j in zip(_NNN_P, _NNN_Q)]
 
 
 def _mesh_tables(xs, ys) -> _MeshGrid:
@@ -108,7 +110,7 @@ def d_components(k, p: ModelParams, _tables=None):
         nn_sum, nnn_sin_sum = np.einsum("jm,jn->mn", *k[:2]), np.einsum("jm,jn->mn", *k[2:]).imag
     else:
         e, w = _phase_tables(k) if _tables is None else _tables
-        nn_sum, nnn_sin_sum = e.sum(axis=-1), w.imag.sum(axis=-1)
+        nn_sum, nnn_sin_sum = (e[0] + e[1]) + e[2], (w[0].imag + w[1].imag) + w[2].imag
     f = p.t1 * nn_sum
     dz = p.M - 2.0 * p.t2 * math.sin(p.phi) * nnn_sin_sum
     return f.real, f.imag, dz
@@ -117,15 +119,16 @@ def d_components(k, p: ModelParams, _tables=None):
 def d_component_gradients(k, p: ModelParams, _tables=None):
     """Exact term-by-term k-gradients of the d-vector components.
 
-    Returns (ddx, ddy, ddz), each of shape (..., 2) with the last axis
-    indexing the kx / ky derivative: d(dx + i dy) = i t1 sum_j e_j delta_j and
+    Returns (ddx, ddy, ddz), each a pair (d/dkx, d/dky) of arrays of shape
+    k.shape[:-1]: d(dx + i dy) = i t1 sum_j e_j delta_j and
     d(dz) = -2 t2 sin(phi) sum_j Re(exp(i k.b_j)) b_j.  ``_tables`` is as in
     ``d_components``.
     """
     e, w = _phase_tables(k) if _tables is None else _tables
-    df = 1j * p.t1 * (e @ NN_VECTORS)
-    ddz = -2.0 * p.t2 * math.sin(p.phi) * (w.real @ NNN_VECTORS)
-    return df.real, df.imag, ddz
+    terms = ((-p.t1, [z.imag for z in e], NN_VECTORS), (p.t1, [z.real for z in e], NN_VECTORS),
+             (-2.0 * p.t2 * math.sin(p.phi), [z.real for z in w], NNN_VECTORS))
+    # scale * sum_j v[j, a] z[j] for a = x, y, added in bond order, (0 + 1) + 2
+    return tuple(tuple(s * ((a0 * z[0] + a1 * z[1]) + a2 * z[2]) for a0, a1, a2 in v.T.tolist()) for s, z, v in terms)
 
 
 def _norm(dx, dy, dz):
@@ -143,10 +146,10 @@ def bloch_vector_fields(k, p: ModelParams):
 
     Returns (n, dn, norm), laid out as ``d_components`` and ``d_component_gradients``
     return d and dd: n = (n_x, n_y, n_z) and norm = |d| of shape (...), and dn = (dn_x,
-    dn_y, dn_z) of shape (..., 2) with dn_c[..., a] = d n_c / d k_a, computed from
+    dn_y, dn_z) with dn_c = (d n_c / d kx, d n_c / d ky), computed from
     dn = dd/|d| - n (d . dd)/|d|^2, which keeps n exactly unit to first order.
-    d and dd both come from one phase table exp(i k.delta_j) per k-point, so
-    no sine or cosine is evaluated per point.
+    d and dd both come from the three phases exp(i k.delta_j) of each k-point,
+    so no sine or cosine is evaluated per point.
     Raises GaplessPoint if |d| < GAP_FLOOR anywhere.
     """
     k = np.asarray(k, dtype=float)
@@ -159,11 +162,11 @@ def bloch_vector_fields(k, p: ModelParams):
             f"|d| = {nrm[idx]:.3e} < {GAP_FLOOR:g} at k = {k[idx]}"
         )
     n = tuple(c / nrm for c in d)
-    dd = d_component_gradients(k, p, tables)    # each (..., 2)
+    dd = d_component_gradients(k, p, tables)    # each a (d/dkx, d/dky) pair
     del tables  # large batches: free the phase tables before the dn temporaries
-    r = nrm[..., None]
-    ddot = _dot3([c[..., None] for c in d], dd) / r ** 2  # d . (da d) / |d|^2
-    dn = tuple(g / r - c[..., None] * ddot for c, g in zip(n, dd))
+    r2 = nrm ** 2
+    ddot = [_dot3(d, [g[a] for g in dd]) / r2 for a in (0, 1)]  # d . (da d) / |d|^2
+    dn = tuple(tuple(g[a] / nrm - c * ddot[a] for a in (0, 1)) for c, g in zip(n, dd))
     return n, dn, nrm
 
 

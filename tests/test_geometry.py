@@ -248,7 +248,8 @@ def test_insertion_form_matches_matrix_form(p):
     theta = rng.uniform(-math.pi, math.pi, size=200)
     arr = qgt_sample_arrays(k, p, theta)
 
-    n, dn = (np.stack(v, axis=-1) for v in bloch_vector_fields(k, p)[:2])  # (P, 3), (P, 2, 3)
+    n, dn, _ = bloch_vector_fields(k, p)
+    n, dn = np.stack(n, axis=-1), np.stack([np.stack(c, axis=-1) for c in dn], axis=-1)  # (P, 3), (P, 2, 3)
     vA, vB = valence_amplitudes(n)
     dvA, dvB = valence_section_derivatives(n, dn)
     u = np.stack([vA, vB], axis=-1)                  # (P, 2)
@@ -279,8 +280,18 @@ def test_filtered_tensor_imaginary_part(p_half):
     assert np.all(arr.dual_dev <= 1e-10)
 
 
+#: Every stored field of a batch, then the two formed when read.
+SAMPLE_FIELDS = tuple(f.name for f in dataclasses.fields(GeometrySamples)) + ("g", "QS")
+
+
+def _sample_row(arr, name, i):
+    """Sample i's part of field ``name``: a row, or for the gradient triple its (3, 2) column."""
+    value = getattr(arr, name)
+    return np.array(value)[..., i] if name == "dn" else value[i]
+
+
 def test_qgt_sample_arrays_matches_pointwise(p_half):
-    # a batch gives each point what a one-point call gives it
+    # a batch gives each point what a one-point call gives it, to the last bit
     rng = np.random.default_rng(53)
     k = rng.uniform(-math.pi, math.pi, size=(10, 2))
     theta = rng.uniform(-math.pi, math.pi, size=10)
@@ -288,12 +299,41 @@ def test_qgt_sample_arrays_matches_pointwise(p_half):
     arr = qgt_sample_arrays(k, p_half, theta, direction)
     for i in range(10):
         one = qgt_sample_arrays(k[i], p_half, theta[i], direction[i])
-        np.testing.assert_allclose(arr.g[i], one.g[0], atol=1e-14)
-        np.testing.assert_allclose(arr.Fxy[i], one.Fxy[0], atol=1e-14)
-        np.testing.assert_allclose(arr.eta[i], one.eta[0], atol=1e-14)
-        np.testing.assert_allclose(arr.QS[i], one.QS[0], atol=1e-14)
-        np.testing.assert_allclose(arr.FQ[i], one.FQ[0], atol=1e-13)
-        np.testing.assert_allclose(arr.FQS[i], one.FQS[0], atol=1e-13)
+        for name in SAMPLE_FIELDS:
+            assert _sample_row(arr, name, i).tobytes() == _sample_row(one, name, 0).tobytes(), (i, name)
+
+
+def test_saturation_case_is_a_point_of_a_larger_batch(p_default):
+    # the one-point probe and sample carry the bits of k = (0, 1) inside a two-point batch
+    sample = saturation_case(p_default)
+    pair = qgt_sample_arrays([geometry._EQUATOR_K, (0.3, 0.7)], p_default, [0.0, 0.1])
+    assert sample.theta[0] == -np.angle(pair.coherence[0])
+    pair = qgt_sample_arrays([geometry._EQUATOR_K, (0.3, 0.7)], p_default, [sample.theta[0], 0.1])
+    for name in SAMPLE_FIELDS:
+        assert _sample_row(sample, name, 0).tobytes() == _sample_row(pair, name, 0).tobytes(), name
+
+
+@pytest.mark.parametrize("p", [
+    ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, 0.5),  # p_half
+    ModelParams(0.8, 0.2, -2.0, 0.1),
+    P_FLAT,  # every point a pole
+], ids=["p_half", "p_other", "poles"])
+@pytest.mark.parametrize("count", [0, 500])
+def test_fq_is_four_d_g_d(p, count):
+    # FQ = |d_dir(n)|^2 is the metric read along the probe, 4 d.g.d
+    rng = np.random.default_rng(67)
+    k = rng.uniform(-math.pi, math.pi, size=(count, 2))
+    direction = rng.normal(size=(count, 2))
+    arr = qgt_sample_arrays(k, p, 0.3, direction)
+    want = 4.0 * np.einsum("pa,pab,pb->p", direction, arr.g, direction)
+    assert arr.FQ.shape == want.shape == (count,)
+    if p == P_FLAT:
+        # n sits at a pole, so both vanish up to dn's rounding residue (about 1e-16 a component)
+        assert np.all(arr.FQ <= 1e-30) and np.all(np.abs(want) <= 1e-30)
+    else:
+        # d.g.d sums terms of size |d|^2 tr g, so where d_dir(n) cancels it carries their rounding
+        scale = 4.0 * np.einsum("pa,pa->p", direction, direction) * np.trace(arr.g, axis1=1, axis2=2)
+        assert np.all(np.abs(arr.FQ - want) <= 1e-13 * np.abs(want) + 1e-15 * scale)
 
 
 def test_empty_batch_gives_empty_fields(p_half):
@@ -442,6 +482,18 @@ def test_inequality_suite_is_the_same_across_blocks(p_half, monkeypatch):
         i = int(message.split(" at sample ")[1].split(":")[0])
         assert f"(k = {k[i]}, theta = 0.4)" in message
     assert sizes[0] < i and " first: abs_fqs_le_c_fq at sample " in message
+
+
+def test_inequality_suite_never_forms_the_metric(p_half, monkeypatch):
+    # FQ is read along the probe: the ladder reads no (P, 2, 2) g, in any of its blocks
+    def no_metric(self):
+        raise AssertionError("the inequality ladder formed g")
+
+    monkeypatch.setattr(GeometrySamples, "g", property(no_metric))
+    report = inequality_suite(p_half, 0.4, 12, 2 * _BLOCK_POINTS + 1234, 7)
+    assert report.violations == 0 and report.samples == 2 * _BLOCK_POINTS + 1234
+    with pytest.raises(AssertionError, match="formed g"):
+        saturation_case(ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, 0.0)).QS
 
 
 def test_inequality_suite_counts_every_violation(monkeypatch):

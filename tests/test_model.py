@@ -138,7 +138,7 @@ def test_nnn_vectors_are_nn_differences():
 
 
 # --- d_component_gradients ------------------------------------------------------
-# Each returns (ddx, ddy, ddz) with the last axis the kx / ky derivative.
+# It returns (ddx, ddy, ddz), each a (kx, ky) derivative pair of arrays.
 
 def test_d_derivatives_vanish_at_gamma():
     # k=0 is an extremum of every component: all six partials are zero
@@ -153,18 +153,18 @@ def test_d_derivatives_match_finite_differences():
     h = 1e-5
     k = rng.uniform(-math.pi, math.pi, size=(100, 2))
     ddx, ddy, ddz = d_component_gradients(k, p)
-    exact = np.stack([ddx, ddy, ddz])                # (component, point, axis)
+    exact = np.stack([ddx, ddy, ddz])                # (component, axis, point)
     for axis in (0, 1):
         step = h * np.eye(2)[axis]
         fd = (np.stack(d_components(k + step, p))
               - np.stack(d_components(k - step, p))) / (2.0 * h)
-        np.testing.assert_allclose(exact[..., axis], fd, atol=1e-8)
+        np.testing.assert_allclose(exact[:, axis], fd, atol=1e-8)
 
 
 def test_d_derivatives_without_nnn_hopping():
     p = ModelParams(t1=1.0, t2=0.0, phi=0.7, M=0.5)
     _, _, ddz = d_component_gradients(np.array([[0.3, 1.1], [-2.0, 0.4]]), p)
-    assert np.all(ddz == 0.0)
+    assert np.all(np.array(ddz) == 0.0)
 
 
 # --- valence_amplitudes -----------------------------------------------------------
