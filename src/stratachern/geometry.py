@@ -28,7 +28,7 @@ their deviation is reported: it tests that parallelism pointwise.
 The quantum Fisher information along a direction is FQ = 4 g_dd = |d_dir(n)|^2, its
 filtered version FQS = 4 Re(QS_dd) = eta * FQ, and the whole family obeys the
 concurrence-weighted bounds checked by ``inequality_suite``.  A batch stores the
-gradient triple dn and Im QS_xy; g and QS are formed from them when read.
+gradient triple dn and Im QS_xy; g, QS and dcoherence are formed from them when read.
 """
 from __future__ import annotations
 
@@ -64,14 +64,13 @@ class GeometrySamples:
     """Vectorized geometry fields over a batch of k-points.
 
     The metric is stored as the gradient triple ``dn``, the filtered tensor as its one
-    part beyond eta g, ``im_qs_xy``; ``g`` and ``QS`` build the (P, 2, 2) arrays when
-    read.  ``theta`` and ``direction`` are read-only broadcast views of the inputs.
+    part beyond eta g, ``im_qs_xy``; ``g``, ``QS`` and ``dcoherence`` build their arrays
+    from them when read.  ``theta`` and ``direction`` are read-only broadcast views of the inputs.
     """
 
     k: np.ndarray            # (P, 2)
     nz: np.ndarray           # (P,)
     coherence: np.ndarray    # (P,) complex
-    dcoherence: np.ndarray   # (P, 2) complex, d(vA vB*)/dk_a
     dn: tuple                # (dn_x, dn_y, dn_z), each a (d/dkx, d/dky) pair of (P,) arrays
     Fxy: np.ndarray          # (P,)
     eta: np.ndarray          # (P,)
@@ -88,6 +87,11 @@ class GeometrySamples:
         """(P, 2, 2) Fubini-Study metric g_ab = (1/4) da(n).db(n)."""
         dn = [np.stack(c, axis=-1) for c in self.dn]
         return 0.25 * _dot3([c[:, :, None] for c in dn], [c[:, None, :] for c in dn])
+
+    @property
+    def dcoherence(self) -> np.ndarray:
+        """(P, 2) complex d(vA vB*)/dk_a = (1/2) (-da(n_x) + i da(n_y))."""
+        return 0.5 * (-np.stack(self.dn[0], axis=-1) + 1j * np.stack(self.dn[1], axis=-1))
 
     @property
     def QS(self) -> np.ndarray:
@@ -115,7 +119,6 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
 
     nz = n[2]
     coherence = 0.5 * (-n[0] + 1j * n[1])
-    dcoherence = 0.5 * (-np.stack(dn[0], axis=-1) + 1j * np.stack(dn[1], axis=-1))
     (ux, vx), (uy, vy), (uz, vz) = dn  # u = dx n, v = dy n
     cross = (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)  # u x v, parallel to n
     fxy = -0.5 * _dot3(n, cross)
@@ -136,7 +139,7 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
     fqs = eta * fq  # 4 Re(QS_dd)
 
     return GeometrySamples(
-        k=k, nz=nz, coherence=coherence, dcoherence=dcoherence, dn=dn, Fxy=fxy,
+        k=k, nz=nz, coherence=coherence, dn=dn, Fxy=fxy,
         eta=eta, C=conc, im_qs_xy=im_xy, dual_dev=dual, FQ=fq, FQS=fqs,
         direction=dirs, theta=th,
     )
@@ -279,7 +282,8 @@ def inequality_suite(
         part = slice(lo, hi)
         dirs = np.stack([np.cos(psi[part]), np.sin(psi[part])], axis=-1)
         arr = qgt_sample_arrays(k[part], p, theta, dirs)
-        dcoh_dir = np.abs(arr.dcoherence[:, 0] * dirs[:, 0] + arr.dcoherence[:, 1] * dirs[:, 1])
+        dcoh = arr.dcoherence
+        dcoh_dir = np.abs(dcoh[:, 0] * dirs[:, 0] + dcoh[:, 1] * dirs[:, 1])
         _fold_checks(tally, {
             "abs_fqs_le_c_fq": (np.abs(arr.FQS), arr.C * arr.FQ),
             "c_fq_le_fq": (arr.C * arr.FQ, arr.FQ),

@@ -3,18 +3,20 @@
 The curvature is the Fukui-Hatsugai-Suzuki plaquette phase, taken from the
 corner Bloch vectors with no spinor gauge: minus half the solid angle they
 span (the Berg-Luscher lattice charge).  The total flux is then 2*pi times an
-exact integer whenever every plaquette stays in the admissible branch, no
-matter how coarse the mesh.
+exact integer, no matter how coarse the mesh; it is the Chern number when
+every plaquette's flux lies in the principal branch.  A plaquette whose phase
+comes near pi is halved, recursively, to find the branch its flux lies in.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateOverlap, GaplessMesh, GaplessPoint, NonIntegerTotal, ValidationError, _integer
-from .model import GAP_FLOOR, RECIPROCAL, ModelParams, _mesh_tables, _norm, analytic_chern, d_components
+from .model import GAP_FLOOR, RECIPROCAL, ModelParams, _mesh_tables, _MeshGrid, _norm, analytic_chern, d_components
 
 #: Link overlaps with modulus at or below this are treated as degenerate.
 OVERLAP_FLOOR = 1e-10
@@ -24,6 +26,10 @@ INTEGER_TOL = 1e-10
 _BLOCK_POINTS = 16384
 #: ``x.sum()`` of a 1-D array, without the method's Python wrapper.
 _sum = np.add.reduce
+#: A plaquette phase beyond this modulus (radians) has its 2pi branch checked by halving the plaquette.
+_HOT_PHASE = 1.0
+#: Halvings of a hot plaquette at most; past them a quarter keeps its principal phase.
+_MAX_HALVINGS = 30
 
 
 def _total(leaf, n: int) -> list[float]:
@@ -80,6 +86,23 @@ def _mesh_size(size) -> tuple[int, int]:
     return nx, ny
 
 
+@functools.lru_cache(maxsize=1)
+def _mesh_grid(nx: int, ny: int) -> _MeshGrid:
+    """The read-only grid of the mesh k[m, n] = (m/nx) g1 + (n/ny) g2 of ints nx, ny (as ``_mesh_size`` gives them).
+
+    Only the last shape's grid is kept.  A mesh of one ``_row_blocks`` block also holds its ``sums()``,
+    24 bytes a point, so at most one block's worth; a larger one keeps only its tables, O(nx + ny),
+    and ``d_components`` forms the sums per block from them.
+    """
+    grid = _mesh_tables(np.arange(nx) / nx, np.arange(ny) / ny)
+    if len(_row_blocks(nx, ny)) == 1:
+        nn_sum, nnn_sin_sum = grid.sums()
+        grid.held = nn_sum, nnn_sin_sum.copy()  # not the .imag view, which would keep its complex array
+    for table in (*grid, *(grid.held or ())):
+        table.flags.writeable = False
+    return grid
+
+
 def _row_blocks(nx: int, ny: int) -> list[tuple[int, int]]:
     """Row ranges [lo, hi) that split nx evenly into ceil(nx * ny / _BLOCK_POINTS) blocks (at most nx)."""
     count = min(nx, -(-nx * ny // _BLOCK_POINTS))
@@ -93,11 +116,10 @@ def build_mesh(p: ModelParams, nx: int, ny: int) -> TorusMesh:
     if a Dirac mass vanishes (the invariant is undefined even where no mesh
     point is gapless); the caller must perturb the parameters or refuse to
     proceed.  d is evaluated and normalized one row block at a time, from the
-    rows of one grid of phase tables.
+    rows of the shape's cached ``_mesh_grid``.
     """
     nx, ny = _mesh_size((nx, ny))
-    xs, ys = np.arange(nx) / nx, np.arange(ny) / ny
-    grid = _mesh_tables(xs, ys)
+    grid = _mesh_grid(nx, ny)
     nz, coherence = np.empty((nx, ny)), np.empty((nx, ny), dtype=complex)
     gapless, firsts = False, []  # each block's first minimum of |d| and its flat mesh index
     for lo, hi in _row_blocks(nx, ny):
@@ -115,7 +137,7 @@ def build_mesh(p: ModelParams, nx: int, ny: int) -> TorusMesh:
     if gapless:
         m, n = divmod(at, ny)
         raise GaplessMesh(
-            f"gapless mesh point at (m, n) = ({m}, {n}), k = {np.array([xs[m], ys[n]]) @ RECIPROCAL}, "
+            f"gapless mesh point at (m, n) = ({m}, {n}), k = {np.array([m / nx, n / ny]) @ RECIPROCAL}, "
             f"|d| = {min_norm:.3e}"
         ) from GaplessPoint(f"|d| < {GAP_FLOOR:g}")
     analytic_chern(p)  # OnWall for a wall whose gapless point misses the mesh
@@ -127,8 +149,45 @@ def _dot(a, b=None):
     return np.einsum("c...,c...->...", a, a if b is None else b)
 
 
+#: A halved cell's new points, its edge midpoints (bottom, right, top, left) and centre, in half sides.
+_HALF_STEPS = np.array([[1, 0], [2, 1], [1, 2], [0, 1], [1, 1]])
+#: Its quarters, counterclockwise from their lower-left corners (the cell's corners 0-3, then the new points 4-8),
+#: and those corners in half sides.
+_QUARTERS = np.array([[0, 4, 8, 7], [4, 1, 5, 8], [8, 5, 2, 6], [7, 8, 6, 3]])
+_QUARTER_ORIGINS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+#: The triangles (a, b, c): each quarter's (q1, q2, q3), its (q1, q3, q4), and (corner, edge midpoint, next corner).
+_TRIANGLES = np.concatenate([_QUARTERS[:, :3], _QUARTERS[:, [0, 2, 3]], [[0, 4, 1], [1, 5, 2], [2, 6, 3], [3, 7, 0]]]).T
+
+
+def _cell_flux(p: ModelParams, corner, side, n, f: float, depth: int = 0) -> float:
+    """The flux through the cell of mesh fractions ``corner + [0, side]``: its phase f, plus the multiple
+    of 2pi that halving the cell, and again each quarter whose phase stays hot, reveals.
+
+    n holds the unit Bloch vectors at the cell's corners, counterclockwise from ``corner``.  The quarters'
+    fluxes add up to the cell's own plus those of the four thin triangles that its edges bow out by, and
+    each phase is its flux mod 2pi, so the difference from f is an exact multiple of 2pi.  A phase of at
+    most _HOT_PHASE in modulus, one _MAX_HALVINGS deep, or one whose new points include a gapless one, stays.
+    """
+    if abs(f) <= _HOT_PHASE or depth == _MAX_HALVINGS:
+        return f
+    half = 0.5 * side
+    # the cell's 3 x 3 grid of corners, edge midpoints and centre, whose new points sit at _HALF_STEPS
+    grid = _mesh_tables(*(corner[:, None] + np.arange(3) * half[:, None]))
+    d = [c[tuple(_HALF_STEPS.T)] for c in d_components(grid, p)]
+    nrm = _norm(*d)
+    if not np.all(nrm >= GAP_FLOOR):
+        return f
+    v = np.concatenate([n, np.stack(d, axis=-1) / nrm[:, None]])
+    a, b, c = v[_TRIANGLES]
+    z = 1.0 + _dot(a.T, b.T) + _dot(b.T, c.T) + _dot(c.T, a.T) - 1j * _dot(a.T, np.cross(b, c).T)
+    inner = [_cell_flux(p, origin, half, v[q], phase, depth + 1) for origin, q, phase
+             in zip(corner + _QUARTER_ORIGINS * half, _QUARTERS, np.angle(z[:4] * z[4:8]).tolist())]
+    w = round((math.fsum(inner) - math.fsum(np.angle(z[8:]).tolist()) - f) / (2.0 * math.pi))
+    return f + 2.0 * math.pi * w if w else f
+
+
 def plaquette_curvature(mesh: TorusMesh) -> np.ndarray:
-    """Principal-branch plaquette phase of the corner Bloch vectors, an (nx, ny) float64 array.
+    """Plaquette phase of the corner Bloch vectors, an (nx, ny) float64 array.
 
     F[m, n] = arg[Z(n1, n2, n3) Z(n1, n3, n4)] for the corners n1..n4 at (m, n),
     (m+1, n), (m+1, n+1), (m, n+1), taken periodically, with
@@ -137,7 +196,12 @@ def plaquette_curvature(mesh: TorusMesh) -> np.ndarray:
     <n1|n2><n2|n3><n3|n4><n4|n1>.  Each x-, y- and diagonal (n1, n3) link needs
     |<u_i|u_j>| = |n_i + n_j|/2 > OVERLAP_FLOOR, or DegenerateOverlap, which
     names the first failing kind at its first row-major minimum over the mesh.
-    F is written one row block at a time.
+    F is written one row block at a time, in the principal branch, except where
+    a mesh with params has a phase beyond _HOT_PHASE in modulus off its wrapped
+    last row and column: there ``_cell_flux`` halves the plaquette and adds the
+    multiple of 2pi its quarters reveal, so a flux past pi, as a Dirac cone of
+    small mass puts into one coarse plaquette, still counts.  Each change is a
+    whole multiple of 2pi, so the total stays 2pi times an integer.
     """
     nx, ny = mesh.nx, mesh.ny
     floor2 = 4.0 * OVERLAP_FLOOR * OVERLAP_FLOOR
@@ -145,6 +209,7 @@ def plaquette_curvature(mesh: TorusMesh) -> np.ndarray:
     # per link kind, the blocks whose minimum is at or below the floor (or NaN):
     # (any link at or below it, the block's first minimum, its flat mesh index)
     low = {"x": [], "y": [], "diagonal": []}
+    hot = []  # (m, n, corner vectors) of the plaquettes to halve
     for lo, hi in _row_blocks(nx, ny):
         # n on rows lo..hi (row hi wrapped) padded with the wrapped column; the corners are views
         h = hi - lo
@@ -173,6 +238,13 @@ def plaquette_curvature(mesh: TorusMesh) -> np.ndarray:
         z2.imag = -_dot(n4, c)                            # -n1.(n3 x n4) = -n4.(n1 x n3)
         z1 *= z2
         F[lo:hi] = np.angle(z1)
+        if mesh.params is None:
+            continue
+        # the wrapped last row and column join the two sides of the zone seam, where n jumps: no halving there
+        for i in np.flatnonzero(np.abs(F[lo:hi, :-1]) > _HOT_PHASE).tolist():
+            m, j = divmod(i, ny - 1)
+            if lo + m < nx - 1:
+                hot.append((lo + m, j, np.stack([n1[:, m, j], n2[:, m, j], n3[:, m, j], n4[:, m, j]])))
     for name, blocks in low.items():
         if any(bad for bad, _, _ in blocks):
             # np.argmin's first minimum (NaN first) over the block minima is the mesh's own
@@ -182,6 +254,9 @@ def plaquette_curvature(mesh: TorusMesh) -> np.ndarray:
                 f"{name}-link overlap {0.5 * np.sqrt(e2):.3e} <= {OVERLAP_FLOOR:g} "
                 f"at (m, n) = ({i}, {j}); mesh too coarse for this gap"
             )
+    side = np.array([1.0 / nx, 1.0 / ny])
+    for m, j, corners in hot:
+        F[m, j] = _cell_flux(mesh.params, np.array([m / nx, j / ny]), side, corners, float(F[m, j]))
     return F
 
 

@@ -14,6 +14,9 @@ out of every computed quantity and is not evaluated.  Lattice geometry is fixed:
 NN distance is 1 and the oriented NNN difference vectors satisfy b1 + b2 + b3 = 0.
 On a mesh k = xs[m] g1 + ys[n] g2 each exp(i k.delta) is a product of 1-D
 tables in m and n: two rank-3 matrix products, no per-point transcendental.
+Those two sums, of the NN phases and of the NNN sines, do not depend on p;
+``mesh._mesh_grid`` builds the tables once per mesh shape and, for a one-block
+mesh, keeps the sums with them, so a build there applies only the couplings.
 At arbitrary k every quantity is a tuple of per-component arrays, and a gradient
 is a (d/dkx, d/dky) pair of them.  d and its gradients come from three phases
 e_j = exp(i (kx delta_jx + ky delta_jy)), formed elementwise with no matrix product,
@@ -80,12 +83,25 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 class _MeshGrid(tuple):
-    """The tables (ex, ey, wx, wy) of ``_mesh_tables``, standing in for their k-array, whose shape it reports."""
+    """The tables (ex, ey, wx, wy) of ``_mesh_tables``, standing in for their k-array, whose shape it reports.
+
+    ``held`` is None, or the grid's ``sums()`` kept with it (``mesh._mesh_grid`` keeps them for a one-block mesh).
+    """
     shape = property(lambda self: (self[0].shape[1], self[1].shape[1], 2))
+    held = None
 
     def rows(self, lo: int, hi: int) -> _MeshGrid:
-        """The grid of rows lo..hi, whose x tables are columns lo..hi of these."""
+        """The grid of rows lo..hi, whose x tables are columns lo..hi of these; all rows are this grid itself."""
+        if (lo, hi) == (0, self[0].shape[1]):
+            return self
         return _MeshGrid((self[0][:, lo:hi], self[1], self[2][:, lo:hi], self[3]))
+
+    def sums(self):
+        """The p-independent parts of d, (sum_j ex_j (x) ey_j, Im sum_j wx_j (x) wy_j): the held ones, if any."""
+        if self.held is not None:
+            return self.held
+        # einsum, not matmul: BLAS calls contend across the sweep_mass worker threads.
+        return np.einsum("jm,jn->mn", *self[:2]), np.einsum("jm,jn->mn", *self[2:]).imag
 
 
 def _phase_tables(k):
@@ -104,10 +120,9 @@ def _mesh_tables(xs, ys) -> _MeshGrid:
 
 def d_components(k, p: ModelParams, _tables=None):
     """Return (dx, dy, dz) arrays for k of shape (..., 2), whose ``_phase_tables(k)`` a caller
-    holding them passes as ``_tables``, or for a ``_MeshGrid``, from the tables it holds."""
+    holding them passes as ``_tables``, or for a ``_MeshGrid``, from its ``sums()``."""
     if isinstance(k, _MeshGrid):
-        # einsum, not matmul: BLAS calls contend across the sweep_mass worker threads.
-        nn_sum, nnn_sin_sum = np.einsum("jm,jn->mn", *k[:2]), np.einsum("jm,jn->mn", *k[2:]).imag
+        nn_sum, nnn_sin_sum = k.sums()
     else:
         e, w = _phase_tables(k) if _tables is None else _tables
         nn_sum, nnn_sin_sum = (e[0] + e[1]) + e[2], (w[0].imag + w[1].imag) + w[2].imag

@@ -280,8 +280,8 @@ def test_filtered_tensor_imaginary_part(p_half):
     assert np.all(arr.dual_dev <= 1e-10)
 
 
-#: Every stored field of a batch, then the two formed when read.
-SAMPLE_FIELDS = tuple(f.name for f in dataclasses.fields(GeometrySamples)) + ("g", "QS")
+#: Every stored field of a batch, then the three formed when read.
+SAMPLE_FIELDS = tuple(f.name for f in dataclasses.fields(GeometrySamples)) + ("g", "QS", "dcoherence")
 
 
 def _sample_row(arr, name, i):

@@ -1,4 +1,5 @@
 """Torus mesh construction, link overlaps, plaquette field, lattice invariant."""
+import builtins
 import contextlib
 import dataclasses
 import math
@@ -331,17 +332,62 @@ def test_chern_number_refuses_a_curvature_with_no_points(shape):
     assert info.value.exit_code == 2
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP items 5 and 6: no margin, certificate or refinement "
-                   "catches a wrong lattice C on a coarse mesh near a wall")
-def test_near_wall_model_on_a_coarse_mesh_is_right_or_refused():
-    # Dirac masses -3.165 and 0.0061; 24, 40 and 48 points give -1, 32 gave 0 with max|F| = 3.063
-    p = ModelParams(1.0, 1.0 / 3.0, 1.9851420892722, -1.5793984639780136)
-    assert analytic_chern(p) == -1
+# perfbench's tiny phase_scan run (32 x 32, seed 3), ops 170, 228, 319, 483 and 717: t1 = 1, t2 = 1/3 and
+# one Dirac mass of 0.001-0.006, whose cone puts a flux just past pi into one 32 x 32 plaquette
+NEAR_WALL = [(1.9851420892722, -1.5793984639780136), (2.916675497491752, -0.38520578214139345),
+             (-2.230581674614365, 1.3625186665615203), (-2.1774898898201682, -1.4206975841335132),
+             (-2.2006681848673155, -1.3961718864410293)]
+
+
+@pytest.mark.parametrize("phi, m_stag", NEAR_WALL)
+def test_near_wall_model_on_a_coarse_mesh_is_right_or_refused(phi, m_stag):
+    p = ModelParams(1.0, 1.0 / 3.0, phi, m_stag)
     try:
         lattice = chern_number(plaquette_curvature(build_mesh(p, 32, 32)))
     except StrataChernError:
         return
-    assert lattice == -1
+    assert lattice == analytic_chern(p)
+
+
+def test_branch_check_moves_hot_plaquettes_by_whole_turns():
+    # op 170: Dirac masses -3.165 and 0.0061; the principal branch alone gave C = 0 with max|F| = 3.063
+    p = ModelParams(1.0, 1.0 / 3.0, *NEAR_WALL[0])
+    mesh = build_mesh(p, 32, 32)
+    principal = plaquette_curvature(TorusMesh(nz=mesh.nz, coherence=mesh.coherence))  # no params: no halving
+    F = plaquette_curvature(mesh)
+    assert (chern_number(principal), chern_number(F), analytic_chern(p)) == (0, -1, -1)
+    turns = (F - principal) / TWO_PI
+    moved = turns != 0.0
+    assert np.all(np.abs(principal[moved]) > mesh_module._HOT_PHASE)
+    assert not moved[-1].any() and not moved[:, -1].any()  # the wrapped row and column keep their phase
+    np.testing.assert_allclose(turns, np.round(turns), rtol=0, atol=1e-12)
+    assert np.count_nonzero(moved) == 1 and np.all(np.abs(F[~moved]) <= math.pi)
+
+
+@pytest.mark.parametrize("size", [(4, 4), (8, 8), (5, 7)])
+def test_coarse_meshes_give_the_analytic_invariant(size):
+    # random (phi, M) as phase_scan draws them; on 8 x 8 the principal branch alone got 76 of 3000 wrong
+    rng = np.random.default_rng(11)
+    for phi, m_stag in zip(math.pi - rng.uniform(0.0, TWO_PI, 150), rng.uniform(-3.0, 3.0, 150)):
+        p = ModelParams(1.0, 1.0 / 3.0, phi, m_stag)
+        mesh = build_mesh(p, *size)
+        F = plaquette_curvature(mesh)
+        assert chern_number(F) == analytic_chern(p), (phi, m_stag)
+        # the wrapped row and column, often hot on these meshes, keep their principal phases
+        principal = plaquette_curvature(TorusMesh(nz=mesh.nz, coherence=mesh.coherence))
+        assert F[-1].tobytes() == principal[-1].tobytes() and F[:, -1].tobytes() == principal[:, -1].tobytes()
+
+
+def test_halving_closes_on_whole_turns(monkeypatch):
+    # a hot plaquette's quarters add up to its own flux and its four edge triangles' mod 2pi exactly,
+    # so every count of turns that _cell_flux rounds is whole to rounding, even where edges bow out most
+    turns = []
+    monkeypatch.setattr(mesh_module, "round", lambda x: turns.append(x) or builtins.round(x), raising=False)
+    rng = np.random.default_rng(11)
+    for phi, m_stag in zip(math.pi - rng.uniform(0.0, TWO_PI, 40), rng.uniform(-3.0, 3.0, 40)):
+        plaquette_curvature(build_mesh(ModelParams(1.0, 1.0 / 3.0, phi, m_stag), 4, 4))
+    assert len(turns) > 20
+    np.testing.assert_allclose(turns, np.round(turns), rtol=0, atol=1e-12)
 
 
 def test_invariant_is_mesh_independent(p_default):
@@ -481,3 +527,47 @@ def test_build_peak_memory_is_its_outputs_plus_a_few_blocks(p_half):
         finally:
             tracemalloc.stop()
         assert peak < size * size * (8 + 16) + 32 * 8 * _BLOCK_POINTS, size
+
+
+# --- the per-shape grid cache -----------------------------------------------------
+
+@pytest.mark.parametrize("size", [(48, 48), (17, 33)])
+def test_cached_grid_gives_the_bits_of_a_fresh_one(size):
+    # two models on one cached one-block grid, each against a build from an emptied cache
+    models = [ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, 0.5), ModelParams(0.8, 0.2, -2.0, 0.1)]
+    mesh_module._mesh_grid.cache_clear()
+    cached = [build_mesh(p, *size) for p in models]
+    assert mesh_module._mesh_grid.cache_info()[:2] == (1, 1)  # hits, misses
+    for p, mesh in zip(models, cached):
+        mesh_module._mesh_grid.cache_clear()
+        fresh = build_mesh(p, *size)
+        assert mesh.nz.tobytes() == fresh.nz.tobytes() and mesh.coherence.tobytes() == fresh.coherence.tobytes()
+        assert mesh.min_norm == fresh.min_norm
+    # the held sums are the ones a grid without them forms
+    held = mesh_module._mesh_grid(*size).held
+    formed = _mesh_tables(*(np.arange(n) / n for n in size)).sums()
+    assert held is not None and [a.tobytes() for a in held] == [a.tobytes() for a in formed]
+
+
+def test_cached_grid_is_read_only():
+    mesh_module._mesh_grid.cache_clear()
+    grid = mesh_module._mesh_grid(48, 48)
+    for table in (*grid, *grid.held):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+
+
+def test_grid_past_one_block_keeps_only_its_tables(p_half):
+    # 129^2 is two blocks: the cache keeps the four (3, 129) tables (24.8 kB) and no
+    # sums, which would be 24 bytes a point (399 kB)
+    mesh_module._mesh_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_mesh(p_half, 129, 129)  # the mesh itself is dropped at once
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    grid = mesh_module._mesh_grid(129, 129)
+    assert grid.held is None and [table.shape for table in grid] == [(3, 129)] * 4
+    assert retained < 2 * 4 * 3 * 129 * 16 < 129 * 129 * 8

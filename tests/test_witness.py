@@ -437,11 +437,18 @@ def test_sweep_without_walls():
 
 def test_sweep_worker_count_does_not_change_results(p_default):
     m_values = np.linspace(-2.5, 2.5, 9)
-    serial, _ = sweep_mass(p_default, m_values, (12, 12), workers=1)
-    pooled, _ = sweep_mass(p_default, m_values, (12, 12), workers=3)
-    for a, b in zip(serial, pooled):
-        assert (a.mu, a.nu_minus, a.nu_plus, a.nu_S, a.JF, a.theta) == \
-               (b.mu, b.nu_minus, b.nu_plus, b.nu_S, b.JF, b.theta)
+    fields = lambda workers: [(r.mu, r.nu_minus, r.nu_plus, r.nu_S, r.JF, r.theta)
+                              for r in sweep_mass(p_default, m_values, (12, 12), workers=workers)[0]]
+    mesh_module._mesh_grid.cache_clear()
+    serial = fields(1)
+    assert fields(3) == serial
+    # all 18 builds, the pool's worker threads too, read the one cached 12 x 12 grid
+    assert mesh_module._mesh_grid.cache_info()[:2] == (17, 1)  # hits, misses
+    # more threads than cores racing to fill an emptied cache: each build still reads one whole grid
+    mesh_module._mesh_grid.cache_clear()
+    assert fields(8) == serial
+    info = mesh_module._mesh_grid.cache_info()
+    assert (info.hits + info.misses, info.currsize) == (9, 1)
 
 
 def test_sweep_fixed_phase_policy(p_default):
