@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .config import RunConfig, default_config, load_config, with_overrides
+from .config import RunConfig, load_config, with_overrides
 from .errors import StrataChernError, ValidationError
 from .harness import PANEL_IDS, Workspace, _run_panel, run_all
 from .geometry import saturation_case
@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else default_config()
+    cfg = load_config(args.config) if args.config else RunConfig()
     mesh = None
     if args.mesh is not None:
         match = _MESH_RE.match(args.mesh)

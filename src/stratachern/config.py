@@ -77,10 +77,6 @@ class RunConfig:
     output_dir: str = "out"
 
 
-def default_config() -> RunConfig:
-    return RunConfig()
-
-
 # ---------------------------------------------------------------------------
 # Strict field readers.
 # ---------------------------------------------------------------------------

@@ -95,12 +95,6 @@ class MissingProbe(StrataChernError):
     exit_code = EXIT_VALIDATION
 
 
-class NonUnitary(StrataChernError):
-    """A matrix passed as unitary fails the unitarity check."""
-
-    exit_code = EXIT_VALIDATION
-
-
 # --- numerical-contract family (exit code 3) --------------------------------
 
 class DegenerateOverlap(StrataChernError):

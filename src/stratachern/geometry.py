@@ -48,8 +48,8 @@ from .model import (
     bloch_vector_fields,
     mesh_kpoints,
 )
-from .multiorbital import _require_unit, coherence_matrix, sector_response_multi, witness_block
-from .witness import TWO_PI, _checked_chern, sector_responses
+from .multiorbital import _require_unit, sector_response_multi, witness_block
+from .witness import TWO_PI, _checked_chern, _weighted_coherence, sector_responses
 
 #: Additive slack allowed when checking the analytic inequalities.
 BOUND_SLACK = 1e-12
@@ -373,7 +373,7 @@ def multiorbital_bounds(
     }
 
     mu = _checked_chern(mesh, F)
-    jf = coherence_matrix(mesh, F, xv, yv)
+    jf = _weighted_coherence(mesh, F) * np.outer(xv, np.conj(yv))  # coherence_matrix, F checked above
     _, nu = sector_response_multi(jf, mu, xv, yv, theta)
     c_abs_f = (np.sqrt(np.clip(1.0 - mesh.nz * mesh.nz, 0.0, None)) * np.abs(F)).reshape(-1)
     nu_bound = y_norm * _total(lambda lo, hi: [_sum(c_abs_f[lo:hi])], c_abs_f.size)[0] / TWO_PI

@@ -44,8 +44,8 @@ NNN_VECTORS = np.array(
 )
 _NNN_P, _NNN_Q = [1, 0, 2], [2, 1, 0]  #: b_j = delta_p - delta_q, p = _NNN_P[j], q = _NNN_Q[j]
 
-# Bravais primitive vectors and the dual reciprocal basis, g_i . a_j = 2pi d_ij.
-BRAVAIS = np.array([[math.sqrt(3.0), 0.0], [math.sqrt(3.0) / 2.0, 1.5]])
+# Reciprocal basis, dual to the Bravais primitive vectors a_1 = (sqrt3, 0) and
+# a_2 = (sqrt3/2, 3/2): g_i . a_j = 2pi d_ij.
 RECIPROCAL = np.array(
     [[2.0 * math.pi / math.sqrt(3.0), -2.0 * math.pi / 3.0],
      [0.0, 4.0 * math.pi / 3.0]]

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingProbe, NonUnitary, NonUnitProbe, NotPartialIsometry, ValidationError, _integer, _real
+from .errors import MissingProbe, NonUnitProbe, NotPartialIsometry, ValidationError, _integer, _real
 from .mesh import TorusMesh
 from .witness import _checked_chern, _weighted_coherence, tomography_reconstruct
 
-#: Norm tolerance for unit probes and unitarity checks.
+#: Norm tolerance for unit probes.
 UNIT_TOL = 1e-12
 #: Singular values must lie within this of {0, 1} for a sign-operator block.
 ISOMETRY_TOL = 1e-10
@@ -96,24 +96,6 @@ def reconstruct_JF(probe_responses, m: int, n: int, mu: int) -> np.ndarray:
                     raise MissingProbe(f"missing response for (i={i}, j={j}, theta={theta!r})")
             jf[i, j] = tomography_reconstruct(*(probe_responses[(i, j, t)] for t in (THETA_REAL, THETA_IMAG)), mu)
     return jf
-
-
-def unitary_invariance_check(JF: np.ndarray, x, y, U_A, U_B) -> float:
-    """|(U_A x)^dag (U_A JF U_B^dag) (U_B y) - x^dag JF y| for unitary U_A, U_B."""
-    x = _require_unit(x, "x")
-    y = _require_unit(y, "y")
-    for name, u, dim in (("U_A", np.asarray(U_A, dtype=complex), x.size),
-                         ("U_B", np.asarray(U_B, dtype=complex), y.size)):
-        if u.shape != (dim, dim):
-            raise NonUnitary(f"{name} has shape {u.shape}, expected {(dim, dim)}")
-        dev = float(np.abs(u.conj().T @ u - np.eye(dim)).max())
-        if dev > UNIT_TOL:
-            raise NonUnitary(f"{name} deviates from unitarity by {dev:.3e}")
-    ua = np.asarray(U_A, dtype=complex)
-    ub = np.asarray(U_B, dtype=complex)
-    before = complex(np.conj(x) @ JF @ y)
-    after = complex(np.conj(ua @ x) @ (ua @ JF @ ub.conj().T) @ (ub @ y))
-    return abs(after - before)
 
 
 def levi_type(Y) -> LeviType:

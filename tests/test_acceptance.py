@@ -27,7 +27,6 @@ from stratachern import (
     chern_number,
     coherence_matrix,
     curvature_riemann_total,
-    default_config,
     filtered_chern_from_qgt,
     inequality_suite,
     levi_type,
@@ -42,9 +41,8 @@ from stratachern import (
     theta_grid,
     theta_scan,
     tomography_reconstruct,
-    unitary_invariance_check,
 )
-from stratachern.config import with_overrides
+from stratachern.config import RunConfig, with_overrides
 from stratachern.model import mesh_kpoints
 from stratachern.multiorbital import THETA_IMAG, THETA_REAL
 
@@ -90,7 +88,7 @@ def test_criterion_01_phase_diagram_grid():
 
 
 def test_criterion_02_sector_identities_along_sweep():
-    cfg = default_config()
+    cfg = RunConfig()
     reports, _ = sweep_mass(
         cfg.model, cfg.sweep.values(), (48, 48), theta_policy="auto")
     worst = max(max(r.r_mu, r.r_nu) for r in reports)
@@ -136,18 +134,26 @@ def test_criterion_04_multiorbital_reconstruction(mesh48_half, curv48_half):
                         direct, -1, ei, fj, theta)[0]
         rebuilt = reconstruct_JF(responses, 2, 2, -1)
         worst_rec = max(worst_rec, float(np.max(np.abs(rebuilt - direct))))
+    # frame changes: the library rebuilds JF from rotated probes, and the rotated
+    # probes read the same response from the rotated matrix
     rng_u = np.random.default_rng(202)
     x, y = _unit(rng_u, 2), _unit(rng_u, 2)
     jf = coherence_matrix(mesh48_half, curv48_half, x, y)
-    worst_inv = 0.0
+    nu = sector_response_multi(jf, -1, x, y, 0.4)
+    worst_cov = worst_inv = 0.0
     for _ in range(100):
         ua, _ = np.linalg.qr(rng_u.normal(size=(2, 2)) + 1j * rng_u.normal(size=(2, 2)))
         ub, _ = np.linalg.qr(rng_u.normal(size=(2, 2)) + 1j * rng_u.normal(size=(2, 2)))
-        worst_inv = max(worst_inv, unitary_invariance_check(jf, x, y, ua, ub))
-    ok = worst_rec <= 1e-12 and worst_inv <= 1e-12
+        rotated = coherence_matrix(mesh48_half, curv48_half, ua @ x, ub @ y)
+        worst_cov = max(worst_cov, float(np.max(np.abs(rotated - ua @ jf @ ub.conj().T))))
+        moved = sector_response_multi(rotated, -1, ua @ x, ub @ y, 0.4)
+        worst_inv = max(worst_inv, float(np.max(np.abs(np.subtract(moved, nu)))))
+    ok = max(worst_rec, worst_cov, worst_inv) <= 1e-12
     _line(4, ok, f"5 probe pairs: entrywise reconstruction error {worst_rec:.3e}; "
-                 f"100 unitary pairs: invariance deviation {worst_inv:.3e}")
+                 f"100 unitary pairs: |JF(U_A x, U_B y) - U_A JF U_B^dag| {worst_cov:.3e}, "
+                 f"response deviation {worst_inv:.3e}")
     assert worst_rec <= 1e-12
+    assert worst_cov <= 1e-12
     assert worst_inv <= 1e-12
 
 
@@ -249,7 +255,7 @@ def test_criterion_09_jump_detection(p_default):
 def test_criterion_10_run_all_determinism(tmp_path):
     blobs = []
     for sub in ("first", "second"):
-        cfg = with_overrides(default_config(), output_dir=str(tmp_path / sub))
+        cfg = with_overrides(RunConfig(), output_dir=str(tmp_path / sub))
         run_all(cfg)
         root = tmp_path / sub
         blobs.append({f.name: f.read_bytes() for f in sorted(root.iterdir())})

@@ -14,7 +14,6 @@ from stratachern import (
     GaplessPoint,
     MissingProbe,
     NonIntegerTotal,
-    NonUnitary,
     NonUnitProbe,
     NotPartialIsometry,
     OnWall,
@@ -51,7 +50,6 @@ def test_exit_code_map():
     assert ValidationError("").exit_code == 2
     assert NonUnitProbe("").exit_code == 2
     assert MissingProbe("").exit_code == 2
-    assert NonUnitary("").exit_code == 2
     assert DegenerateOverlap("").exit_code == 3
     assert NonIntegerTotal("").exit_code == 3
     assert DegeneratePhase("").exit_code == 3

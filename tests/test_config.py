@@ -8,17 +8,17 @@ import pytest
 
 from stratachern import (
     ParseError,
+    RunConfig,
     ValidationError,
     canonical_dict,
     config_from_dict,
-    default_config,
     load_config,
 )
 from stratachern.config import with_overrides
 
 
 def test_default_config():
-    cfg = default_config()
+    cfg = RunConfig()
     assert (cfg.model.t1, cfg.model.t2) == (1.0, 1.0 / 3.0)
     assert cfg.model.phi == math.pi / 2.0
     assert cfg.model.M == 0.0
@@ -164,7 +164,7 @@ def test_load_config(tmp_path):
 
 
 def test_with_overrides():
-    cfg = default_config()
+    cfg = RunConfig()
     out = with_overrides(cfg, mesh=(12, 16), seed=7, output_dir="x")
     assert (out.mesh.nx, out.mesh.ny) == (12, 16)
     assert out.qfi_scan.seed == 7

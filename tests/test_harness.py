@@ -16,9 +16,8 @@ from stratachern import (
     config_from_dict,
     reference_phase,
     run_all,
-    thread_cap,
 )
-from stratachern.harness import _BLOCK_ROWS, PANEL_IDS, _run_panel, _write_csv, default_probe_pair
+from stratachern.harness import _BLOCK_ROWS, PANEL_IDS, _run_panel, _write_csv, default_probe_pair, thread_cap
 from stratachern.model import mesh_kpoints
 
 SQRT3 = math.sqrt(3.0)

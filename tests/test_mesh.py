@@ -90,6 +90,19 @@ def test_mesh_refuses_arrays_of_other_dtypes(change, shown):
     assert info.value.exit_code == 2
 
 
+@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND line on hand-built meshes, ROADMAP aim 3: a mesh whose "
+                                       "points hold no valence projector (|n| != 1) is not refused")
+def test_mesh_refuses_points_that_hold_no_projector():
+    """Real-part coherence leaves |n| < 1 at 57 of 64 points; the mesh then gives C = -2 against
+    the analytic -1, and nu_S = 0.0448 against -0.2108 at theta = 0.4, without a word."""
+    mesh = build_mesh(ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, 0.5), 8, 8)
+    with pytest.raises(StrataChernError):
+        hand = TorusMesh(nz=mesh.nz, coherence=mesh.coherence.real.astype(complex))
+        F = plaquette_curvature(hand)
+        chern_number(F)
+        sector_responses(hand, F, 0.4)
+
+
 def test_build_mesh_refuses_gapless():
     # On the wall the zone corner K = (2/3) g1 + (1/3) g2 is gapless, and
     # 3 | nx, 3 | ny put it on the mesh at (m, n) = (2 nx/3, ny/3).

@@ -1,4 +1,4 @@
-"""Probe embedding, coherence matrix, reconstruction, invariance, Levi typing."""
+"""Probe embedding, coherence matrix, reconstruction, Levi typing."""
 import dataclasses
 import math
 
@@ -9,7 +9,6 @@ from stratachern import (
     MissingProbe,
     ModelParams,
     NonIntegerTotal,
-    NonUnitary,
     NonUnitProbe,
     NotPartialIsometry,
     ValidationError,
@@ -23,9 +22,9 @@ from stratachern import (
     sector_response_multi,
     sector_responses,
     tomography_reconstruct,
-    unitary_invariance_check,
     witness_block,
 )
+from stratachern import witness as witness_module
 from stratachern.model import mesh_kpoints
 from stratachern.multiorbital import THETA_IMAG, THETA_REAL
 
@@ -145,6 +144,18 @@ def test_multiorbital_bounds_refuses_a_field_of_another_shape():
         multiorbital_bounds(mesh, np.full((8, 8), 0.01), x, y, 0.3, 20, 1)
 
 
+def test_multiorbital_bounds_checks_the_field_once(jf_matrix, mesh48_half, curv48_half, monkeypatch):
+    # the integer total of F was checked twice, once more inside coherence_matrix;
+    # the matrix it forms instead is coherence_matrix's to the bit
+    x, y, jf = jf_matrix
+    calls = []
+    chern = witness_module.chern_number
+    monkeypatch.setattr(witness_module, "chern_number", lambda F: calls.append(1) or chern(F))
+    report = multiorbital_bounds(mesh48_half, curv48_half, x, y, 0.4, 20, 3)
+    assert len(calls) == 1
+    assert report.nu == sector_response_multi(jf, -1, x, y, 0.4)[1]
+
+
 # --- sector_response_multi ----------------------------------------------------------
 
 def test_orthogonal_probe_sees_no_coherence(jf_matrix):
@@ -225,35 +236,6 @@ def test_reconstruct_jf_missing_probe(jf_matrix):
     del responses[(1, 0, THETA_IMAG)]
     with pytest.raises(MissingProbe):
         reconstruct_JF(responses, 2, 2, -1)
-
-
-# --- unitary invariance ----------------------------------------------------------------
-
-def test_unitary_invariance_identity(jf_matrix):
-    x, y, jf = jf_matrix
-    assert unitary_invariance_check(jf, x, y, np.eye(2), np.eye(2)) <= 1e-15
-
-
-def test_unitary_invariance_diagonal_phases(jf_matrix):
-    x, y, jf = jf_matrix
-    ua = np.diag(np.exp(1j * np.array([0.3, -1.1])))
-    ub = np.diag(np.exp(1j * np.array([2.0, 0.7])))
-    assert unitary_invariance_check(jf, x, y, ua, ub) <= 1e-14
-
-
-def test_unitary_invariance_random_pairs(jf_matrix):
-    x, y, jf = jf_matrix
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        ua, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        ub, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        assert unitary_invariance_check(jf, x, y, ua, ub) <= 1e-12
-
-
-def test_unitary_invariance_rejects_non_unitary(jf_matrix):
-    x, y, jf = jf_matrix
-    with pytest.raises(NonUnitary):
-        unitary_invariance_check(jf, x, y, np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
 
 
 # --- levi_type ------------------------------------------------------------------

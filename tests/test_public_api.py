@@ -1,11 +1,12 @@
-"""Public API hygiene: every exported name resolves once, the scalar
-per-point API stays deleted in favour of the batched functions, no
-public callable takes a guard tolerance, and every real-valued input is
-read by one rule."""
+"""Public API hygiene: every exported name resolves once and has a caller
+outside the tests, the scalar per-point API and the names that did no
+library work stay deleted, no public callable takes a guard tolerance, and
+every real-valued input is read by one rule."""
 import dataclasses
 import importlib
 import inspect
 import math
+import pathlib
 import pkgutil
 import re
 
@@ -22,16 +23,20 @@ from stratachern import (
     theta_scan,
 )
 
-#: Removed with the scalar path and the spinor gauge, by the module that defined each of them.
+#: Removed with the scalar path and the spinor gauge, or because they did no library work
+#: (a unitarity check of a matrix identity, its error, a wrapper of RunConfig(), unread
+#: Bravais vectors), by the module that defined each of them.
 REMOVED = {
     "model": ("DVector", "BlochState", "d_vector", "d_derivatives", "valence_state",
-              "valence_amplitudes"),
+              "valence_amplitudes", "BRAVAIS"),
+    "errors": ("NonUnitary",),
+    "config": ("default_config",),
     "mesh": ("link_variable", "_normalized_links"),
     "geometry": ("qgt", "qfi", "eta_value", "concurrence", "coherence_gradient",
                  "filtered_qgt", "QgtSample", "sign_operator_matrix"),
     "witness": ("weight_alpha",),
     "multiorbital": ("embed_state", "MultiState", "multi_witness_expectation", "hecke_pairing",
-                     "CoherenceMatrix"),
+                     "CoherenceMatrix", "unitary_invariance_check"),
     "harness": ("run_panel",),
 }
 
@@ -51,12 +56,29 @@ def test_removed_names_are_not_importable():
     removed = [name for names in REMOVED.values() for name in names]
     found = [(m.__name__, name) for m in modules for name in removed if hasattr(m, name)]
     assert found == []
+    # the sweep's worker count is the harness's own, not public API
+    assert [m.__name__ for m in modules if hasattr(m, "thread_cap")] == ["stratachern.harness"]
     assert not hasattr(stratachern.TorusMesh, "state")
     # the mesh holds the projector, not a spinor gauge
     assert not hasattr(stratachern.TorusMesh, "rephased")
     assert {"vA", "vB"}.isdisjoint(f.name for f in dataclasses.fields(stratachern.TorusMesh))
     # (nx, ny) fixes the k-grid: mesh_kpoints builds it, the mesh does not hold it
     assert "kpoints" not in {f.name for f in dataclasses.fields(stratachern.TorusMesh)}
+
+
+#: Public names that only tests call, each with the open item that folds or uses it.
+TEST_ONLY = {"curvature_riemann_total"}  # ROADMAP item 3, criterion 8
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # the rule of CI's "Library size" step: a mention in src/ (not __init__.py),
+    # demos/ or perfbench/ outside the name's own def, class or assignment line
+    root = pathlib.Path(__file__).resolve().parents[1]
+    text = "\n".join(p.read_text() for d in ("src", "demos", "perfbench")
+                     for p in sorted((root / d).rglob("*.py")) if p.name != "__init__.py")
+    unused = {n for n in stratachern.__all__
+              if not re.search(rf"^(?!\s*(def|class) {n}\b|\s*{n}\s*[:=]).*\b{n}\b", text, re.M)}
+    assert unused == TEST_ONLY
 
 
 #: Guard tolerances are module constants, read at call time; no caller may pass one.
