@@ -28,7 +28,7 @@ their deviation is reported: it tests that parallelism pointwise.
 The quantum Fisher information along a direction is FQ = 4 g_dd = |d_dir(n)|^2, its
 filtered version FQS = 4 Re(QS_dd) = eta * FQ, and the whole family obeys the
 concurrence-weighted bounds checked by ``inequality_suite``.  A batch stores the
-gradient triple dn and Im QS_xy; g, QS and dcoherence are formed from them when read.
+gradient triple dn and Im QS_xy; g and QS are formed from them when read.
 """
 from __future__ import annotations
 
@@ -64,8 +64,8 @@ class GeometrySamples:
     """Vectorized geometry fields over a batch of k-points.
 
     The metric is stored as the gradient triple ``dn``, the filtered tensor as its one
-    part beyond eta g, ``im_qs_xy``; ``g``, ``QS`` and ``dcoherence`` build their arrays
-    from them when read.  ``theta`` and ``direction`` are read-only broadcast views of the inputs.
+    part beyond eta g, ``im_qs_xy``; ``g`` and ``QS`` build their arrays from them when
+    read.  ``theta`` is a read-only broadcast view of the input.
     """
 
     k: np.ndarray            # (P, 2)
@@ -79,7 +79,6 @@ class GeometrySamples:
     dual_dev: np.ndarray     # (P,)
     FQ: np.ndarray           # (P,)
     FQS: np.ndarray          # (P,)
-    direction: np.ndarray    # (P, 2)
     theta: np.ndarray        # (P,)
 
     @property
@@ -87,11 +86,6 @@ class GeometrySamples:
         """(P, 2, 2) Fubini-Study metric g_ab = (1/4) da(n).db(n)."""
         dn = [np.stack(c, axis=-1) for c in self.dn]
         return 0.25 * _dot3([c[:, :, None] for c in dn], [c[:, None, :] for c in dn])
-
-    @property
-    def dcoherence(self) -> np.ndarray:
-        """(P, 2) complex d(vA vB*)/dk_a = (1/2) (-da(n_x) + i da(n_y))."""
-        return 0.5 * (-np.stack(self.dn[0], axis=-1) + 1j * np.stack(self.dn[1], axis=-1))
 
     @property
     def QS(self) -> np.ndarray:
@@ -133,15 +127,14 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
     dual = np.abs(im_xy - 0.5 * eta * fxy)
 
     th = np.broadcast_to(th, (npts,))
-    dirs = np.broadcast_to(dirs, (npts, 2))
-    along = [dirs[:, 0] * cx + dirs[:, 1] * cy for cx, cy in dn]  # d_dir(n)
+    along = [dirs[..., 0] * cx + dirs[..., 1] * cy for cx, cy in dn]  # d_dir(n)
     fq = _dot3(along, along)  # 4 g_dd
     fqs = eta * fq  # 4 Re(QS_dd)
 
     return GeometrySamples(
         k=k, nz=nz, coherence=coherence, dn=dn, Fxy=fxy,
         eta=eta, C=conc, im_qs_xy=im_xy, dual_dev=dual, FQ=fq, FQS=fqs,
-        direction=dirs, theta=th,
+        theta=th,
     )
 
 
@@ -282,14 +275,13 @@ def inequality_suite(
         part = slice(lo, hi)
         dirs = np.stack([np.cos(psi[part]), np.sin(psi[part])], axis=-1)
         arr = qgt_sample_arrays(k[part], p, theta, dirs)
-        dcoh = arr.dcoherence
-        dcoh_dir = np.abs(dcoh[:, 0] * dirs[:, 0] + dcoh[:, 1] * dirs[:, 1])
+        along_x, along_y = (dirs[..., 0] * cx + dirs[..., 1] * cy for cx, cy in arr.dn[:2])  # d_dir(n_x, n_y)
         _fold_checks(tally, {
             "abs_fqs_le_c_fq": (np.abs(arr.FQS), arr.C * arr.FQ),
             "c_fq_le_fq": (arr.C * arr.FQ, arr.FQ),
             "abs_eta_le_c": (np.abs(arr.eta), arr.C),
             "im_qs_le_half_c_f": (np.abs(arr.im_qs_xy), 0.5 * arr.C * np.abs(arr.Fxy)),
-            "dcoh_le_half_sqrt_fq": (dcoh_dir, 0.5 * np.sqrt(arr.FQ)),
+            "dcoh_le_half_sqrt_fq": (np.abs(0.5 * (-along_x + 1j * along_y)), 0.5 * np.sqrt(arr.FQ)),  # d_dir(vA vB*)
         }, lo)
 
     mesh = build_mesh(p, nx, ny)

@@ -22,6 +22,8 @@ from .model import GAP_FLOOR, RECIPROCAL, ModelParams, _mesh_tables, _MeshGrid, 
 OVERLAP_FLOOR = 1e-10
 #: Max tolerated deviation of the total flux / 2pi from the nearest integer.
 INTEGER_TOL = 1e-10
+#: Max tolerated deviation of nz^2 + 4 |coherence|^2 (|n|^2) from 1 at a point of a hand-built mesh.
+PROJECTOR_TOL = 1e-10
 #: Mesh points per row block of the whole-mesh passes, and per leaf of every lattice total.
 _BLOCK_POINTS = 16384
 #: ``x.sum()`` of a 1-D array, without the method's Python wrapper.
@@ -52,11 +54,11 @@ def _total(leaf, n: int) -> list[float]:
 class TorusMesh:
     """Valence projectors P = (1 - n.sigma)/2 on an nx-by-ny discretized Brillouin torus.
 
-    Per-point data is stored as (nx, ny) arrays: n_z and P_AB = (-n_x + i n_y)/2
-    at k = mesh_kpoints(nx, ny), which (nx, ny) fixes, so the mesh does not hold it.
-    The size is nz's shape: nz must be a non-empty 2-d float64 array and coherence a complex128
-    array of its shape, or ValidationError.  Indexing is periodic: the +x neighbour of (nx-1, n)
-    is (0, n), and likewise in y.  ``build_mesh`` guarantees every point passed the gap check.
+    Per-point data is stored as (nx, ny) arrays: n_z and P_AB = (-n_x + i n_y)/2 at k =
+    mesh_kpoints(nx, ny), which (nx, ny) fixes, so the mesh does not hold it.  The size is nz's
+    shape: nz must be a non-empty 2-d float64 array and coherence a complex128 array of its shape,
+    and a mesh without params must have |n|^2 = 1 within PROJECTOR_TOL at every point, or ValidationError.
+    Indexing is periodic: the +x neighbour of (nx-1, n) is (0, n), likewise in y.  ``build_mesh`` checks every gap.
     """
 
     nz: np.ndarray                 # (nx, ny) real
@@ -73,6 +75,12 @@ class TorusMesh:
         dtypes = (self.nz.dtype, self.coherence.dtype)  # numpy would cast any others, or only warn
         if dtypes != (np.float64, np.complex128):
             raise ValidationError("mesh nz and coherence must be float64 and complex128, got {} and {}".format(*dtypes))
+        if self.params is None:  # build_mesh forms n = d/|d|, a unit vector by construction
+            for lo, hi in _row_blocks(*self.nz.shape):
+                off = ~(np.abs(self.nz[lo:hi] ** 2 + 4.0 * np.abs(self.coherence[lo:hi]) ** 2 - 1.0) <= PROJECTOR_TOL)
+                if off.any():  # NaN too
+                    m, n = divmod(lo * self.ny + int(np.argmax(off)), self.ny)
+                    raise ValidationError(f"no projector at (m, n) = ({m}, {n}): |n|^2 is not 1 within {PROJECTOR_TOL:g}")
 
 
 def _mesh_size(size) -> tuple[int, int]:

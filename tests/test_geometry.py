@@ -211,15 +211,17 @@ def test_concurrence_values(p_half):
 
 
 def test_coherence_gradient_matches_finite_differences(p_half):
+    # d_dir(vA vB*) = (1/2) (-d_dir(n_x) + i d_dir(n_y)), read from the gradient triple as the ladder reads it
     rng = np.random.default_rng(43)
     h = 1e-5
     k = rng.uniform(-math.pi, math.pi, size=(20, 2))
-    grad = qgt_sample_arrays(k, p_half, 0.0).dcoherence
-    for axis in (0, 1):
-        step = h * np.eye(2)[axis]
-        fd = (qgt_sample_arrays(k + step, p_half, 0.0).coherence
-              - qgt_sample_arrays(k - step, p_half, 0.0).coherence) / (2.0 * h)
-        np.testing.assert_allclose(grad[:, axis], fd, atol=1e-7)
+    psi = rng.uniform(0.0, 2.0 * math.pi, size=20)
+    dirs = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
+    along_x, along_y = (dirs[:, 0] * cx + dirs[:, 1] * cy for cx, cy in qgt_sample_arrays(k, p_half, 0.0).dn[:2])
+    step = h * dirs
+    fd = (qgt_sample_arrays(k + step, p_half, 0.0).coherence
+          - qgt_sample_arrays(k - step, p_half, 0.0).coherence) / (2.0 * h)
+    np.testing.assert_allclose(0.5 * (-along_x + 1j * along_y), fd, rtol=0.0, atol=1e-9)
 
 
 # --- filtered tensor -----------------------------------------------------------------
@@ -280,8 +282,8 @@ def test_filtered_tensor_imaginary_part(p_half):
     assert np.all(arr.dual_dev <= 1e-10)
 
 
-#: Every stored field of a batch, then the three formed when read.
-SAMPLE_FIELDS = tuple(f.name for f in dataclasses.fields(GeometrySamples)) + ("g", "QS", "dcoherence")
+#: Every stored field of a batch, then the two formed when read.
+SAMPLE_FIELDS = tuple(f.name for f in dataclasses.fields(GeometrySamples)) + ("g", "QS")
 
 
 def _sample_row(arr, name, i):
@@ -301,6 +303,9 @@ def test_qgt_sample_arrays_matches_pointwise(p_half):
         one = qgt_sample_arrays(k[i], p_half, theta[i], direction[i])
         for name in SAMPLE_FIELDS:
             assert _sample_row(arr, name, i).tobytes() == _sample_row(one, name, 0).tobytes(), (i, name)
+    # one 2-vector probe is every point's probe
+    shared = qgt_sample_arrays(k, p_half, theta, direction[3])
+    assert shared.FQ.tobytes() == qgt_sample_arrays(k, p_half, theta, np.tile(direction[3], (10, 1))).FQ.tobytes()
 
 
 def test_saturation_case_is_a_point_of_a_larger_batch(p_default):
@@ -341,7 +346,8 @@ def test_empty_batch_gives_empty_fields(p_half):
     assert arr.g.shape == (0, 2, 2) and arr.QS.shape == (0, 2, 2)
     for name in ("nz", "coherence", "Fxy", "eta", "C", "dual_dev", "FQ", "FQS", "theta"):
         assert getattr(arr, name).shape == (0,), name
-    assert arr.dcoherence.shape == (0, 2) and arr.direction.shape == (0, 2)
+    assert [c.shape for pair in arr.dn for c in pair] == [(0,)] * 6
+    assert qgt_sample_arrays(np.zeros((0, 2)), p_half, 0.1, (0.6, 0.8)).FQ.shape == (0,)
 
 
 @pytest.mark.parametrize("call, name", [
@@ -445,7 +451,7 @@ def test_inequality_suite_is_the_same_across_blocks(p_half, monkeypatch):
     def recorded(k, *args):
         arr = engine(k, *args)
         sizes.append(len(k))
-        fields.append([arr.nz, arr.coherence, arr.dcoherence, arr.Fxy, arr.eta, arr.im_qs_xy, arr.FQ, arr.FQS])
+        fields.append([arr.nz, arr.coherence, np.array(arr.dn).T, arr.Fxy, arr.eta, arr.im_qs_xy, arr.FQ, arr.FQS])
         return arr
 
     monkeypatch.setattr(geometry, "qgt_sample_arrays", recorded)
