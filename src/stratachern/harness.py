@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -46,11 +45,6 @@ from .witness import (
 )
 
 VERSION = "v0.1.0"
-
-
-def thread_cap() -> int:
-    """Worker count for the sweep thread pool: min(4, cpu count), at least 1."""
-    return max(1, min(4, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -164,7 +158,6 @@ class Workspace:
             self.cfg.sweep.values(),
             (self.cfg.mesh.nx, self.cfg.mesh.ny),
             theta_policy=self.cfg.witness.theta,
-            workers=thread_cap(),
         )
 
     @cached_property

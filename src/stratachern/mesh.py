@@ -98,14 +98,17 @@ def _mesh_size(size) -> tuple[int, int]:
 def _mesh_grid(nx: int, ny: int) -> _MeshGrid:
     """The read-only grid of the mesh k[m, n] = (m/nx) g1 + (n/ny) g2 of ints nx, ny (as ``_mesh_size`` gives them).
 
-    Only the last shape's grid is kept.  A mesh of one ``_row_blocks`` block also holds its ``sums()``,
-    24 bytes a point, so at most one block's worth; a larger one keeps only its tables, O(nx + ny),
-    and ``d_components`` forms the sums per block from them.
+    Only the last shape's grid is kept.  A mesh of at most 8 ``_row_blocks`` blocks' worth of points
+    (131,072, so 256^2 but not 512^2) also holds its ``sums()``, 24 bytes a point, at most 3 MiB,
+    filled one block at a time with the block's own sums, so no whole-mesh temporary is made; a larger
+    one keeps only its tables, O(nx + ny), and ``d_components`` forms the sums per block from them.
     """
     grid = _mesh_tables(np.arange(nx) / nx, np.arange(ny) / ny)
-    if len(_row_blocks(nx, ny)) == 1:
-        nn_sum, nnn_sin_sum = grid.sums()
-        grid.held = nn_sum, nnn_sin_sum.copy()  # not the .imag view, which would keep its complex array
+    if nx * ny <= 8 * _BLOCK_POINTS:
+        held = np.empty((nx, ny), dtype=complex), np.empty((nx, ny))
+        for lo, hi in _row_blocks(nx, ny):
+            held[0][lo:hi], held[1][lo:hi] = grid.rows(lo, hi).sums()
+        grid.held = held
     for table in (*grid, *(grid.held or ())):
         table.flags.writeable = False
     return grid
@@ -139,7 +142,11 @@ def build_mesh(p: ModelParams, nx: int, ny: int) -> TorusMesh:
             gapless = True
             continue
         np.divide(bz, nrm, out=nz[lo:hi])
-        np.multiply(0.5, -(bx / nrm) + 1j * (by / nrm), out=coherence[lo:hi])
+        # 0.5 * (-(bx / nrm) + 1j * (by / nrm)) op by op into the output: its bits, signed zeros too, and
+        # no complex temporary (scaling the real and imaginary parts alone flips the sign of some zeros)
+        c = coherence[lo:hi]
+        np.add(-(bx / nrm), np.multiply(1j, by / nrm, out=c), out=c)
+        np.multiply(0.5, c, out=c)
     # np.argmin's first minimum (NaN first) over the block minima is the mesh's own
     min_norm, at = firsts[int(np.argmin([v for v, _ in firsts]))]
     if gapless:

@@ -15,8 +15,8 @@ NN distance is 1 and the oriented NNN difference vectors satisfy b1 + b2 + b3 = 
 On a mesh k = xs[m] g1 + ys[n] g2 each exp(i k.delta) is a product of 1-D
 tables in m and n: two rank-3 matrix products, no per-point transcendental.
 Those two sums, of the NN phases and of the NNN sines, do not depend on p;
-``mesh._mesh_grid`` builds the tables once per mesh shape and, for a one-block
-mesh, keeps the sums with them, so a build there applies only the couplings.
+``mesh._mesh_grid`` builds the tables once per mesh shape and, for a mesh of up
+to 8 row blocks, keeps the sums with them, so a build there applies only the couplings.
 At arbitrary k every quantity is a tuple of per-component arrays, and a gradient
 is a (d/dkx, d/dky) pair of them.  d and its gradients come from three phases
 e_j = exp(i (kx delta_jx + ky delta_jy)), formed elementwise with no matrix product,
@@ -85,22 +85,26 @@ class ModelParams:
 class _MeshGrid(tuple):
     """The tables (ex, ey, wx, wy) of ``_mesh_tables``, standing in for their k-array, whose shape it reports.
 
-    ``held`` is None, or the grid's ``sums()`` kept with it (``mesh._mesh_grid`` keeps them for a one-block mesh).
+    ``held`` is None, or the grid's ``sums()`` kept with it (``mesh._mesh_grid`` keeps them up to 8 row blocks).
     """
     shape = property(lambda self: (self[0].shape[1], self[1].shape[1], 2))
     held = None
 
     def rows(self, lo: int, hi: int) -> _MeshGrid:
-        """The grid of rows lo..hi, whose x tables are columns lo..hi of these; all rows are this grid itself."""
+        """The grid of rows lo..hi, whose x tables are columns lo..hi of these and whose held sums are rows
+        lo..hi of these; all rows are this grid itself."""
         if (lo, hi) == (0, self[0].shape[1]):
             return self
-        return _MeshGrid((self[0][:, lo:hi], self[1], self[2][:, lo:hi], self[3]))
+        grid = _MeshGrid((self[0][:, lo:hi], self[1], self[2][:, lo:hi], self[3]))
+        if self.held is not None:
+            grid.held = tuple(s[lo:hi] for s in self.held)
+        return grid
 
     def sums(self):
         """The p-independent parts of d, (sum_j ex_j (x) ey_j, Im sum_j wx_j (x) wy_j): the held ones, if any."""
         if self.held is not None:
             return self.held
-        # einsum, not matmul: BLAS calls contend across the sweep_mass worker threads.
+        # einsum, not matmul: the held sums and every panel were made with its bits.
         return np.einsum("jm,jn->mn", *self[:2]), np.einsum("jm,jn->mn", *self[2:]).imag
 
 

@@ -224,7 +224,10 @@ def sweep_mass(
     argument is checked before any mesh work (ValidationError).
     Wall hits among the M values propagate OnWall.  ``workers`` > 1 evaluates
     the sweep points on a thread pool; results are collected in sweep order so
-    output is identical for any worker count.
+    output is identical for any worker count.  The product path
+    (``Workspace.sweep``) runs serially, since there the pool gains no wall
+    time and its threads' malloc arenas raise the peak RSS; ``workers`` stays
+    until the benchmark tests stop calling it (ROADMAP item 7).
     """
     M_values = [replace(p_base, M=m).M for m in M_values]  # ModelParams refuses a non-real M
     nx, ny = _mesh_size(mesh_size)

@@ -1,4 +1,4 @@
-"""Panel pipeline: thread cap, CSV emission, workspace caching, run_all summary."""
+"""Panel pipeline: CSV emission, workspace caching, run_all summary and its serial sweep."""
 import csv
 import dataclasses
 import hashlib
@@ -16,8 +16,9 @@ from stratachern import (
     config_from_dict,
     reference_phase,
     run_all,
+    sweep_mass,
 )
-from stratachern.harness import _BLOCK_ROWS, PANEL_IDS, _run_panel, _write_csv, default_probe_pair, thread_cap
+from stratachern.harness import _BLOCK_ROWS, PANEL_IDS, _run_panel, _write_csv, default_probe_pair
 from stratachern.model import mesh_kpoints
 
 SQRT3 = math.sqrt(3.0)
@@ -31,12 +32,6 @@ def _small_cfg(tmp_path, **model):
         "output_dir": str(tmp_path / "out"),
     }
     return config_from_dict(doc)
-
-
-# --- thread_cap -----------------------------------------------------------------
-
-def test_thread_cap_default():
-    assert 1 <= thread_cap() <= 4
 
 
 # --- workspace ------------------------------------------------------------------
@@ -298,6 +293,30 @@ def test_run_all_byte_identical(tmp_path):
         root = tmp_path / sub
         blobs.append({f.name: f.read_bytes() for f in sorted(root.iterdir())})
     assert blobs[0] == blobs[1]
+
+
+def test_run_all_sweeps_serially_with_the_pool_results(tmp_path, monkeypatch):
+    # 129 x 131 is two row blocks, whose sums the mesh grid holds; run_all starts no
+    # thread pool, and its sweep equals sweep_mass on a two-worker pool, field for field
+    cfg = config_from_dict({"model": {"M": 0.5}, "mesh": {"nx": 129, "ny": 131},
+                            "sweep": {"steps": 6}, "qfi_scan": {"samples": 200, "seed": 42},
+                            "output_dir": str(tmp_path / "out")})
+    swept = []
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("run_all started a thread pool")
+
+    def recorded(*args, **kwargs):
+        swept.append(sweep_mass(*args, **kwargs))
+        return swept[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr("stratachern.witness.ThreadPoolExecutor", no_pool)
+        patch.setattr("stratachern.harness.sweep_mass", recorded)
+        run_all(cfg)
+    pooled = sweep_mass(cfg.model, cfg.sweep.values(), (129, 131), theta_policy=cfg.witness.theta, workers=2)
+    assert len(swept) == 1 and len(pooled[0]) == 6
+    assert swept[0][0] == pooled[0] and swept[0][1] == pooled[1]  # reports and jumps, every field compared
 
 
 def test_run_all_fails_fast_on_wall(tmp_path):

@@ -563,43 +563,63 @@ def test_build_peak_memory_is_its_outputs_plus_a_few_blocks(p_half):
 
 # --- the per-shape grid cache -----------------------------------------------------
 
-@pytest.mark.parametrize("size", [(48, 48), (17, 33)])
-def test_cached_grid_gives_the_bits_of_a_fresh_one(size):
-    # two models on one cached one-block grid, each against a build from an emptied cache
+def _unheld_grid(nx, ny):
+    """The grid of an nx x ny mesh without held sums, so ``d_components`` forms them per block."""
+    return _mesh_tables(np.arange(nx) / nx, np.arange(ny) / ny)
+
+
+@pytest.mark.parametrize("size", [(48, 48), (17, 33), (129, 131), (256, 256)])
+def test_cached_grid_gives_the_bits_of_a_fresh_one(size, monkeypatch):
+    # two models on one cached grid that holds its sums (one block, two and four), each
+    # against a build on a grid without them
     models = [ModelParams(1.0, 1.0 / 3.0, math.pi / 2.0, 0.5), ModelParams(0.8, 0.2, -2.0, 0.1)]
     mesh_module._mesh_grid.cache_clear()
     cached = [build_mesh(p, *size) for p in models]
     assert mesh_module._mesh_grid.cache_info()[:2] == (1, 1)  # hits, misses
+    assert mesh_module._mesh_grid(*size).held is not None
+    unheld = _unheld_grid(*size)
+    monkeypatch.setattr(mesh_module, "_mesh_grid", lambda nx, ny: unheld)
     for p, mesh in zip(models, cached):
-        mesh_module._mesh_grid.cache_clear()
         fresh = build_mesh(p, *size)
         assert mesh.nz.tobytes() == fresh.nz.tobytes() and mesh.coherence.tobytes() == fresh.coherence.tobytes()
         assert mesh.min_norm == fresh.min_norm
-    # the held sums are the ones a grid without them forms
-    held = mesh_module._mesh_grid(*size).held
-    formed = _mesh_tables(*(np.arange(n) / n for n in size)).sums()
-    assert held is not None and [a.tobytes() for a in held] == [a.tobytes() for a in formed]
+
+
+@pytest.mark.parametrize("size", [(48, 48), (17, 33), (129, 131), (256, 256)])
+def test_grid_under_the_bound_holds_each_blocks_sums(size):
+    # a block's grid hands out its rows of the held sums, the sums a grid without them forms for it
+    mesh_module._mesh_grid.cache_clear()
+    grid, unheld = mesh_module._mesh_grid(*size), _unheld_grid(*size)
+    assert [a.shape for a in grid.held] == [size, size]
+    for lo, hi in mesh_module._row_blocks(*size):
+        held, formed = grid.rows(lo, hi).sums(), unheld.rows(lo, hi).sums()
+        assert all(np.shares_memory(a, whole) for a, whole in zip(held, grid.held))
+        assert [a.tobytes() for a in held] == [a.tobytes() for a in formed]
 
 
 def test_cached_grid_is_read_only():
+    for size in ((48, 48), (129, 131)):
+        mesh_module._mesh_grid.cache_clear()
+        grid = mesh_module._mesh_grid(*size)
+        for table in (*grid, *grid.held, *grid.rows(64, size[0]).held):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
+
+
+def test_grid_past_the_bound_keeps_only_its_tables(p_half):
+    # a grid holds the sums of at most 8 blocks' worth of points (256 x 512 = 131,072);
+    # 257 x 512 is past it: the cache keeps the four tables (3, 257) and (3, 512)
+    # (73.8 kB) and no sums, which would be 24 bytes a point (3.2 MB)
     mesh_module._mesh_grid.cache_clear()
-    grid = mesh_module._mesh_grid(48, 48)
-    for table in (*grid, *grid.held):
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 0.0
-
-
-def test_grid_past_one_block_keeps_only_its_tables(p_half):
-    # 129^2 is two blocks: the cache keeps the four (3, 129) tables (24.8 kB) and no
-    # sums, which would be 24 bytes a point (399 kB)
+    assert mesh_module._mesh_grid(256, 512).held is not None
     mesh_module._mesh_grid.cache_clear()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        build_mesh(p_half, 129, 129)  # the mesh itself is dropped at once
+        build_mesh(p_half, 257, 512)  # the mesh itself is dropped at once
         retained = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    grid = mesh_module._mesh_grid(129, 129)
-    assert grid.held is None and [table.shape for table in grid] == [(3, 129)] * 4
-    assert retained < 2 * 4 * 3 * 129 * 16 < 129 * 129 * 8
+    grid = mesh_module._mesh_grid(257, 512)
+    assert grid.held is None and [table.shape for table in grid] == [(3, 257), (3, 512)] * 2
+    assert retained < 2 * 2 * 3 * (257 + 512) * 16 < 257 * 512 * 8

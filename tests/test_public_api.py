@@ -25,7 +25,8 @@ from stratachern import (
 
 #: Removed with the scalar path and the spinor gauge, or because they did no library work
 #: (a unitarity check of a matrix identity, its error, a wrapper of RunConfig(), unread
-#: Bravais vectors), by the module that defined each of them.
+#: Bravais vectors, the worker count of a sweep pool the product no longer starts), by the
+#: module that defined each of them.
 REMOVED = {
     "model": ("DVector", "BlochState", "d_vector", "d_derivatives", "valence_state",
               "valence_amplitudes", "BRAVAIS"),
@@ -37,7 +38,7 @@ REMOVED = {
     "witness": ("weight_alpha",),
     "multiorbital": ("embed_state", "MultiState", "multi_witness_expectation", "hecke_pairing",
                      "CoherenceMatrix", "unitary_invariance_check"),
-    "harness": ("run_panel",),
+    "harness": ("run_panel", "thread_cap"),
 }
 
 
@@ -56,8 +57,8 @@ def test_removed_names_are_not_importable():
     removed = [name for names in REMOVED.values() for name in names]
     found = [(m.__name__, name) for m in modules for name in removed if hasattr(m, name)]
     assert found == []
-    # the sweep's worker count is the harness's own, not public API
-    assert [m.__name__ for m in modules if hasattr(m, "thread_cap")] == ["stratachern.harness"]
+    # the product sweep runs serially: no module sizes a thread pool for it
+    assert [m.__name__ for m in modules if hasattr(m, "thread_cap")] == []
     assert not hasattr(stratachern.TorusMesh, "state")
     # the mesh holds the projector, not a spinor gauge
     assert not hasattr(stratachern.TorusMesh, "rephased")
