@@ -15,7 +15,6 @@ import numpy as np
 from stratachern import (
     ModelParams,
     build_mesh,
-    filtered_chern_from_qgt,
     inequality_suite,
     plaquette_curvature,
     qgt_sample_arrays,
@@ -23,7 +22,7 @@ from stratachern import (
     saturation_case,
     sector_responses,
 )
-from stratachern.model import K_PLUS
+from stratachern.model import K_PLUS, RECIPROCAL, mesh_kpoints
 
 p = ModelParams(t1=1.0, t2=1.0 / 3.0, phi=math.pi / 2.0, M=0.5)
 
@@ -67,7 +66,9 @@ mesh = build_mesh(p, 48, 48)
 F = plaquette_curvature(mesh)
 theta = reference_phase(mesh)
 nu_s = sector_responses(mesh, F, theta).nu_S
-est = filtered_chern_from_qgt(p, theta, 48)
+# its continuum counterpart: -(1/pi) sum Im QS_xy dA over the same 48 x 48 points
+im_qs = qgt_sample_arrays(mesh_kpoints(48, 48).reshape(-1, 2), p, theta).im_qs_xy
+est = -im_qs.sum() * abs(np.linalg.det(RECIPROCAL)) / 48 ** 2 / math.pi
 print(f"\nfiltered curvature sum (48x48): {est:+.6f}  "
       f"vs lattice graded response {nu_s:+.6f}")
 

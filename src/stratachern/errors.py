@@ -105,6 +105,10 @@ class NonIntegerTotal(StrataChernError):
     """Total lattice flux / 2pi deviates from an integer beyond tolerance."""
 
 
+class MeshTooCoarse(StrataChernError):
+    """The lattice Chern number of a model's mesh differs from its Dirac-mass count."""
+
+
 class DegeneratePhase(StrataChernError):
     """Mesh-averaged coherence too small to define a reference phase."""
 

@@ -39,15 +39,7 @@ import numpy as np
 
 from .errors import ValidationError, ViolationFound, _integer, _real
 from .mesh import TorusMesh, _mesh_size, _row_blocks, _sum, _total, build_mesh, plaquette_curvature
-from .model import (
-    CELL_AREA,
-    RECIPROCAL,
-    ModelParams,
-    _dot3,
-    analytic_chern,
-    bloch_vector_fields,
-    mesh_kpoints,
-)
+from .model import RECIPROCAL, ModelParams, _dot3, analytic_chern, bloch_vector_fields, mesh_kpoints
 from .multiorbital import _require_unit, sector_response_multi, witness_block
 from .witness import TWO_PI, _checked_chern, _weighted_coherence, sector_responses
 
@@ -136,32 +128,6 @@ def qgt_sample_arrays(k, p: ModelParams, theta, direction=None) -> GeometrySampl
         eta=eta, C=conc, im_qs_xy=im_xy, dual_dev=dual, FQ=fq, FQS=fqs,
         theta=th,
     )
-
-
-def _riemann_sum(p: ModelParams, theta: float, N, field: str) -> float:
-    """sum field * dA of a geometry field over the N x N plaquette base corners (a ``mesh._total``)."""
-    nx, ny = _mesh_size(N)
-    values = getattr(qgt_sample_arrays(mesh_kpoints(nx, ny).reshape(-1, 2), p, theta), field)
-    return _total(lambda lo, hi: [_sum(values[lo:hi] * (CELL_AREA / (nx * ny)))], values.size)[0]
-
-
-def filtered_chern_from_qgt(p: ModelParams, theta: float, N) -> float:
-    """Riemann-sum estimate -(1/pi) * sum Im(QS_xy) * dA of the graded response.
-
-    Uses the insertion-form filtered tensor at the N x N plaquette base
-    corners with cell area |g1 x g2| / N^2.
-    """
-    return -_riemann_sum(p, theta, N, "im_qs_xy") / math.pi
-
-
-def curvature_riemann_total(p: ModelParams, N) -> float:
-    """Riemann sum (1/2pi) * sum F_xy * dA of the closed-form curvature.
-
-    Unlike the plaquette lattice total (exactly integer by construction),
-    this converges to the Chern number only in the N -> infinity limit; the
-    integrand is smooth and periodic, so convergence is spectral.
-    """
-    return _riemann_sum(p, 0.0, N, "Fxy") / TWO_PI
 
 
 def saturation_case(p: ModelParams) -> GeometrySamples:

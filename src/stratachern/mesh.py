@@ -6,6 +6,8 @@ span (the Berg-Luscher lattice charge).  The total flux is then 2*pi times an
 exact integer, no matter how coarse the mesh; it is the Chern number when
 every plaquette's flux lies in the principal branch.  A plaquette whose phase
 comes near pi is halved, recursively, to find the branch its flux lies in.
+A mesh built from a model is right or refused: its total must equal the
+model's Dirac-mass count, ``analytic_chern``, or MeshTooCoarse is raised.
 """
 from __future__ import annotations
 
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateOverlap, GaplessMesh, GaplessPoint, NonIntegerTotal, ValidationError, _integer
+from .errors import (DegenerateOverlap, GaplessMesh, GaplessPoint, MeshTooCoarse, NonIntegerTotal, ValidationError,
+                     _integer)
 from .model import GAP_FLOOR, RECIPROCAL, ModelParams, _mesh_tables, _MeshGrid, _norm, analytic_chern, d_components
 
 #: Link overlaps with modulus at or below this are treated as degenerate.
@@ -216,7 +219,9 @@ def plaquette_curvature(mesh: TorusMesh) -> np.ndarray:
     last row and column: there ``_cell_flux`` halves the plaquette and adds the
     multiple of 2pi its quarters reveal, so a flux past pi, as a Dirac cone of
     small mass puts into one coarse plaquette, still counts.  Each change is a
-    whole multiple of 2pi, so the total stays 2pi times an integer.
+    whole multiple of 2pi, so the total stays 2pi times an integer.  A mesh with
+    params whose ``chern_number(F)`` then differs from ``analytic_chern(params)``
+    raises MeshTooCoarse, as a thin mesh (40 x 4) can give with no hot plaquette.
     """
     nx, ny = mesh.nx, mesh.ny
     floor2 = 4.0 * OVERLAP_FLOOR * OVERLAP_FLOOR
@@ -272,6 +277,9 @@ def plaquette_curvature(mesh: TorusMesh) -> np.ndarray:
     side = np.array([1.0 / nx, 1.0 / ny])
     for m, j, corners in hot:
         F[m, j] = _cell_flux(mesh.params, np.array([m / nx, j / ny]), side, corners, float(F[m, j]))
+    if mesh.params is not None and (lattice := chern_number(F)) != (count := analytic_chern(mesh.params)):
+        raise MeshTooCoarse(f"lattice Chern number {lattice} on {nx} x {ny} differs from the "
+                            f"Dirac-mass count {count}; refine the mesh")
     return F
 
 

@@ -50,10 +50,6 @@ RECIPROCAL = np.array(
     [[2.0 * math.pi / math.sqrt(3.0), -2.0 * math.pi / 3.0],
      [0.0, 4.0 * math.pi / 3.0]]
 )
-#: Area of the reciprocal unit cell |g1 x g2| = 8 pi^2 / (3 sqrt 3).
-CELL_AREA = abs(
-    RECIPROCAL[0, 0] * RECIPROCAL[1, 1] - RECIPROCAL[0, 1] * RECIPROCAL[1, 0]
-)
 
 #: Dirac point where the local mass is M - 3*sqrt(3)*t2*sin(phi).
 K_PLUS = np.array([4.0 * math.pi / (3.0 * math.sqrt(3.0)), 0.0])
@@ -201,6 +197,11 @@ def dirac_masses(p: ModelParams) -> tuple[float, float]:
 
 def analytic_chern(p: ModelParams) -> int:
     """Valence Chern number from the Dirac-mass signs: (sgn(mK) - sgn(mK'))/2.
+
+    It is an obstruction count.  For t1 != 0, w = dx + i*dy vanishes only at K and K', where the
+    concurrence sqrt(1 - nz^2) vanishes too and arg w winds by vort = -1 and +1 (counterclockwise in
+    k).  The sections normalized on {vA != 0} and on {vB != 0} glue by the phase of w, so the global
+    C = -(1/2) sum vort(k*) sgn dz(k*) sits where the local entanglement vanishes.
 
     Raises OnWall when either mass vanishes within WALL_TOL; the invariant is
     genuinely undefined there, so sgn(0) is an error rather than a value.

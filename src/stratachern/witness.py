@@ -218,8 +218,9 @@ def sweep_mass(
     theta_policy is "auto" (recompute the reference phase per M, falling back
     to 0 when degenerate) or a fixed phase in radians.  A JumpRecord is
     emitted for each consecutive pair whose Chern number differs; the wall
-    location is the analytic critical mass (a zero of ``dirac_masses``) bracketed
-    by the pair (midpoint fallback if neither analytic wall lies inside).
+    location is the analytic critical mass (a zero of ``dirac_masses``) that the
+    pair brackets.  Every lattice Chern number equals the Dirac-mass count or is
+    refused (``plaquette_curvature``), so a change always brackets exactly one wall.
     ``mesh_size`` is N or an (nx, ny) pair, as in ``inequality_suite``; every
     argument is checked before any mesh work (ValidationError).
     Wall hits among the M values propagate OnWall.  ``workers`` > 1 evaluates
@@ -227,7 +228,7 @@ def sweep_mass(
     output is identical for any worker count.  The product path
     (``Workspace.sweep``) runs serially, since there the pool gains no wall
     time and its threads' malloc arenas raise the peak RSS; ``workers`` stays
-    until the benchmark tests stop calling it (ROADMAP item 7).
+    while the benchmark's own tests (``perfbench/tests``) call it.
     """
     M_values = [replace(p_base, M=m).M for m in M_values]  # ModelParams refuses a non-real M
     nx, ny = _mesh_size(mesh_size)
@@ -247,21 +248,9 @@ def sweep_mass(
     else:
         reports = [one(m) for m in M_values]
 
-    jumps: list[JumpRecord] = []
     wall = dirac_masses(replace(p_base, M=0.0))[1]  # the Dirac walls are at M = +/- wall
-    for (m_lo, lo), (m_hi, hi) in zip(
-        zip(M_values, reports), zip(M_values[1:], reports[1:])
-    ):
-        if hi.mu == lo.mu:
-            continue
-        lo_m, hi_m = min(m_lo, m_hi), max(m_lo, m_hi)
-        candidates = [w for w in (wall, -wall) if lo_m < w < hi_m]
-        location = candidates[0] if candidates else 0.5 * (m_lo + m_hi)
-        jumps.append(
-            JumpRecord(
-                wall_location=float(location),
-                delta_mu=hi.mu - lo.mu,
-                delta_nu_S=hi.nu_S - lo.nu_S,
-            )
-        )
+    jumps = [JumpRecord(wall_location=wall if min(m_lo, m_hi) < wall < max(m_lo, m_hi) else -wall,
+                        delta_mu=hi.mu - lo.mu, delta_nu_S=hi.nu_S - lo.nu_S)
+             for (m_lo, lo), (m_hi, hi) in zip(zip(M_values, reports), zip(M_values[1:], reports[1:]))
+             if hi.mu != lo.mu]
     return reports, jumps

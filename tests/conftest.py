@@ -2,14 +2,30 @@
 
 The heavy objects (48x48 mesh + plaquette field) are session-scoped because
 they are pure functions of the parameters and several test modules reuse them.
+``riemann_sum`` is the continuum cross-check of the lattice totals.
 """
 import math
 
 import pytest
 
-from stratachern import ModelParams, build_mesh, plaquette_curvature
+from stratachern import ModelParams, build_mesh, plaquette_curvature, qgt_sample_arrays
+from stratachern.mesh import _sum, _total
+from stratachern.model import RECIPROCAL, mesh_kpoints
 
 SQRT3 = math.sqrt(3.0)
+#: Area of the reciprocal unit cell |g1 x g2| = 8 pi^2 / (3 sqrt 3).
+CELL_AREA = abs(RECIPROCAL[0, 0] * RECIPROCAL[1, 1] - RECIPROCAL[0, 1] * RECIPROCAL[1, 0])
+
+
+def riemann_sum(p, n, field, theta=0.0):
+    """sum field * dA of a ``GeometrySamples`` field over the n x n mesh points (the plaquette base
+    corners) at witness phase theta, with dA = CELL_AREA / n^2, summed per leaf of ``mesh._total``.
+
+    The integrand is smooth and periodic, so the sum converges spectrally in n: of F_xy to 2pi C,
+    of Im QS_xy to -pi times the graded response.  Unlike the plaquette total it is not an integer.
+    """
+    values = getattr(qgt_sample_arrays(mesh_kpoints(n, n).reshape(-1, 2), p, theta), field)
+    return _total(lambda lo, hi: [_sum(values[lo:hi] * (CELL_AREA / (n * n)))], values.size)[0]
 
 
 @pytest.fixture(scope="session")

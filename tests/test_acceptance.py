@@ -26,8 +26,6 @@ from stratachern import (
     build_mesh,
     chern_number,
     coherence_matrix,
-    curvature_riemann_total,
-    filtered_chern_from_qgt,
     inequality_suite,
     levi_type,
     plaquette_curvature,
@@ -45,6 +43,8 @@ from stratachern import (
 from stratachern.config import RunConfig, with_overrides
 from stratachern.model import mesh_kpoints
 from stratachern.multiorbital import THETA_IMAG, THETA_REAL
+
+from conftest import riemann_sum
 
 SQRT3 = math.sqrt(3.0)
 
@@ -213,7 +213,7 @@ def test_criterion_07_inequality_suite(p_default, p_half):
 
 def test_criterion_08_convergence_order(p_default, p_half):
     # Unfiltered lattice sum against the invariant.
-    errs = {n: abs(curvature_riemann_total(p_default, n) - (-1.0)) for n in (24, 48)}
+    errs = {n: abs(riemann_sum(p_default, n, "Fxy") / (2.0 * math.pi) - (-1.0)) for n in (24, 48)}
     ratio_plain = errs[24] / errs[48] if errs[48] else math.inf
     # Filtered sum against the lattice graded response at the same mesh.
     theta = 0.4
@@ -221,7 +221,7 @@ def test_criterion_08_convergence_order(p_default, p_half):
     for n in (24, 48):
         mesh = build_mesh(p_half, n, n)
         nu_s = sector_responses(mesh, plaquette_curvature(mesh), theta).nu_S
-        ferrs[n] = abs(filtered_chern_from_qgt(p_half, theta, n) - nu_s)
+        ferrs[n] = abs(-riemann_sum(p_half, n, "im_qs_xy", theta) / math.pi - nu_s)
     ratio_filtered = ferrs[24] / ferrs[48] if ferrs[48] else math.inf
     ok = 2.5 <= ratio_plain <= 6.0 and 2.5 <= ratio_filtered <= 6.0
     _line(8, ok, f"unfiltered error ratio N=24->48: {ratio_plain:.3e} "

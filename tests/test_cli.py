@@ -12,6 +12,7 @@ from stratachern import (
     DegeneratePhase,
     GaplessMesh,
     GaplessPoint,
+    MeshTooCoarse,
     MissingProbe,
     NonIntegerTotal,
     NonUnitProbe,
@@ -52,6 +53,7 @@ def test_exit_code_map():
     assert MissingProbe("").exit_code == 2
     assert DegenerateOverlap("").exit_code == 3
     assert NonIntegerTotal("").exit_code == 3
+    assert MeshTooCoarse("").exit_code == 3
     assert DegeneratePhase("").exit_code == 3
     assert NotPartialIsometry("").exit_code == 3
     assert ViolationFound("").exit_code == 3
@@ -129,6 +131,15 @@ def test_config_not_utf8(tmp_path):
     assert res.returncode == 2
     assert res.stderr.startswith("ParseError:")
     assert res.stderr.count("\n") == 1
+
+
+def test_thin_mesh_with_a_wrong_lattice_count_is_refused(tmp_path):
+    # on 40 x 4 this model's flux totals C = 0 against the Dirac-mass count -1
+    cfg = _write_cfg(tmp_path, model={"t1": 1.0144, "t2": 0.3729, "phi": 1.5786, "M": -0.9736})
+    res = _run("chern", "--config", cfg, "--mesh", "40x4")
+    assert res.returncode == 3
+    assert res.stderr.startswith("MeshTooCoarse:")
+    assert res.stdout == ""
 
 
 def test_on_wall_exit_code(tmp_path):

@@ -14,8 +14,6 @@ from stratachern import (
     ViolationFound,
     alpha_field,
     build_mesh,
-    curvature_riemann_total,
-    filtered_chern_from_qgt,
     inequality_suite,
     multiorbital_bounds,
     plaquette_curvature,
@@ -28,6 +26,8 @@ from stratachern import geometry
 from stratachern import mesh as mesh_module
 from stratachern.mesh import _BLOCK_POINTS
 from stratachern.model import K_PLUS, RECIPROCAL, bloch_vector_fields, mesh_kpoints
+
+from conftest import riemann_sum
 
 SQRT3 = math.sqrt(3.0)
 
@@ -155,7 +155,7 @@ def test_qgt_frozen_finite_difference_spots(p_half):
 
 def test_riemann_total_recovers_invariant(p_half):
     # the closed-form plaquette-corner sum reproduces mu to well under 5/N^2
-    total = curvature_riemann_total(p_half, 48)
+    total = riemann_sum(p_half, 48, "Fxy") / (2.0 * math.pi)
     np.testing.assert_allclose(total, -1.0, atol=5.0 / 48 ** 2)
 
 
@@ -377,7 +377,6 @@ def test_non_finite_theta_is_refused(p_half, mesh48_half, curv48_half, theta):
     for call in (
         lambda: qgt_sample_arrays([(0.3, 0.7)], p_half, theta),
         lambda: qgt_sample_arrays([(0.3, 0.7), (1.1, -0.6)], p_half, [0.0, theta]),
-        lambda: filtered_chern_from_qgt(p_half, theta, 8),
         lambda: inequality_suite(p_half, theta, 8, samples=10, seed=1),
         lambda: multiorbital_bounds(mesh48_half, curv48_half, [1.0], [1.0], theta, 10, 1),
     ):
@@ -387,12 +386,12 @@ def test_non_finite_theta_is_refused(p_half, mesh48_half, curv48_half, theta):
 
 
 def test_filtered_sum_without_nn_hopping():
-    assert filtered_chern_from_qgt(P_FLAT, 0.7, 24) == 0.0
+    assert -riemann_sum(P_FLAT, 24, "im_qs_xy", 0.7) / math.pi == 0.0
 
 
 def test_filtered_sum_tracks_graded_response(p_half, mesh48_half, curv48_half):
     theta = reference_phase(mesh48_half)
-    est = filtered_chern_from_qgt(p_half, theta, 48)
+    est = -riemann_sum(p_half, 48, "im_qs_xy", theta) / math.pi
     nu_s = sector_responses(mesh48_half, curv48_half, theta).nu_S
     assert abs(est - nu_s) <= 10.0 / 48 ** 2
 

@@ -11,6 +11,7 @@ import pytest
 from stratachern import (
     DegenerateOverlap,
     GaplessMesh,
+    MeshTooCoarse,
     ModelParams,
     NonIntegerTotal,
     OnWall,
@@ -21,7 +22,6 @@ from stratachern import (
     build_mesh,
     chern_number,
     coherence_matrix,
-    curvature_riemann_total,
     multiorbital_bounds,
     plaquette_curvature,
     sector_responses,
@@ -155,8 +155,6 @@ def test_mesh_size_must_be_integers_at_least_4(p_half, size):
         assert info.value.exit_code == 2
     with pytest.raises(ValidationError, match="mesh size"):
         sweep_mass(p_half, [0.5], size)
-    with pytest.raises(ValidationError, match="mesh size"):
-        curvature_riemann_total(p_half, size)
 
 
 def test_rejected_size_message_is_one_short_line(p_half, mesh48_half):
@@ -313,7 +311,7 @@ def test_time_reversal_maps_interior_plaquettes(size):
     assert np.abs(_time_reversal_residual(*size)[1:-1, 1:-1]).max() <= 1e-14
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the closing row and column are copies of "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the closing row and column are copies of "
                                        "row and column 0, not evaluated at their true k")
 @pytest.mark.parametrize("size", _TIME_REVERSAL_SIZES)
 def test_time_reversal_maps_every_plaquette(size):
@@ -367,11 +365,9 @@ def test_near_wall_model_on_a_coarse_mesh_is_right_or_refused(phi, m_stag):
     assert lattice == analytic_chern(p)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: on 40 x 4 the seam's copied closing corners give "
-                                       "C = 0 against the analytic -1 at phi > 0")
 def test_four_point_wide_mesh_is_right_or_refused_under_phi_sign():
-    """Every plaquette is far from the branch cut (max|F| = 1.18), yet phi gives C = 0 against -1
-    while -phi gives the analytic +1, so time reversal fails.  The oracle's link product agrees."""
+    """Every plaquette is far from the branch cut (max|F| = 1.18), yet phi's flux totals C = 0 against
+    -1 while -phi's gives the analytic +1; the oracle's link product agrees.  phi is refused."""
     for sign in (1.0, -1.0):
         p = ModelParams(1.0144, 0.3729, sign * 1.5786, -0.9736)
         try:
@@ -379,6 +375,23 @@ def test_four_point_wide_mesh_is_right_or_refused_under_phi_sign():
         except StrataChernError:
             continue
         assert lattice == analytic_chern(p), sign
+
+
+@pytest.mark.parametrize("size", [(40, 4), (4, 40)])
+def test_thin_meshes_are_right_or_refused(size):
+    # 1000 seeded draws at t1 = 1, t2 = 1/3: on a mesh 4 points wide about 9% of them (91 and 87
+    # here) total to a wrong integer that the branch check does not mend, and each is refused
+    rng = np.random.default_rng(5)
+    refused = 0
+    for M, phi in zip(rng.uniform(-3.0, 3.0, 1000), math.pi - TWO_PI * rng.random(1000)):
+        p = ModelParams(1.0, 1.0 / 3.0, phi, M)
+        try:
+            lattice = chern_number(plaquette_curvature(build_mesh(p, *size)))
+        except MeshTooCoarse:
+            refused += 1
+            continue
+        assert lattice == analytic_chern(p), (phi, M)
+    assert refused > 0
 
 
 def test_branch_check_moves_hot_plaquettes_by_whole_turns():

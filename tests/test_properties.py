@@ -128,8 +128,8 @@ def test_curvature_unchanged_under_t1_sign(t1, t2, phi, M, nx, ny):
 @given(**_couplings, nx=st.integers(5, 40), ny=st.integers(5, 40))
 def test_chern_number_flips_under_phi_sign(t1, t2, phi, M, nx, ny):
     # phi -> -phi is time reversal.  Meshes 4 points wide are left out: there
-    # the lattice C can be wrong on one side, a defect that the oracle's link
-    # product shares; tests/test_mesh.py::
+    # one side can be refused (MeshTooCoarse) where its flux totals a wrong
+    # integer, as the oracle's link product does too; tests/test_mesh.py::
     # test_four_point_wide_mesh_is_right_or_refused_under_phi_sign pins its 40 x 4 case.
     p = _off_walls(t1, t2, phi, M)
     c = chern_number(plaquette_curvature(build_mesh(p, nx, ny)))

@@ -25,16 +25,18 @@ from stratachern import (
 
 #: Removed with the scalar path and the spinor gauge, or because they did no library work
 #: (a unitarity check of a matrix identity, its error, a wrapper of RunConfig(), unread
-#: Bravais vectors, the worker count of a sweep pool the product no longer starts), by the
-#: module that defined each of them.
+#: Bravais vectors, the worker count of a sweep pool the product no longer starts, two
+#: Riemann estimates and their cell area that only tests read), by the module that defined
+#: each of them.
 REMOVED = {
     "model": ("DVector", "BlochState", "d_vector", "d_derivatives", "valence_state",
-              "valence_amplitudes", "BRAVAIS"),
+              "valence_amplitudes", "BRAVAIS", "CELL_AREA"),
     "errors": ("NonUnitary",),
     "config": ("default_config",),
     "mesh": ("link_variable", "_normalized_links"),
     "geometry": ("qgt", "qfi", "eta_value", "concurrence", "coherence_gradient",
-                 "filtered_qgt", "QgtSample", "sign_operator_matrix"),
+                 "filtered_qgt", "QgtSample", "sign_operator_matrix", "curvature_riemann_total",
+                 "filtered_chern_from_qgt"),
     "witness": ("weight_alpha",),
     "multiorbital": ("embed_state", "MultiState", "multi_witness_expectation", "hecke_pairing",
                      "CoherenceMatrix", "unitary_invariance_check"),
@@ -67,10 +69,6 @@ def test_removed_names_are_not_importable():
     assert "kpoints" not in {f.name for f in dataclasses.fields(stratachern.TorusMesh)}
 
 
-#: Public names that only tests call, each with the open item that folds or uses it.
-TEST_ONLY = {"curvature_riemann_total", "filtered_chern_from_qgt"}  # ROADMAP item 3's quadrature; criterion 8
-
-
 def test_every_public_name_has_a_caller_outside_tests():
     # the rule of CI's "Library size" step: a mention in src/ (not __init__.py) or
     # perfbench/ outside the name's own def, class or assignment line; a demo only shows a name
@@ -79,7 +77,7 @@ def test_every_public_name_has_a_caller_outside_tests():
                      for p in sorted((root / d).rglob("*.py")) if p.name != "__init__.py")
     unused = {n for n in stratachern.__all__
               if not re.search(rf"^(?!\s*(def|class) {n}\b|\s*{n}\s*[:=]).*\b{n}\b", text, re.M)}
-    assert unused == TEST_ONLY
+    assert unused == set()
 
 
 #: Guard tolerances are module constants, read at call time; no caller may pass one.
