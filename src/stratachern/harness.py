@@ -4,7 +4,8 @@ Every panel is a plain CSV (comma separators, LF line endings, header row)
 whose floats are written with 17 significant digits so a read-back reproduces
 the binary values to <= 1e-15 relative.  Given the same configuration and
 seed the bytes are identical run to run; sha256 checksums are reported so
-callers can verify that cheaply.
+callers can verify that cheaply.  `run_all` writes panels a-c in one pass that
+formats their shared m, n, k_x, k_y cells once; a panel alone has the same bytes.
 
 Panels:
     a  plaquette curvature field          (m, n, k_x, k_y, F)
@@ -21,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -61,55 +63,65 @@ class PanelOutput:
 _BLOCK_ROWS = 4096
 
 
-def _write_csv(path: Path, header, columns) -> tuple[int, str]:
-    """Write a header and equal-length 1-D columns as CSV; return (rows, sha256).
+def _encoding(c: np.ndarray):
+    """Encoder (lo, hi) -> (row-format field, cells of rows lo..hi) of a 1-D column: integers as ``%d``, floats
+    as ``%.17g`` (every float64 reads back exactly), any other dtype a ValidationError.  A column with at most
+    one distinct value per four rows formats each once and gathers the strings as ``%s``, with the same bytes;
+    float keys are bit patterns, which keep ``-0.0`` apart from ``0.0``."""
+    if c.dtype.kind in "iu":
+        fmt, keys = "%d", c
+    elif c.dtype.kind == "f":
+        c = np.ascontiguousarray(c, dtype=np.float64)
+        fmt, keys = "%.17g", c.view(np.int64)
+    else:
+        raise ValidationError(f"{c.dtype} columns have no CSV encoding here")
+    distinct, index = np.unique(keys, return_inverse=True)
+    if 4 * len(distinct) <= len(c):
+        table = np.array([fmt % v for v in distinct.view(c.dtype).tolist()], dtype=object)
+        index = index.astype(np.min_scalar_type(len(table)))  # held for the whole write, so kept narrow
+        return lambda lo, hi: ("%s", table[index[lo:hi]].tolist())
+    return lambda lo, hi: (fmt, c[lo:hi].tolist())
 
-    The encoding is set per column by its dtype: integers as ``str(v)``,
-    floats as ``"%.17g" % v`` (the digits of ``format(v, ".17g")``, so every
-    float64 reads back exactly).  Any other dtype (bool, complex, object)
-    has no encoding here and raises ValidationError, as do no columns or a
-    header of another length.  A column with at most one distinct value per
-    four rows (by one ``np.unique``) formats each distinct value once and
-    gathers the strings by index; any other is formatted row by row.  Both
-    give the same bytes.  Float keys are float64 bit patterns: float equality
-    would merge ``-0.0`` into ``0.0``.  Rows are written and hashed in blocks
-    of _BLOCK_ROWS, so the text in memory stays flat in the panel length.
-    """
-    cols = [np.asarray(c) for c in columns]
-    if not cols or len(header) != len(cols):
-        raise ValidationError(f"CSV needs one header name per column and at least one column, "
-                              f"got {len(header)} names for {len(cols)} columns")
-    if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):
-        raise ValidationError(f"CSV columns must be 1-D and of one length, got shapes {[c.shape for c in cols]}")
-    count = len(cols[0])
-    encoders, sources = [], []
-    for c in cols:
-        if c.dtype.kind in "iu":
-            fmt, keys = str, c
-        elif c.dtype.kind == "f":
-            c = np.ascontiguousarray(c, dtype=np.float64)
-            fmt, keys = "%.17g".__mod__, c.view(np.int64)
-        else:
-            raise ValidationError(f"{c.dtype} columns have no CSV encoding here")
-        distinct, index = np.unique(keys, return_inverse=True)
-        if 4 * len(distinct) <= count:
-            # few distinct cells: format each once, gather the strings by index
-            table = np.array(list(map(fmt, distinct.view(c.dtype).tolist())), dtype=object)
-            encoders.append(lambda block, table=table: table[block].tolist())
-            sources.append(index)
-        else:
-            encoders.append(lambda block, fmt=fmt: map(fmt, block.tolist()))
-            sources.append(c)
-    head = (",".join(header) + "\n").encode("utf-8")
-    digest = hashlib.sha256(head)
-    with open(path, "wb") as fh:
-        fh.write(head)
-        for start in range(0, count, _BLOCK_ROWS):
-            cells = [enc(s[start:start + _BLOCK_ROWS]) for enc, s in zip(encoders, sources)]
-            data = ("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8")
-            fh.write(data)
-            digest.update(data)
-    return count, digest.hexdigest()
+
+def _rows(encoded) -> str:
+    """Rows of text from (row-format field, cells) per column: one ``%`` over the cells in row order."""
+    fields, cells = zip(*encoded)
+    flat = [None] * (len(cells) * len(cells[0]))
+    for i, column in enumerate(cells):
+        flat[i::len(cells)] = column
+    return ((",".join(fields) + "\n") * len(cells[0])) % tuple(flat)
+
+
+def _write_csv(header, columns, files) -> list[tuple[int, str]]:
+    """Write CSV files (path, header, columns) whose rows begin with the shared ``header`` and ``columns``
+    (empty when nothing is shared); return (rows, sha256) per file.  No columns, a header of another length, a
+    column of another shape or a dtype that `_encoding` refuses raises ValidationError before any file is
+    created.  Rows go out in blocks of _BLOCK_ROWS, so the text in memory stays flat in the panel length; a
+    block's shared cells are encoded and joined into row prefixes once, and each file's block is one `_rows`."""
+    tables = [[np.asarray(c) for c in [*columns, *cols]] for _, _, cols in files]
+    for (_, names, _), table in zip(files, tables):
+        if not table or len(header) + len(names) != len(table):
+            raise ValidationError(f"CSV needs one header name per column and at least one column, "
+                                  f"got {len(header) + len(names)} names for {len(table)} columns")
+        if any(c.ndim != 1 or c.shape != tables[0][0].shape for c in table):
+            raise ValidationError(f"CSV columns must be 1-D and of one length, got shapes {[c.shape for c in table]}")
+    shared = [_encoding(c) for c in tables[0][:len(columns)]]
+    own = [[_encoding(c) for c in table[len(columns):]] for table in tables]
+    heads = [(",".join([*header, *names]) + "\n").encode("utf-8") for _, names, _ in files]
+    digests = [hashlib.sha256(head) for head in heads]
+    count = len(tables[0][0])
+    with ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "wb")) for path, _, _ in files]
+        for fh, head in zip(handles, heads):
+            fh.write(head)
+        for lo in range(0, count, _BLOCK_ROWS):
+            hi = lo + _BLOCK_ROWS
+            lead = [("%s", _rows([enc(lo, hi) for enc in shared]).splitlines())] if shared else []
+            for fh, digest, encoders in zip(handles, digests, own):
+                data = _rows(lead + [enc(lo, hi) for enc in encoders]).encode("utf-8")
+                fh.write(data)
+                digest.update(data)
+    return [(count, digest.hexdigest()) for digest in digests]
 
 
 def default_probe_pair(m: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,8 +135,8 @@ def default_probe_pair(m: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarra
 class Workspace:
     """Shared, lazily computed state for one configuration.
 
-    Panels share the mesh, curvature field, resolved witness phase, sweep and
-    tomography results, so `run_all` never recomputes them.
+    Panels share the mesh, curvature and alpha fields, resolved witness phase,
+    sweep and tomography results, so `run_all` never recomputes them.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -142,6 +154,11 @@ class Workspace:
     @cached_property
     def curvature(self):
         return plaquette_curvature(self.mesh)
+
+    @cached_property
+    def _alpha(self):
+        """The negative-sector weight field of panels b and c, dropped by `_write_group` once they are built."""
+        return alpha_field(self.mesh, self.theta)
 
     @cached_property
     def theta(self) -> float:
@@ -245,26 +262,20 @@ class Workspace:
 
 
 # ---------------------------------------------------------------------------
-# Panel builders: each returns (header, list of equal-length 1-D columns).
+# Panel builders: each returns (header, list of equal-length 1-D columns).  The
+# rows of panels a-c begin with the mesh point's m, n, k_x, k_y, added by `_write_group`.
 # ---------------------------------------------------------------------------
 
-def _field_panel(ws: Workspace, name: str, values: np.ndarray):
-    m, n = np.indices(values.shape).reshape(2, -1)
-    k = mesh_kpoints(ws.mesh.nx, ws.mesh.ny).reshape(-1, 2)
-    return ["m", "n", "k_x", "k_y", name], [m, n, k[:, 0], k[:, 1], values.ravel()]
-
-
 def _panel_a(ws: Workspace):
-    return _field_panel(ws, "F", ws.curvature)
+    return ["F"], [ws.curvature.ravel()]
 
 
 def _panel_b(ws: Workspace):
-    return _field_panel(ws, "alpha", alpha_field(ws.mesh, ws.theta))
+    return ["alpha"], [ws._alpha.ravel()]
 
 
 def _panel_c(ws: Workspace):
-    alpha = alpha_field(ws.mesh, ws.theta)
-    return _field_panel(ws, "density", (1.0 - 2.0 * alpha) * ws.curvature / TWO_PI)
+    return ["density"], [((1.0 - 2.0 * ws._alpha) * ws.curvature / TWO_PI).ravel()]
 
 
 def _sweep_panel(ws: Workspace, *fields: str):
@@ -310,15 +321,50 @@ _PANELS = {
 PANEL_IDS = "".join(_PANELS)
 
 
+def _run_panels(ws: Workspace, panels: str):
+    """Write ``panels``, each attempted even if another failed; return ({panel: PanelOutput}, [(panel, error)]).
+    Panels a-c are built and written as one group, then each other panel alone, so that no group's columns
+    are held while the next one's are built."""
+    fields = [p for p in panels if p in "abc"]
+    outputs, failures = {}, []
+    for group in ([fields] if fields else []) + [[p] for p in panels if p not in "abc"]:
+        built = {}
+        for panel in group:
+            try:
+                built[panel] = _PANELS[panel](ws)
+            except StrataChernError as exc:
+                failures.append((panel, exc))
+        try:
+            outputs.update(_write_group(ws, built))
+        except StrataChernError as exc:
+            failures += [(p, exc) for p in built]
+    return outputs, failures
+
+
+def _write_group(ws: Workspace, built: dict) -> dict:
+    """Write built panels in one `_write_csv` pass, panels a-c over one copy of their m, n, k_x, k_y."""
+    if not built:
+        return {}  # a refused panel makes no output directory
+    header, columns = [], []
+    if built.keys() <= {"a", "b", "c"}:
+        ws.__dict__.pop("_alpha", None)  # panels b and c hold it now; the later panels do not need it
+        m, n = np.indices((ws.mesh.nx, ws.mesh.ny)).reshape(2, -1)
+        k = mesh_kpoints(ws.mesh.nx, ws.mesh.ny).reshape(-1, 2)
+        header, columns = ["m", "n", "k_x", "k_y"], [m, n, k[:, 0], k[:, 1]]
+    outdir = Path(ws.cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    paths = {p: outdir / f"panel_{p}.csv" for p in built}
+    written = _write_csv(header, columns, [(paths[p], *built[p]) for p in built])
+    return {p: PanelOutput(p, str(paths[p]), *w) for p, w in zip(built, written)}
+
+
 def _run_panel(ws: Workspace, panel: str) -> PanelOutput:
     if panel not in _PANELS:
         raise ValidationError(f"unknown panel {panel!r}; expected one of {PANEL_IDS}")
-    header, columns = _PANELS[panel](ws)
-    outdir = Path(ws.cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"panel_{panel}.csv"
-    count, sha256 = _write_csv(path, header, columns)
-    return PanelOutput(panel=panel, path=str(path), rows=count, sha256=sha256)
+    outputs, failures = _run_panels(ws, panel)
+    if failures:
+        raise failures[0][1]
+    return outputs[panel]
 
 
 def run_all(cfg: RunConfig) -> dict:
@@ -335,13 +381,7 @@ def run_all(cfg: RunConfig) -> dict:
     ws = Workspace(cfg)
     ws.analytic
 
-    outputs: dict[str, PanelOutput] = {}
-    failures: list[tuple[str, StrataChernError]] = []
-    for panel in PANEL_IDS:
-        try:
-            outputs[panel] = _run_panel(ws, panel)
-        except StrataChernError as exc:
-            failures.append((panel, exc))
+    outputs, failures = _run_panels(ws, PANEL_IDS)
     if failures:
         names = "; ".join(f"panel {p}: {type(e).__name__}" for p, e in failures)
         first = failures[0][1]

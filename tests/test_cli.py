@@ -161,6 +161,8 @@ def test_on_wall_mesh_readers_refuse_at_any_mesh_size(tmp_path, capsys, command,
     assert cli.main([*command, "--config", cfg, "--mesh", "17x33", "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert err.startswith("OnWall: Dirac mass on a wall") if code else err == ""
+    if command[0] == "figure":
+        assert (tmp_path / "out").exists() == (code == 0)  # a refused panel makes no output directory
 
 
 def test_sweep_subcommand(tmp_path):

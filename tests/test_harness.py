@@ -18,7 +18,15 @@ from stratachern import (
     run_all,
     sweep_mass,
 )
-from stratachern.harness import _BLOCK_ROWS, PANEL_IDS, _run_panel, _write_csv, default_probe_pair
+from stratachern.harness import (
+    _BLOCK_ROWS,
+    PANEL_IDS,
+    _encoding,
+    _run_panel,
+    _run_panels,
+    _write_csv,
+    default_probe_pair,
+)
 from stratachern.model import mesh_kpoints
 
 SQRT3 = math.sqrt(3.0)
@@ -185,24 +193,28 @@ def test_write_csv_matches_per_cell_reference_across_blocks(tmp_path, count):
     ints[0::2] = np.resize(np.array(EDGE_INTS, dtype=np.int64), len(ints[0::2]))
     floats[0::2] = np.resize(EDGE_FLOATS, len(floats[0::2]))
     path = tmp_path / "block.csv"
-    rows, checksum = _write_csv(path, ["i", "x", "y"], [ints, floats, floats[::-1]])
+    [(rows, checksum)] = _write_csv([], [], [(path, ["i", "x", "y"], [ints, floats, floats[::-1]])])
     blob = path.read_bytes()
     assert blob == _reference_csv(["i", "x", "y"], zip(ints, floats, floats[::-1]))
     assert rows == count
     assert checksum == hashlib.sha256(blob).hexdigest()
 
 
-@pytest.mark.parametrize("bad", [
+#: Columns refused next to two-row ones: bool, complex, object, wrong length, 2-D.
+BAD_COLUMNS = [
     np.array([True, False]),
     np.array([1 + 2j, 0j]),
     np.array([1, "x"], dtype=object),
     np.arange(3.0),
     np.zeros((2, 1)),
-])
+]
+
+
+@pytest.mark.parametrize("bad", BAD_COLUMNS)
 def test_write_csv_refuses_unencodable_columns(tmp_path, bad):
     path = tmp_path / "bad.csv"
     with pytest.raises(ValidationError) as excinfo:
-        _write_csv(path, ["ok", "bad"], [np.arange(2), bad])
+        _write_csv([], [], [(path, ["ok", "bad"], [np.arange(2), bad])])
     assert excinfo.value.exit_code == 2
     assert not path.exists()
 
@@ -238,7 +250,7 @@ def test_write_csv_dictionary_columns_match_per_cell_reference(tmp_path, count):
     ]
     header = ["i", "x", "inside", "outside", "j"]
     path = tmp_path / "dict.csv"
-    rows, checksum = _write_csv(path, header, columns)
+    [(rows, checksum)] = _write_csv([], [], [(path, header, columns)])
     blob = path.read_bytes()
     assert blob == _reference_csv(header, zip(*columns))
     assert rows == count
@@ -253,9 +265,103 @@ def test_write_csv_dictionary_columns_match_per_cell_reference(tmp_path, count):
 def test_write_csv_refuses_header_column_mismatch(tmp_path, header, columns):
     path = tmp_path / "bad.csv"
     with pytest.raises(ValidationError) as excinfo:
-        _write_csv(path, header, columns)
+        _write_csv([], [], [(path, header, columns)])
     assert excinfo.value.exit_code == 2
     assert not path.exists()
+
+
+# Files whose rows begin with the same cells: the shared cells are encoded and
+# joined once per block, and each file must still read as if written alone.
+
+@pytest.mark.parametrize("count", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   2 * _BLOCK_ROWS + 3])
+def test_write_csv_shared_columns_match_per_cell_reference(tmp_path, count):
+    rng = np.random.default_rng(count)
+    ints = rng.integers(-(2**62), 2**62, size=count)
+    floats = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, size=count)
+    ints[0::2] = np.resize(np.array(EDGE_INTS, dtype=np.int64), len(ints[0::2]))
+    floats[0::2] = np.resize(DICT_FLOATS, len(floats[0::2]))  # -0.0, nan, +-inf among them
+    # two dictionary-encoded shared columns and two formatted row by row
+    shared = [_drawn_column(DICT_INTS, len(DICT_INTS), count, rng),
+              _drawn_column(DICT_FLOATS, max(count // 4, 1), count, rng), ints, floats]
+    if count >= 64:
+        assert [_encoding(c)(0, 0)[0] for c in shared] == ["%s", "%s", "%d", "%.17g"]
+    own = [[floats[::-1]],
+           [_drawn_column(DICT_FLOATS, len(DICT_FLOATS), count, rng), ints[::-1]],
+           [rng.standard_normal(count)]]
+    files = [(tmp_path / f"f{i}.csv", [f"v{i}_{j}" for j in range(len(cols))], cols) for i, cols in enumerate(own)]
+    written = _write_csv(["i", "x", "j", "y"], shared, files)
+    assert len(written) == len(files)
+    for (path, names, cols), (rows, checksum) in zip(files, written):
+        blob = path.read_bytes()
+        assert blob == _reference_csv(["i", "x", "j", "y", *names], zip(*shared, *cols)), path.name
+        assert rows == count
+        assert checksum == hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("slot", [None, 0, 2], ids=["shared", "first-file", "last-file"])
+@pytest.mark.parametrize("bad", BAD_COLUMNS + [None])
+def test_write_csv_refuses_a_bad_file_before_creating_any(tmp_path, slot, bad):
+    # a refused column (bad None: a header name with no column) in the shared part or in
+    # one file refuses the whole set, and none of the files exists
+    header, shared = ["s"], [np.arange(2)]
+    files = [(tmp_path / f"f{i}.csv", ["x"], [np.arange(2.0)]) for i in range(3)]
+    extra = [] if bad is None else [bad]
+    if slot is None:
+        header, shared = header + ["bad"], shared + extra
+    else:
+        path, names, cols = files[slot]
+        files[slot] = (path, names + ["bad"], cols + extra)
+    with pytest.raises(ValidationError) as excinfo:
+        _write_csv(header, shared, files)
+    assert excinfo.value.exit_code == 2
+    assert not any(path.exists() for path, _, _ in files)
+
+
+@pytest.mark.parametrize("nx, ny", [(5, 7), (24, 24), (48, 48)])
+def test_run_panel_writes_the_bytes_of_run_all(tmp_path, nx, ny):
+    # a field panel alone is the one-file case of run_all's one pass over a-c; the
+    # shared k_y column has 35, 222 and 558 distinct values, so it is formatted row
+    # by row at 5 x 7 and 24 x 24 and gathered at 48 x 48
+    doc = {"model": {"M": 0.5}, "mesh": {"nx": nx, "ny": ny}, "qfi_scan": {"samples": 200, "seed": 42}}
+    summary = run_all(config_from_dict({**doc, "output_dir": str(tmp_path / "all")}))
+    ws = Workspace(config_from_dict({**doc, "output_dir": str(tmp_path / "one")}))
+    k_y = mesh_kpoints(nx, ny)[..., 1].ravel()
+    assert _encoding(k_y)(0, 0)[0] == ("%s" if nx == 48 else "%.17g")
+    for panel in "abc":
+        out = _run_panel(ws, panel)
+        blob = (tmp_path / "one" / f"panel_{panel}.csv").read_bytes()
+        assert blob == (tmp_path / "all" / f"panel_{panel}.csv").read_bytes(), panel
+        assert out.sha256 == summary["panels"][panel]["sha256"] == hashlib.sha256(blob).hexdigest()
+        assert out.rows == summary["panels"][panel]["rows"] == nx * ny
+
+
+def test_run_all_attempts_every_panel(tmp_path, monkeypatch):
+    # a failing alpha field fails panels b and c; a and d-h are still written,
+    # b and c leave no file, and the first error carries the failure list
+    def no_alpha(*args):
+        raise ValidationError("no alpha")
+
+    monkeypatch.setattr("stratachern.harness.alpha_field", no_alpha)
+    cfg = _small_cfg(tmp_path)
+    with pytest.raises(ValidationError) as excinfo:
+        run_all(cfg)
+    assert str(excinfo.value) == "no alpha [failed panels: panel b: ValidationError; panel c: ValidationError]"
+    assert sorted(f.name for f in (tmp_path / "out").iterdir()) == [f"panel_{p}.csv" for p in "adefgh"]
+
+
+def test_run_all_builds_alpha_once(tmp_path, monkeypatch):
+    # panels b and c read one alpha field, and the workspace keeps none after them
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return alpha_field(*args)
+
+    monkeypatch.setattr("stratachern.harness.alpha_field", counted)
+    ws = Workspace(_small_cfg(tmp_path))
+    _run_panels(ws, PANEL_IDS)
+    assert len(calls) == 1 and "_alpha" not in vars(ws)
 
 
 # --- run_all --------------------------------------------------------------------

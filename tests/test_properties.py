@@ -8,7 +8,8 @@ drawn meshes it compares the Bloch-vector plaquette field and the sector
 responses with the oracle's link products of eigh states, and checks two
 symmetries, the sector identities and the theta scan, which need no oracle.
 The CSV writer is checked against its per-cell rule on columns drawn from
-small value pools, so that both of its encodings are reached.
+small value pools, so that both of its encodings are reached, alone and as
+leading cells shared by several files.
 """
 import importlib.util
 import math
@@ -191,5 +192,39 @@ def test_write_csv_matches_per_cell_reference_on_pooled_columns(tmp_path_factory
     columns = [rng.choice(np.array(pool)[:distinct], count) for pool, distinct in specs]
     header = [f"c{i}" for i in range(len(columns))]
     path = tmp_path_factory.mktemp("csv") / "pooled.csv"
-    _write_csv(path, header, columns)
+    _write_csv([], [], [(path, header, columns)])
     assert path.read_bytes() == _reference_csv(header, zip(*columns))
+
+
+_any_column = st.one_of(_csv_column, st.tuples(st.sampled_from([DICT_INTS, DICT_FLOATS]), st.none()))
+
+
+def _drawn(pool, distinct, count, rng):
+    """`count` cells drawn from the pool's first `distinct` values or, for distinct None, about one
+    distinct value per row with every third cell drawn from the whole pool (-0.0, nan, +-inf, +-2^62)."""
+    pool = np.array(pool)
+    if distinct is not None:
+        return rng.choice(pool[:distinct], count)
+    wide = (rng.integers(-(2**62), 2**62, count) if pool.dtype.kind == "i"
+            else rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, count))
+    wide[::3] = rng.choice(pool, len(wide[::3]))
+    return wide
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(count=st.one_of(st.sampled_from([_BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]), st.integers(0, 2 * _BLOCK_ROWS + 3)),
+       shared=st.lists(_any_column, max_size=3),
+       own=st.lists(st.lists(_any_column, min_size=1, max_size=2), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_write_csv_shared_cells_match_per_cell_reference_in_every_file(tmp_path_factory, count, shared, own, seed):
+    # the shared leading cells, gathered or formatted row by row, are written once per
+    # block into every file, and each file reads as if its columns were written alone
+    rng = np.random.default_rng(seed)
+    lead = [_drawn(*spec, count, rng) for spec in shared]
+    header = [f"s{i}" for i in range(len(lead))]
+    root = tmp_path_factory.mktemp("csv")
+    files = [(root / f"f{i}.csv", [f"v{i}_{j}" for j in range(len(specs))], [_drawn(*spec, count, rng) for spec in specs])
+             for i, specs in enumerate(own)]
+    _write_csv(header, lead, files)
+    for path, names, cols in files:
+        assert path.read_bytes() == _reference_csv(header + names, zip(*lead, *cols)), path.name
